@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -101,7 +100,6 @@ class RunConfig:
     cf_n: str = ""
     samples: int = 81
     out_dir: str = "out"
-    jobs: int = 1
     label: str = ""
 
     @property
@@ -113,7 +111,7 @@ class RunConfig:
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 _CANONICAL = {name.lower(): name for name in _FIELDS}
-_INT_FIELDS = {"M", "grid_cells", "snapshots", "samples", "jobs"}
+_INT_FIELDS = {"M", "grid_cells", "snapshots", "samples"}
 _FLOAT_FIELDS = {"y_max", "grid_x_min", "grid_x_max", "rtol", "tolerance"}
 
 
@@ -190,8 +188,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("tolerance", f"must be positive, got {config.tolerance}")
     if config.samples < 2:
         raise ConfigError("samples", f"need at least 2, got {config.samples}")
-    if config.jobs < 1:
-        raise ConfigError("jobs", f"must be at least 1, got {config.jobs}")
     _parse_theta_spec(config.theta, config.M)
     _parse_levels(config.taylor_n, config.M, "taylor_n")
     _parse_levels(config.cf_n, config.M, "cf_n")
@@ -341,10 +337,9 @@ def cmd_derivs(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cf_level_artifacts(args):
+def _cf_level_artifacts(cf: ContinuedFraction, level: int, ys: list, y_max: float):
     """Defect report and sampled curve for one truncation level."""
-    cf, level, ys, y_max, panels = args
-    report = find_defects(to_rational(cf, level), y_max, panels=panels)
+    report = find_defects(to_rational(cf, level), y_max)
     values = []
     for y in ys:
         try:
@@ -369,13 +364,7 @@ def cmd_cf(config: RunConfig) -> int:
 
     ys = [float(v) for v in np.linspace(0.0, config.y_max, config.samples)]
     cf_levels = _parse_levels(config.cf_n, cf.truncation, "cf_n") or (selection.level,)
-    tasks = [(cf, level, ys, config.y_max, 4096) for level in sorted(cf_levels)]
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_cf_level_artifacts, tasks))
-    else:
-        results = [_cf_level_artifacts(t) for t in tasks]
-    results.sort(key=lambda item: item[0])
+    results = [_cf_level_artifacts(cf, level, ys, config.y_max) for level in sorted(cf_levels)]
 
     _dump_json(
         {
@@ -406,8 +395,8 @@ def cmd_cf(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_solve(config: RunConfig) -> int:
-    sol, _ = _run_solve(config)
+def _write_solution(config: RunConfig, sol) -> None:
+    """Snapshots and run manifest of one solve."""
     out = _out_dir(config)
     snapshot_files = {}
     for k, (y, _) in enumerate(sol.snapshots):
@@ -424,11 +413,10 @@ def cmd_solve(config: RunConfig) -> int:
         f"solved to y = {config.y_max:g} in {sol.stats['steps_accepted']} steps"
         f" ({sol.stats['steps_rejected']} rejected); outputs in {out}"
     )
-    return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    sol, theta_fn = _run_solve(config)
+def _write_verification(config: RunConfig, sol, theta_fn) -> int:
+    """Self-consistency report of one solve against its driving temperature."""
     report = self_consistency(sol, theta_fn, tolerance=config.tolerance)
     out = _out_dir(config)
     report.dump_json(out / f"verify_{config.tag}.json")
@@ -443,6 +431,17 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
+def cmd_solve(config: RunConfig) -> int:
+    sol, _ = _run_solve(config)
+    _write_solution(config, sol)
+    return EXIT_OK
+
+
+def cmd_verify(config: RunConfig) -> int:
+    sol, theta_fn = _run_solve(config)
+    return _write_verification(config, sol, theta_fn)
+
+
 _SCENARIOS = ("monoenergetic", "bremsstrahlung")
 
 
@@ -453,11 +452,14 @@ def _shipped_config(name: str) -> dict:
 
 
 def cmd_reproduce(config: RunConfig) -> int:
-    for stage in (cmd_derivs, cmd_cf, cmd_solve):
+    """All stages; the one transport solve feeds both its outputs and verify."""
+    for stage in (cmd_derivs, cmd_cf):
         code = stage(config)
         if code != EXIT_OK:
             return code
-    return cmd_verify(config)
+    sol, theta_fn = _run_solve(config)
+    _write_solution(config, sol)
+    return _write_verification(config, sol, theta_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +487,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cf-N", dest="cf_n", help="comma list of fraction levels")
     sub.add_argument("--samples", help="curve sampling density in y")
     sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--jobs", help="parallel workers for level sweeps")
     sub.add_argument("--label", help="output filename tag (default: spectrum name)")
 
 

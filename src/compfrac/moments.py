@@ -5,14 +5,19 @@ which each power moment satisfies
 
     dI_n/dy = (n - i) [ (n + k - 1) I_{n+k-2} - I_{n+j-1} / theta ].
 
-Two independent routes turn the initial moments of a spectrum into the
-derivatives theta^(n)(0):
+Both routes below advance truncated Taylor series (jets) of the moments
+through this hierarchy in exact rational arithmetic, with Cauchy
+products for I_{n+j-1}/theta and the series reciprocal of theta
+(Taylor-mode differentiation; Griewank & Walther, Evaluating
+Derivatives, 2nd ed. 2008, ch. 13).  They differ in how the
+temperature is recovered:
 
 * the Comptonization route (i=j=k=2, alpha=4), where energy conservation
-  closes the hierarchy and each moment is a polynomial in theta and its
-  derivatives, built by iterating a first-order differential operator;
-* the general route, which differentiates I_alpha(y)/I_alpha(0) directly,
-  substituting the hierarchy for every moment derivative that appears.
+  closes the hierarchy: theta is the series quotient I_4/(4 I_3) over the
+  moments I_3 ... I_{M+4};
+* the general route, for any transport parameters: theta is the ratio
+  I_alpha/I_alpha(0) over the lattice of indices reached from alpha by
+  steps of k-2 and j-1, each expanded only as deep as still needed.
 
 Both produce exact rational tables for exact rational moments; they must
 agree wherever both apply, which is one of the package's core checks.
@@ -21,13 +26,12 @@ agree wherever both apply, which is one of the package's core checks.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .expressions import THETA, ThetaExpression, deriv_var, moment_var
 from .spectra import (
     COMPTONIZATION,
     DegenerateAlphaWarning,
@@ -38,50 +42,12 @@ from .spectra import (
 )
 
 
-class DegenerateIndex(ValueError):
-    """The moment-recurrence operator is undefined at index 2."""
-
-
 class NonlinearSolveImpossible(ArithmeticError):
-    """The leading coefficient of the highest derivative vanished."""
+    """The data leave the temperature or its reciprocal undefined."""
 
 
 class NormalizationError(ValueError):
     """The spectrum violates the closure condition theta(0) = 1."""
-
-
-# ---------------------------------------------------------------------------
-# Comptonization route
-
-
-def apply_D(expr: ThetaExpression, n: int) -> ThetaExpression:
-    """One step of the moment recurrence: (2-n)^-1 (d/dy - (n+1)(n-2)).
-
-    Applies only to expressions in theta and its derivatives (the
-    Comptonization hierarchy); moment variables are not allowed here.
-    """
-    if n == 2:
-        raise DegenerateIndex("the recurrence operator divides by 2 - n; n = 2 is excluded")
-    if expr.moment_indices():
-        raise ValueError("operator applies to pure temperature expressions only")
-    lam = Fraction((n + 1) * (n - 2))
-    return (expr.differentiate() - lam * expr) * Fraction(1, 2 - n)
-
-
-@lru_cache(maxsize=None)
-def moment_expression(n: int) -> ThetaExpression:
-    """I_n(y)/I_3(0) as an exact polynomial in theta(y) and its derivatives.
-
-    Starts from the conserved energy moment (I_3 constant) and climbs one
-    index at a time via I_{m+1} = theta * D_m I_m.  The result involves
-    derivatives up to order n - 4 only.
-    """
-    if n < 3:
-        raise ValueError("moment expressions start at the conserved index n = 3")
-    if n == 3:
-        return ThetaExpression.constant(1)
-    theta = ThetaExpression.theta_power(1)
-    return theta * apply_D(moment_expression(n - 1), n - 1)
 
 
 @dataclass(frozen=True)
@@ -184,15 +150,61 @@ class DerivativeTable:
             return cls.from_json_dict(json.load(fh))
 
 
+# ---------------------------------------------------------------------------
+# Taylor jets: list c holds the coefficient of y^c
+
+
+def _cauchy(a: list, b: list, c: int) -> Fraction:
+    """Coefficient c of the product of the series a and b."""
+    return sum(a[r] * b[c - r] for r in range(c + 1))
+
+
+def _quotient_term(num_c: Fraction, den: list, q: list) -> Fraction:
+    """Next coefficient of q = num/den, from num's coefficient and q so far."""
+    c = len(q)
+    return (num_c - sum(q[r] * den[c - r] for r in range(c))) / den[0]
+
+
+def _hierarchy_terms(params: TransportParams, n: Fraction) -> tuple:
+    """dI_n/dy as (coefficient, index, divided by theta) terms; zero terms
+    are dropped, so at n = i the moment is constant and nothing is read."""
+    pre = n - params.i
+    terms = (
+        (pre * (n + params.k - 1), n + params.k - 2, False),
+        (-pre, n + params.j - 1, True),
+    )
+    return tuple(t for t in terms if t[0] != 0)
+
+
+def _advance(jets: dict, terms: dict, depth: dict, recip: list, c: int) -> None:
+    """Append coefficient c+1 to every jet expanded beyond c; recip is 1/theta."""
+    for n, jet in jets.items():
+        if depth[n] > c:
+            rate = sum(
+                coeff * (_cauchy(recip, jets[m], c) if cool else jets[m][c])
+                for coeff, m, cool in terms[n]
+            )
+            jet.append(Fraction(rate, c + 1))
+
+
+def _derivatives(theta: list) -> tuple:
+    """theta^(m)(0) = m! [y^m] theta."""
+    return tuple(math.factorial(m) * t for m, t in enumerate(theta))
+
+
+# ---------------------------------------------------------------------------
+# Comptonization route
+
+
 def comptonization_table_from_moments(
     moments: Mapping, order: int, spectrum_label: str = "<moments>"
 ) -> DerivativeTable:
     """Solve the closed Comptonization hierarchy for the derivative table.
 
     ``moments`` maps integer indices 3 .. order+4 to I_n(0) values
-    (Fractions, or floats that are lifted to exact rationals).  At each
-    index n the single new unknown theta^(n-4)(0) enters linearly; its
-    coefficient can only vanish for degenerate data (theta = 0).
+    (Fractions, or floats that are lifted to exact rationals).  Each
+    moment I_n is expanded to order min(M, M+4-n), the depth that
+    theta^(M) = M! [y^M] I_4/(4 I_3) still reads.
     """
     lifted = {int(n): Fraction(v) for n, v in moments.items()}
     exact = all(isinstance(v, (int, Fraction)) for v in moments.values())
@@ -200,23 +212,25 @@ def comptonization_table_from_moments(
     missing = [n for n in needed if n not in lifted]
     if missing:
         raise ValueError(f"moments missing for indices {missing}")
-    energy = lifted[3]
-    if energy <= 0:
+    if lifted[3] <= 0:
         raise NonlinearSolveImpossible("conserved energy moment I_3(0) must be positive")
 
-    known: dict = {}
-    for n in range(4, order + 5):
-        target = lifted[n] / energy
-        unknown = deriv_var(n - 4)
-        a, b = moment_expression(n).linear_coefficients(unknown, known)
-        if a == 0:
-            raise NonlinearSolveImpossible(
-                f"coefficient of the order-{n - 4} derivative vanished at index {n}; "
-                "the spectrum is degenerate"
-            )
-        known[unknown] = (target - b) / a
+    jets = {n: [lifted[n]] for n in needed}
+    terms = {n: _hierarchy_terms(COMPTONIZATION, Fraction(n)) for n in needed}
+    depth = {n: min(order, order + 4 - n) for n in needed}
+    theta = [lifted[4] / (4 * lifted[3])]
+    if order and theta[0] == 0:
+        raise NonlinearSolveImpossible(
+            "I_4(0) = 0 makes theta(0) = 0, so 1/theta has no series; "
+            "the spectrum is degenerate"
+        )
+    recip: list = []
+    for c in range(order):
+        recip.append(_quotient_term(Fraction(c == 0), theta, recip))
+        _advance(jets, terms, depth, recip, c)
+        theta.append(_quotient_term(jets[4][c + 1] / 4, jets[3], theta))
 
-    values = tuple(known[deriv_var(m)] for m in range(order + 1))
+    values = _derivatives(theta)
     if exact and values[0] != 1:
         raise NormalizationError(
             f"I_4(0)/(4 I_3(0)) = {values[0]}, so theta(0) != 1; "
@@ -251,37 +265,15 @@ def theta_derivatives_comptonization(spectrum: InitialSpectrum, order: int) -> D
 # general route
 
 
-def hierarchy_rule(params: TransportParams) -> Callable[[Fraction], ThetaExpression]:
-    """The substitution dI_n/dy -> (n-i)[(n+k-1) I_{n+k-2} - I_{n+j-1}/theta]."""
-
-    def rule(n: Fraction) -> ThetaExpression:
-        pre = Fraction(n) - params.i
-        grow = ThetaExpression.variable(moment_var(n + params.k - 2)) * (
-            Fraction(n) + params.k - 1
-        )
-        cool = ThetaExpression.variable(moment_var(n + params.j - 1)) * ThetaExpression.theta_power(-1)
-        return (grow - cool) * pre
-
-    return rule
-
-
-@lru_cache(maxsize=None)
-def _general_template(params: TransportParams, n: int) -> ThetaExpression:
-    """d^n/dy^n of I_alpha(y), before division by I_alpha(0)."""
-    rule = hierarchy_rule(params)
-    if n == 1:
-        return rule(params.alpha)
-    return _general_template(params, n - 1).differentiate(moment_rule=rule)
-
-
 def theta_derivatives_general(
     params: TransportParams, spectrum: InitialSpectrum, order: int
 ) -> DerivativeTable:
-    """Derivative table by direct differentiation of the moment ratio.
+    """Derivative table from the moment ratio theta = I_alpha/I_alpha(0).
 
     Works for any transport parameters; converges provided every moment
     index reached by the recursion (alpha shifted by multiples of k-2 and
-    j-1) has a convergent integral.
+    j-1) has a convergent integral.  An index first reached after s steps
+    is expanded to order M - s.
     """
     if params.alpha == params.i:
         warnings.warn(
@@ -299,28 +291,39 @@ def theta_derivatives_general(
             exact=True,
         )
 
-    templates = [_general_template(params, n) for n in range(1, order + 1)]
-    indices: set = {params.alpha}
-    for t in templates:
-        indices.update(t.moment_indices())
-    indices = sorted(indices)
+    steps = {params.alpha: 0}
+    terms: dict = {}
+    frontier = [params.alpha]
+    for s in range(1, order + 1):
+        reached = []
+        for n in frontier:
+            terms[n] = _hierarchy_terms(params, n)
+            for _, m, _ in terms[n]:
+                if m not in steps:
+                    steps[m] = s
+                    reached.append(m)
+        frontier = reached
+    indices = sorted(steps)
 
     moments = {ix: initial_moment(spectrum, ix) for ix in indices}
     exact = all(isinstance(v, (int, Fraction)) for v in moments.values())
-    norm = Fraction(moments[params.alpha])
+    jets = {ix: [Fraction(v)] for ix, v in moments.items()}
+    depth = {ix: order - s for ix, s in steps.items()}
+    norm = jets[params.alpha][0]
+    if norm == 0:
+        raise NonlinearSolveImpossible(
+            f"I_alpha(0) = 0 at alpha = {params.alpha}; theta is undefined"
+        )
 
-    bound: dict = {THETA: Fraction(1)}
-    for ix, v in moments.items():
-        bound[moment_var(ix)] = Fraction(v)
-
-    values = [Fraction(1)]
-    for n, tpl in enumerate(templates, start=1):
-        val = tpl.evaluate(bound) / norm
-        values.append(val)
-        bound[deriv_var(n)] = val
+    theta = [Fraction(1)]
+    recip: list = []
+    for c in range(order):
+        recip.append(_quotient_term(Fraction(c == 0), theta, recip))
+        _advance(jets, terms, depth, recip, c)
+        theta.append(jets[params.alpha][c + 1] / norm)
 
     return DerivativeTable(
-        values=tuple(values),
+        values=_derivatives(theta),
         provenance="general-route",
         params=params,
         spectrum=spectrum.describe(),

@@ -1,27 +1,22 @@
 """Tests for the exact derivative tables.
 
 The main oracle integrates the closed hierarchy as truncated Taylor
-series in rational arithmetic, independent of the production recurrence:
-moments advance jet by jet, theta is recovered as the series quotient
-I_4/(4 I_3), and 1/theta is maintained by long division.  Both
-production routes must reproduce those jets exactly.
+series in rational arithmetic, written separately from the production
+jets: moments advance jet by jet, theta is recovered as the series
+quotient I_4/(4 I_3), and 1/theta is maintained by long division.  Both
+production routes must reproduce those jets exactly, to order 64.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from compfrac.expressions import THETA, ThetaExpression, deriv_var, moment_var
 from compfrac.moments import (
-    DegenerateIndex,
     DerivativeTable,
+    NonlinearSolveImpossible,
     NormalizationError,
-    apply_D,
     comptonization_table_from_moments,
-    moment_expression,
     theta_derivatives_comptonization,
     theta_derivatives_general,
 )
@@ -32,6 +27,8 @@ from compfrac.spectra import (
     Monoenergetic,
     TransportParams,
 )
+
+DEEP = 64
 
 
 def hierarchy_jets(moment, order):
@@ -86,12 +83,25 @@ BREMS_DEEP = {
 }
 
 
-def test_oracle_matches_table_monoenergetic(mono_table):
-    assert mono_table.values == hierarchy_jets(mono_moment, 24)
+@pytest.fixture(scope="module")
+def deep_tables():
+    """Closure-route tables at the deepest order the CLI accepts."""
+    return {
+        s.describe(): theta_derivatives_comptonization(s, DEEP)
+        for s in (Monoenergetic(), Bremsstrahlung())
+    }
 
 
-def test_oracle_matches_table_bremsstrahlung(brems_table):
-    assert brems_table.values == hierarchy_jets(brems_moment, 24)
+def test_oracle_matches_table_monoenergetic(deep_tables, mono_table):
+    table = deep_tables[Monoenergetic().describe()]
+    assert table.values == hierarchy_jets(mono_moment, DEEP)
+    assert table.values[:25] == mono_table.values
+
+
+def test_oracle_matches_table_bremsstrahlung(deep_tables, brems_table):
+    table = deep_tables[Bremsstrahlung().describe()]
+    assert table.values == hierarchy_jets(brems_moment, DEEP)
+    assert table.values[:25] == brems_table.values
 
 
 def test_low_order_anchors(mono_table, brems_table):
@@ -107,11 +117,61 @@ def test_deep_order_anchors(mono_table, brems_table):
 
 
 @pytest.mark.parametrize("spectrum", [Monoenergetic(), Bremsstrahlung()])
-def test_route_equivalence(spectrum):
-    direct = theta_derivatives_general(COMPTONIZATION, spectrum, 12)
-    closed = theta_derivatives_comptonization(spectrum, 12)
+def test_route_equivalence(spectrum, deep_tables):
+    direct = theta_derivatives_general(COMPTONIZATION, spectrum, DEEP)
+    closed = deep_tables[spectrum.describe()]
     assert direct.values == closed.values
     assert direct.exact and closed.exact
+    assert direct.moment_indices == tuple(Fraction(n) for n in range(4, DEEP + 5))
+
+
+# General-parameter tables at order 8, frozen from the symbolic route
+# that differentiated I_alpha(y)/I_alpha(0) as a polynomial expression;
+# keyed by (i, j, k, alpha), each entry holds the moment indices read and
+# theta^(0..8)(0) for the monoenergetic and free-free spectra.
+GENERAL_ANCHORS = {
+    (2, 3, 3, 5): (
+        range(5, 22),
+        (1, 36, 2304, 196608, 20643840, 3019997184, 815566159872,
+         337696109101056, 131590848742686720),
+        (1, -324, 483840, -2642706432, 31818421223424, -690854410443423744,
+         24281501982446249312256, -1288118817066983532879937536,
+         98094631866610290146350618116096),
+    ),
+    (3, 2, 3, 4): (
+        range(4, 13),
+        (1, 20, 1040, 92480, 12335360, 2286187520, 559817953280,
+         174713729269760, 67632616121630720),
+        (1, 40, 6080, 2088960, 1343692800, 1445954519040, 2412243485982720,
+         5898775975050608640, 20244493827445547335680),
+    ),
+    (2, 1, 2, 4): (
+        range(4, 5),
+        (1, 8, 80, 800, 8000, 80000, 800000, 8000000, 80000000),
+        (1, 8, 80, 800, 8000, 80000, 800000, 8000000, 80000000),
+    ),
+}
+
+
+@pytest.mark.parametrize("ijka", sorted(GENERAL_ANCHORS), ids=lambda p: "-".join(map(str, p)))
+def test_general_route_anchors(ijka):
+    indices, mono, brems = GENERAL_ANCHORS[ijka]
+    params = TransportParams(*(Fraction(v) for v in ijka))
+    for spectrum, expect in ((Monoenergetic(), mono), (Bremsstrahlung(), brems)):
+        table = theta_derivatives_general(params, spectrum, 8)
+        assert table.values == tuple(Fraction(v) for v in expect)
+        assert table.moment_indices == tuple(Fraction(n) for n in indices)
+        assert table.exact and table.provenance == "general-route"
+
+
+def test_general_route_stops_at_index_i():
+    # with (i, j, k, alpha) = (3, 1, 1, 4) the lattice steps down onto
+    # n = i = 3, whose moment is constant; its neighbour I_2 diverges for
+    # the free-free spectrum and must never be read
+    params = TransportParams(Fraction(3), Fraction(1), Fraction(1), Fraction(4))
+    table = theta_derivatives_general(params, Bremsstrahlung(), 8)
+    assert table.moment_indices == (Fraction(3), Fraction(4))
+    assert table.values == (Fraction(1),) + (Fraction(0),) * 8
 
 
 def test_table_metadata(mono_table):
@@ -158,61 +218,12 @@ def test_missing_moments_rejected():
         comptonization_table_from_moments(moments, 6)
 
 
-def test_apply_D_base_actions():
-    # (2-3)^(-1) (d/dy - 4) acting on the constant 1 gives +4
-    assert apply_D(ThetaExpression.constant(1), 3) == ThetaExpression.constant(4)
-    theta = ThetaExpression.theta_power(1)
-    got = apply_D(theta, 3)
-    expect = theta * 4 - ThetaExpression.variable(deriv_var(1))
-    assert got == expect
-
-
-def test_apply_D_degenerate_index():
-    with pytest.raises(DegenerateIndex):
-        apply_D(ThetaExpression.constant(1), 2)
-
-
-def test_apply_D_rejects_moment_variables():
-    expr = ThetaExpression.variable(moment_var(5))
-    with pytest.raises(ValueError):
-        apply_D(expr, 4)
-
-
-def test_moment_expression_base_cases():
-    assert moment_expression(3) == ThetaExpression.constant(1)
-    # Climbing one index from the conserved moment gives 4 theta, the
-    # closure I_4 = 4 theta I_3 in disguise.
-    assert moment_expression(4) == ThetaExpression.theta_power(1) * 4
-    with pytest.raises(ValueError):
-        moment_expression(2)
-
-
-def test_moment_expression_one_step_up():
-    # I_5 / I_3(0) = theta (20 theta - 2 theta^(1))
-    theta = ThetaExpression.theta_power(1)
-    dtheta = ThetaExpression.variable(deriv_var(1))
-    assert moment_expression(5) == theta * (theta * 20 - dtheta * 2)
-
-
-def test_moment_expression_sixth_moment_value():
-    # substituting the first three monoenergetic derivatives must return
-    # the exact moment ratio I_6 / I_3(0) = 256/4
-    values = {
-        deriv_var(0): Fraction(1),
-        deriv_var(1): Fraction(2),
-        deriv_var(2): Fraction(-12),
-    }
-    assert moment_expression(6).evaluate(values) == 64
-
-
-def test_moment_expression_reproduces_moment_jets():
-    # Evaluating I_n(y)/I_3(0) with the derivative table at y = 0 must
-    # return the original input moments, closing the loop.
-    table = theta_derivatives_comptonization(Monoenergetic(), 8)
-    values = {deriv_var(m): table[m] for m in range(9)}
-    for n in range(3, 12):
-        got = moment_expression(n).evaluate(values)
-        assert got * mono_moment(3) == mono_moment(n)
+def test_degenerate_moments_rejected():
+    with pytest.raises(NonlinearSolveImpossible, match="I_3"):
+        comptonization_table_from_moments({3: 0, 4: 0, 5: 1}, 1)
+    # theta(0) = 0 leaves 1/theta without a series
+    with pytest.raises(NonlinearSolveImpossible, match="theta"):
+        comptonization_table_from_moments({3: 1, 4: 0, 5: 1, 6: 1}, 2)
 
 
 def test_degenerate_alpha_warns():
@@ -220,33 +231,3 @@ def test_degenerate_alpha_warns():
         params = TransportParams(Fraction(2), Fraction(2), Fraction(2), Fraction(2))
         table = theta_derivatives_general(params, Monoenergetic(), 6)
     assert table.values == (Fraction(1),) + (Fraction(0),) * 6
-
-
-coeffs = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
-).filter(lambda f: f != 0)
-
-
-@st.composite
-def theta_polynomials(draw):
-    n_terms = draw(st.integers(min_value=1, max_value=3))
-    expr = ThetaExpression.zero()
-    for _ in range(n_terms):
-        mono = ThetaExpression.constant(draw(coeffs))
-        for var in (THETA, deriv_var(1), deriv_var(2)):
-            mono = mono * ThetaExpression.variable(var, draw(st.integers(0, 2)))
-        expr = expr + mono
-    return expr
-
-
-@settings(max_examples=60, deadline=None)
-@given(a=theta_polynomials(), b=theta_polynomials())
-def test_differentiate_is_a_derivation(a, b):
-    product_rule = (a * b).differentiate()
-    assert product_rule == a.differentiate() * b + a * b.differentiate()
-
-
-@settings(max_examples=60, deadline=None)
-@given(a=theta_polynomials(), b=theta_polynomials())
-def test_differentiate_is_linear(a, b):
-    assert (a + b).differentiate() == a.differentiate() + b.differentiate()
