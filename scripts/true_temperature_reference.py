@@ -33,8 +33,7 @@ from compfrac.spectra import COMPTONIZATION, Bremsstrahlung, Monoenergetic
 from compfrac.transport import (
     Grid,
     TemperatureFn,
-    _assemble,
-    _implicit_step,
+    _Operator,
     initial_cell_values,
 )
 
@@ -46,6 +45,7 @@ def solve_instantaneous_equilibrium(spectrum, grid, rtol=1e-6, dy0=1e-5):
     F0, _ = initial_cell_values(spectrum, grid, COMPTONIZATION)
     Fv = F0.copy()
     x, dx = grid.centers, grid.widths
+    op = _Operator(grid, COMPTONIZATION)
 
     def temp(Fz):
         return float(np.sum(x**2 * Fz * dx) / (4.0 * np.sum(x * Fz * dx)))
@@ -59,7 +59,7 @@ def solve_instantaneous_equilibrium(spectrum, grid, rtol=1e-6, dy0=1e-5):
 
     def step(Fin, width, th):
         for _ in range(12):
-            Fn = _implicit_step(Fin, *_assemble(grid, th, COMPTONIZATION), width)
+            Fn = op.step(Fin, op.assemble(th), width)
             th_new = temp(Fn)
             if abs(th_new - th) < 1e-14 * th:
                 break

@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from .spectra import (
 )
 from .transport import (
     Grid,
+    NonFiniteState,
     NonPositiveTemperature,
     PositivityViolation,
     SnapshotMissing,
@@ -68,6 +70,7 @@ _NUMERICAL_ERRORS = (
     NonPositiveTemperature,
     PositivityViolation,
     StepSizeUnderflow,
+    NonFiniteState,
     SnapshotMissing,
     NonConvergedQuadrature,
     UnsupportedParams,
@@ -279,30 +282,46 @@ def _dump_json(data: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _derivative_table(config: RunConfig) -> DerivativeTable:
-    return theta_derivatives_comptonization(_table_spectrum(config), config.M)
-
-
 def _theta_eq(config: RunConfig):
     report = equilibrium_temperature(_table_spectrum(config))
     return report.value if report.meaningful else Fraction(0)
 
 
-def _resolve_theta(config: RunConfig):
-    """Temperature function per the theta spec, plus the pieces it used."""
-    kind, arg = _parse_theta_spec(config.theta, config.M)
+class _Artifacts:
+    """The pipeline artifacts of one config, each built on first use.
+
+    Every stage of a command reads them from one instance, so
+    ``reproduce`` builds the derivative table, the fraction and the level
+    selection once, and a stage that needs none of them builds none.
+    """
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+
+    @cached_property
+    def table(self) -> DerivativeTable:
+        return theta_derivatives_comptonization(_table_spectrum(self.config), self.config.M)
+
+    @cached_property
+    def fraction(self) -> ContinuedFraction:
+        return cf_coefficients(self.table)
+
+    @cached_property
+    def selection(self):
+        config = self.config
+        return select_approximant(self.fraction, config.y_max, theta_eq=_theta_eq(config))
+
+
+def _resolve_theta(run: _Artifacts) -> TemperatureFn:
+    """Temperature function per the theta spec."""
+    kind, arg = _parse_theta_spec(run.config.theta, run.config.M)
     if kind == "constant":
-        return TemperatureFn.constant(arg), None, None
-    table = _derivative_table(config)
+        return TemperatureFn.constant(arg)
     if kind == "taylor":
-        return TemperatureFn.from_table(table, arg), table, None
-    cf = cf_coefficients(table)
-    if arg is None:
-        selection = select_approximant(cf, config.y_max, theta_eq=_theta_eq(config))
-        level = selection.level
-    else:
-        level = min(arg, cf.truncation)
-    return TemperatureFn.from_continued_fraction(cf, level), table, cf
+        return TemperatureFn.from_table(run.table, arg)
+    cf = run.fraction
+    level = run.selection.level if arg is None else min(arg, cf.truncation)
+    return TemperatureFn.from_continued_fraction(cf, level)
 
 
 def _grid(config: RunConfig) -> Grid:
@@ -315,8 +334,9 @@ def _grid(config: RunConfig) -> Grid:
     )
 
 
-def _run_solve(config: RunConfig):
-    theta_fn, _, _ = _resolve_theta(config)
+def _run_solve(run: _Artifacts):
+    config = run.config
+    theta_fn = _resolve_theta(run)
     spectrum = _parse_spectrum(config.spectrum)
     return solve_transport(spectrum, theta_fn, _grid(config), rtol=config.rtol), theta_fn
 
@@ -325,8 +345,8 @@ def _run_solve(config: RunConfig):
 # subcommands
 
 
-def cmd_derivs(config: RunConfig) -> int:
-    table = _derivative_table(config)
+def cmd_derivs(run: _Artifacts) -> int:
+    config, table = run.config, run.table
     out = _out_dir(config)
     table.dump_json(out / f"derivs_{config.tag}.json")
     with open(out / f"derivs_{config.tag}.csv", "w", encoding="utf-8") as fh:
@@ -349,10 +369,8 @@ def _cf_level_artifacts(cf: ContinuedFraction, level: int, ys: list, y_max: floa
     return level, report, values
 
 
-def cmd_cf(config: RunConfig) -> int:
-    table = _derivative_table(config)
-    cf = cf_coefficients(table)
-    selection = select_approximant(cf, config.y_max, theta_eq=_theta_eq(config))
+def cmd_cf(run: _Artifacts) -> int:
+    config, table, cf, selection = run.config, run.table, run.fraction, run.selection
     out = _out_dir(config)
 
     _dump_json(cf.to_json_dict(), out / f"cf_{config.tag}.json")
@@ -431,15 +449,15 @@ def _write_verification(config: RunConfig, sol, theta_fn) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def cmd_solve(config: RunConfig) -> int:
-    sol, _ = _run_solve(config)
-    _write_solution(config, sol)
+def cmd_solve(run: _Artifacts) -> int:
+    sol, _ = _run_solve(run)
+    _write_solution(run.config, sol)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    sol, theta_fn = _run_solve(config)
-    return _write_verification(config, sol, theta_fn)
+def cmd_verify(run: _Artifacts) -> int:
+    sol, theta_fn = _run_solve(run)
+    return _write_verification(run.config, sol, theta_fn)
 
 
 _SCENARIOS = ("monoenergetic", "bremsstrahlung")
@@ -451,15 +469,15 @@ def _shipped_config(name: str) -> dict:
         return load_config_file(path)
 
 
-def cmd_reproduce(config: RunConfig) -> int:
-    """All stages; the one transport solve feeds both its outputs and verify."""
+def cmd_reproduce(run: _Artifacts) -> int:
+    """All stages on shared artifacts; one transport solve feeds its outputs and verify."""
     for stage in (cmd_derivs, cmd_cf):
-        code = stage(config)
+        code = stage(run)
         if code != EXIT_OK:
             return code
-    sol, theta_fn = _run_solve(config)
-    _write_solution(config, sol)
-    return _write_verification(config, sol, theta_fn)
+    sol, theta_fn = _run_solve(run)
+    _write_solution(run.config, sol)
+    return _write_verification(run.config, sol, theta_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +553,7 @@ def main(argv=None) -> int:
         "reproduce": cmd_reproduce,
     }[command]
     try:
-        return handler(config)
+        return handler(_Artifacts(config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .contfrac import ContinuedFraction, to_rational
 from .moments import DerivativeTable
@@ -53,6 +53,10 @@ class SnapshotMissing(KeyError):
     """No stored snapshot at the requested y."""
 
 
+class NonFiniteState(ArithmeticError):
+    """A step produced a NaN or infinite value, or a singular step matrix."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered log grid in x plus the y span and snapshot times."""
@@ -78,6 +82,15 @@ class Grid:
             raise ValueError("y_end must be positive")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "snapshot_times", snaps)
+        # derived arrays, built once; not fields, so equality, hashing and
+        # the JSON form still see only the edges tuple
+        e = np.asarray(edges)
+        centers = np.sqrt(e[:-1] * e[1:])
+        widths = e[1:] - e[:-1]
+        centers.flags.writeable = False
+        widths.flags.writeable = False
+        object.__setattr__(self, "_centers", centers)
+        object.__setattr__(self, "_widths", widths)
 
     @classmethod
     def log_spaced(
@@ -101,13 +114,13 @@ class Grid:
 
     @property
     def centers(self) -> np.ndarray:
-        e = np.asarray(self.edges)
-        return np.sqrt(e[:-1] * e[1:])
+        """Geometric cell centers (read-only)."""
+        return self._centers
 
     @property
     def widths(self) -> np.ndarray:
-        e = np.asarray(self.edges)
-        return e[1:] - e[:-1]
+        """Cell widths (read-only)."""
+        return self._widths
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,30 +285,13 @@ def initial_cell_values(
     return F, actual
 
 
-def _interface_exponent(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    theta_val: float,
-    params: TransportParams,
-) -> np.ndarray:
-    """Exact integral of W/C between adjacent cell centers.
-
-    W/C = x^(j-k)/theta - i/x integrates to (hi^p - lo^p)/(p theta)
-    - i ln(hi/lo) with p = j - k + 1, or to ln(hi/lo)/theta - i ln(hi/lo)
-    when p = 0.
-    """
-    p = float(params.p)
-    i = float(params.i)
-    logratio = np.log(hi / lo)
-    if p == 0.0:
-        return logratio / theta_val - i * logratio
-    return (hi ** p - lo ** p) / (p * theta_val) - i * logratio
-
-
 def _lambda_minus(w: np.ndarray) -> np.ndarray:
     """w / (e^w - 1), stable over the full real line."""
+    aw = np.abs(w)
+    if aw.min() >= 1e-8 and aw.max() <= 500.0:
+        return w / np.expm1(w)
     out = np.empty_like(w)
-    tiny = np.abs(w) < 1e-8
+    tiny = aw < 1e-8
     big = w > 500.0
     neg = w < -500.0
     rest = ~(tiny | big | neg)
@@ -307,43 +303,67 @@ def _lambda_minus(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(grid: Grid, theta_val: float, params: TransportParams):
-    """Tridiagonal rate matrix dF/dy = A F as (lower, diag, upper)."""
-    x = grid.centers
-    dx = grid.widths
-    k = float(params.k)
-    xe = np.asarray(grid.edges[1:-1])  # interior interfaces
-    gap = x[1:] - x[:-1]
-    c_edge = xe ** k
-    w = _interface_exponent(x[:-1], x[1:], theta_val, params)
-    lam_m = _lambda_minus(w)
-    lam_p = lam_m + w  # identity lambda_plus - lambda_minus = w
-    g = c_edge / gap  # conductance of each interior interface
+class _Operator:
+    """Tridiagonal rate matrix dF/dy = A F of one grid, and its implicit step.
 
-    # flux at interface m+1/2: g * (lam_p F_{m+1} - lam_m F_m)
-    upper = np.zeros(grid.cells)
-    lower = np.zeros(grid.cells)
-    diag = np.zeros(grid.cells)
-    upper[1:] = g * lam_p / dx[:-1]  # coefficient of F_{m+1} in row m
-    lower[:-1] = g * lam_m / dx[1:]  # coefficient of F_{m-1} in row m+1
-    diag[:-1] -= g * lam_m / dx[:-1]
-    diag[1:] -= g * lam_p / dx[1:]
-    return lower, diag, upper
+    Every term that depends only on the grid and the parameters is
+    computed once here; ``assemble`` evaluates the theta-dependent rest.
+    Each floating-point expression keeps the operation order of a
+    from-scratch assembly, so the bands are bit-identical to it.  The
+    counters record the work done.
+    """
 
+    def __init__(self, grid: Grid, params: TransportParams):
+        x = grid.centers
+        lo, hi = x[:-1], x[1:]
+        self.cells = grid.cells
+        self.dx = grid.widths
+        self.p = float(params.p)
+        # exact integral of W/C = x^(j-k)/theta - i/x between adjacent
+        # centers: (hi^p - lo^p)/(p theta) - i ln(hi/lo) with p = j - k + 1,
+        # or ln(hi/lo)/theta - i ln(hi/lo) when p = 0
+        self.logratio = np.log(hi / lo)
+        self.i_logratio = float(params.i) * self.logratio
+        self.power_gap = hi ** self.p - lo ** self.p
+        xe = np.asarray(grid.edges[1:-1])  # interior interfaces
+        self.g = xe ** float(params.k) / (hi - lo)  # conductance of each interface
+        # x^(3-i), the energy weight of grid_moment(..., 3, ...)
+        self.energy_weight = x ** float(Fraction(3) - params.i)
+        self.assemblies = 0
+        self.linear_solves = 0
 
-def _implicit_step(
-    F: np.ndarray,
-    lower: np.ndarray,
-    diag: np.ndarray,
-    upper: np.ndarray,
-    dy: float,
-) -> np.ndarray:
-    n = F.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -dy * upper[1:]
-    ab[1, :] = 1.0 - dy * diag
-    ab[2, :-1] = -dy * lower[:-1]
-    return solve_banded((1, 1), ab, F)
+    def assemble(self, theta_val: float):
+        """(lower, diag, upper) of A at temperature theta_val."""
+        self.assemblies += 1
+        if self.p == 0.0:
+            w = self.logratio / theta_val - self.i_logratio
+        else:
+            w = self.power_gap / (self.p * theta_val) - self.i_logratio
+        lam_m = _lambda_minus(w)
+        lam_p = lam_m + w  # identity lambda_plus - lambda_minus = w
+        g, dx = self.g, self.dx
+
+        # flux at interface m+1/2: g * (lam_p F_{m+1} - lam_m F_m)
+        upper = np.zeros(self.cells)
+        lower = np.zeros(self.cells)
+        diag = np.zeros(self.cells)
+        upper[1:] = g * lam_p / dx[:-1]  # coefficient of F_{m+1} in row m
+        lower[:-1] = g * lam_m / dx[1:]  # coefficient of F_{m-1} in row m+1
+        diag[:-1] -= g * lam_m / dx[:-1]
+        diag[1:] -= g * lam_p / dx[1:]
+        return lower, diag, upper
+
+    def step(self, F: np.ndarray, bands, dy: float) -> np.ndarray:
+        """Implicit Euler: solve (1 - dy A) F_new = F with LAPACK gtsv."""
+        lower, diag, upper = bands
+        self.linear_solves += 1
+        _, _, _, F_new, info = dgtsv(
+            -dy * lower[:-1], 1.0 - dy * diag, -dy * upper[1:], F,
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+        )
+        if info != 0:
+            raise NonFiniteState(f"step matrix is singular (LAPACK gtsv info = {info})")
+        return F_new
 
 
 def solve_transport(
@@ -367,6 +387,7 @@ def solve_transport(
     F, actual_spectrum = initial_cell_values(spectrum, grid, params)
     F = F.copy()
     dx = grid.widths
+    op = _Operator(grid, params)
 
     atol = 1e-3 * rtol * float(np.max(F)) if np.max(F) > 0 else 1e-3 * rtol
     y = 0.0
@@ -381,7 +402,7 @@ def solve_transport(
 
     trace_y = [0.0]
     trace_number = [float(np.sum(F * dx))]
-    trace_energy = [grid_moment(grid, F, 3, params)]
+    trace_energy = [float(np.sum(op.energy_weight * F * dx))]
 
     accepted = 0
     rejected = 0
@@ -398,15 +419,17 @@ def solve_transport(
             )
 
         # one full step, evaluated at the implicit time
-        ops_full = _assemble(grid, theta(y + dy_try), params)
-        F_full = _implicit_step(F, *ops_full, dy_try)
+        bands_full = op.assemble(theta(y + dy_try))
+        F_full = op.step(F, bands_full, dy_try)
         # two half steps
-        ops_h1 = _assemble(grid, theta(y + 0.5 * dy_try), params)
-        F_half = _implicit_step(F, *ops_h1, 0.5 * dy_try)
-        F_half = _implicit_step(F_half, *ops_full, 0.5 * dy_try)
+        F_half = op.step(F, op.assemble(theta(y + 0.5 * dy_try)), 0.5 * dy_try)
+        F_half = op.step(F_half, bands_full, 0.5 * dy_try)
 
         scale = atol + rtol * np.abs(F_half)
         err = float(np.max(np.abs(F_full - F_half) / scale))
+        if not math.isfinite(err):
+            # a NaN norm would compare as an accepted step
+            raise NonFiniteState(f"step error norm is {err} at y = {y:.6g}")
 
         if err > 1.0:
             rejected += 1
@@ -430,7 +453,7 @@ def solve_transport(
 
         trace_y.append(y)
         trace_number.append(float(np.sum(F * dx)))
-        trace_energy.append(grid_moment(grid, F, 3, params))
+        trace_energy.append(float(np.sum(op.energy_weight * F * dx)))
 
         if pending and abs(y - pending[0]) <= 1e-12:
             snaps.append((pending.pop(0), F.copy()))
@@ -452,6 +475,8 @@ def solve_transport(
         "steps_accepted": accepted,
         "steps_rejected": rejected,
         "cells_clipped": clipped,
+        "assemblies": op.assemblies,
+        "linear_solves": op.linear_solves,
         "dy_min": dy_min_seen if accepted else 0.0,
         "dy_max": dy_max_seen,
         "rtol": rtol,

@@ -32,7 +32,7 @@ from compfrac.cli import (
 )
 from compfrac.moments import DerivativeTable
 from compfrac.spectra import Bremsstrahlung, EquilibriumSpectrum, Monoenergetic
-from compfrac.transport import solve_transport
+from compfrac.transport import NonFiniteState
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,16 @@ def test_numerical_failure_exit(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
+    def failing_solve(*args, **kwargs):
+        raise NonFiniteState("step error norm is nan at y = 0.5")
+
+    monkeypatch.setattr(cli, "solve_transport", failing_solve)
+    code = main(["solve", "--theta", "constant:1", "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure: step error norm is nan" in capsys.readouterr().err
+
+
 def test_verification_failure_exit(tmp_path, capsys):
     code = main(
         ["verify", "--spectrum", "bremsstrahlung", "--theta", "constant:1",
@@ -342,13 +352,19 @@ def test_solve_outputs(tmp_path):
 
 
 def test_reproduce_chains_all_stages(tmp_path, monkeypatch, capsys):
-    solves = []
+    calls = {}
 
-    def counted_solve(*args, **kwargs):
-        solves.append(args)
-        return solve_transport(*args, **kwargs)
+    def counted(name):
+        original = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "solve_transport", counted_solve)
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("solve_transport", "theta_derivatives_comptonization", "select_approximant"):
+        counted(name)
     config = tmp_path / "tiny.cfg"
     config.write_text(
         "spectrum = monoenergetic\n"
@@ -379,8 +395,12 @@ def test_reproduce_chains_all_stages(tmp_path, monkeypatch, capsys):
     for name in expected:
         assert (out / name).exists(), name
     assert (out / "snapshot_monoenergetic_04.csv").exists()
-    # one transport solve feeds both the snapshots and verify
-    assert len(solves) == 1
+    # every stage shares one table, one level selection and one solve
+    assert calls == {
+        "solve_transport": 1,
+        "theta_derivatives_comptonization": 1,
+        "select_approximant": 1,
+    }
     stdout = capsys.readouterr().out
     assert "solved to y = 2" in stdout
     assert "self-consistency pass" in stdout

@@ -17,22 +17,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from compfrac.spectra import (
     COMPTONIZATION,
     Bremsstrahlung,
     GaussianPulse,
     Monoenergetic,
+    TransportParams,
     equilibrium_spectrum,
 )
 from compfrac.transport import (
     Grid,
+    NonFiniteState,
     NonPositiveTemperature,
     SnapshotMissing,
     StepSizeUnderflow,
     TemperatureFn,
-    _assemble,
     _lambda_minus,
+    _Operator,
     drift_diffusion,
     grid_moment,
     initial_cell_values,
@@ -45,7 +48,7 @@ from conftest import RUN_SNAPSHOTS
 
 
 def apply_operator(grid, F, theta=1.0):
-    lower, diag, upper = _assemble(grid, theta, COMPTONIZATION)
+    lower, diag, upper = _Operator(grid, COMPTONIZATION).assemble(theta)
     AF = diag * F
     AF[:-1] += upper[1:] * F[1:]
     AF[1:] += lower[:-1] * F[:-1]
@@ -66,6 +69,26 @@ def test_log_grid_shape():
     )
     assert np.sum(grid.widths) == pytest.approx(10.0 - 1e-2)
     assert grid.snapshot_times == tuple(np.linspace(0.0, 1.5, 4))
+
+
+def test_grid_arrays_cached_read_only():
+    grid = Grid.log_spaced(cells=50, snapshots=3)
+    e = np.asarray(grid.edges)
+    assert grid.centers is grid.centers
+    assert grid.widths is grid.widths
+    assert np.array_equal(grid.centers, np.sqrt(e[:-1] * e[1:]))
+    assert np.array_equal(grid.widths, e[1:] - e[:-1])
+    for arr in (grid.centers, grid.widths):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_equal_grids_compare_and_hash_equal():
+    a = Grid.log_spaced(cells=50, snapshots=3)
+    b = Grid(edges=list(a.edges), y_end=a.y_end, snapshot_times=a.snapshot_times)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != Grid.log_spaced(cells=51, snapshots=3)
 
 
 def test_grid_snapshot_sequence_is_sorted():
@@ -107,6 +130,81 @@ def test_lambda_limits():
     assert float(_lambda_minus(np.asarray([0.0]))[0]) == 1.0
     assert float(_lambda_minus(np.asarray([600.0]))[0]) == pytest.approx(0.0, abs=1e-250)
     assert float(_lambda_minus(np.asarray([-600.0]))[0]) == 600.0
+
+
+def assemble_from_scratch(grid, theta_val, params):
+    """Bands recomputed from the grid edges alone, geometry included."""
+    x = np.sqrt(np.asarray(grid.edges[:-1]) * np.asarray(grid.edges[1:]))
+    dx = np.asarray(grid.edges[1:]) - np.asarray(grid.edges[:-1])
+    lo, hi = x[:-1], x[1:]
+    p, i = float(params.p), float(params.i)
+    logratio = np.log(hi / lo)
+    if p == 0.0:
+        w = logratio / theta_val - i * logratio
+    else:
+        w = (hi ** p - lo ** p) / (p * theta_val) - i * logratio
+    # w / (e^w - 1) with every range masked separately
+    lam_m = np.empty_like(w)
+    tiny, big, neg = np.abs(w) < 1e-8, w > 500.0, w < -500.0
+    rest = ~(tiny | big | neg)
+    lam_m[tiny] = 1.0 - w[tiny] / 2.0 + w[tiny] * w[tiny] / 12.0
+    lam_m[big] = w[big] * np.exp(-w[big])
+    lam_m[neg] = -w[neg]
+    lam_m[rest] = w[rest] / np.expm1(w[rest])
+    lam_p = lam_m + w
+    g = np.asarray(grid.edges[1:-1]) ** float(params.k) / (hi - lo)
+    upper = np.zeros(grid.cells)
+    lower = np.zeros(grid.cells)
+    diag = np.zeros(grid.cells)
+    upper[1:] = g * lam_p / dx[:-1]
+    lower[:-1] = g * lam_m / dx[1:]
+    diag[:-1] -= g * lam_m / dx[:-1]
+    diag[1:] -= g * lam_p / dx[1:]
+    return lower, diag, upper
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        COMPTONIZATION,  # p = 1
+        TransportParams(2, 1, 2, 4),  # p = 0
+        TransportParams(Fraction(5, 2), 2, Fraction(5, 2), Fraction(9, 2)),  # p = 1/2
+    ],
+)
+def test_cached_assembly_matches_from_scratch(params):
+    grid = Grid.log_spaced(cells=400, snapshots=())
+    op = _Operator(grid, params)
+    # theta = 2e-5 drives w past 500 on some interfaces (on all for p = 0),
+    # so the masked branch of the interface weights is compared as well as
+    # the unmasked one the other temperatures take
+    for theta in (2e-5, 0.01, 0.37, 1.0, 4.0 / 3.0, 25.0):
+        got = op.assemble(theta)
+        want = assemble_from_scratch(grid, theta, params)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_step_matches_banded_solve():
+    grid = Grid.log_spaced(cells=400, snapshots=())
+    F, _ = initial_cell_values(Monoenergetic(), grid, COMPTONIZATION)
+    op = _Operator(grid, COMPTONIZATION)
+    for theta in (0.5, 1.0, 1.6):
+        lower, diag, upper = bands = op.assemble(theta)
+        for dy in (1e-7, 1e-4, 0.05):
+            ab = np.zeros((3, grid.cells))
+            ab[0, 1:] = -dy * upper[1:]
+            ab[1, :] = 1.0 - dy * diag
+            ab[2, :-1] = -dy * lower[:-1]
+            assert np.array_equal(op.step(F, bands, dy), solve_banded((1, 1), ab, F))
+
+
+def test_singular_step_matrix_rejected():
+    grid = Grid.log_spaced(cells=8, snapshots=())
+    op = _Operator(grid, COMPTONIZATION)
+    zero = np.zeros(grid.cells)
+    # 1 - dy * diag vanishes on every row
+    with pytest.raises(NonFiniteState):
+        op.step(np.ones(grid.cells), (zero, np.ones(grid.cells), zero), 1.0)
 
 
 def test_operator_second_order_convergence():
@@ -223,6 +321,20 @@ def test_temperature_crossing_zero_rejected(mono_table):
         solve_transport(Monoenergetic(), theta, grid)
 
 
+def test_nonfinite_temperature_mid_run_rejected():
+    calls = []
+
+    def fn(y):
+        # finite through the 2,048-sample positivity pre-check, NaN after
+        calls.append(y)
+        return 1.0 if len(calls) <= 2048 else math.nan
+
+    theta = TemperatureFn.from_callable(fn, "NaN after the pre-check")
+    grid = Grid.log_spaced(cells=40, snapshots=())
+    with pytest.raises(NonFiniteState):
+        solve_transport(Bremsstrahlung(), theta, grid)
+
+
 def test_step_budget_enforced():
     grid = Grid.log_spaced(cells=40, snapshots=())
     with pytest.raises(StepSizeUnderflow):
@@ -236,6 +348,10 @@ def test_solver_stats(mono_run):
     assert stats["steps_accepted"] > 0
     assert stats["rtol"] == 1e-6
     assert stats["dy_min"] <= stats["dy_max"]
+    attempts = stats["steps_accepted"] + stats["steps_rejected"]
+    # one full step and two half steps per attempt, reusing the full-step bands
+    assert stats["assemblies"] == 2 * attempts
+    assert stats["linear_solves"] == 3 * attempts
     assert "pulse" in stats["spectrum"] or "gaussian" in stats["spectrum"].lower()
 
 
