@@ -499,7 +499,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid-x-min", dest="grid_x_min")
     sub.add_argument("--grid-x-max", dest="grid_x_max")
     sub.add_argument("--snapshots", help="snapshot count, uniform in [0, y_max]")
-    sub.add_argument("--rtol", help="step-doubling relative tolerance")
+    sub.add_argument("--rtol", help="relative tolerance of the adaptive solver step")
     sub.add_argument("--tolerance", help="self-consistency pass threshold")
     sub.add_argument("--taylor-N", dest="taylor_n", help="comma list of series levels")
     sub.add_argument("--cf-N", dest="cf_n", help="comma list of fraction levels")

@@ -376,23 +376,25 @@ def find_defects(
 
     ys = np.linspace(0.0, y_max, panels + 1)
     vals = _horner_float(den, ys)
+    fa, fb = vals[:-1], vals[1:]
+    # panels that end on a root, or change sign between two nonzero ends;
+    # a panel starting on a zero holds either y = 0 (where Q = 1, so only
+    # roundoff) or a root already recorded when it closed the previous panel
+    bracketing = (fb == 0.0) | ((fa != 0.0) & ((fa < 0) != (fb < 0)))
 
+    den_f = [float(c) for c in den]
+    num_f = [float(c) for c in num]
+    dden_f = [float(c) for c in _poly_derivative(den)]
     poles: list = []
-    for idx in range(panels):
-        a, b = ys[idx], ys[idx + 1]
-        fa, fb = vals[idx], vals[idx + 1]
-        root = None
-        if fb == 0.0:
+    for idx in np.flatnonzero(bracketing):
+        a, b = float(ys[idx]), float(ys[idx + 1])
+        if fb[idx] == 0.0:
             root = b
-        elif fa == 0.0:
-            # either y = 0 (where Q = 1, so only roundoff) or a root already
-            # recorded when it closed the previous panel
-            continue
-        elif (fa < 0) != (fb < 0):
-            lo, hi, flo = a, b, fa
+        else:
+            lo, hi, flo = a, b, float(fa[idx])
             while hi - lo > root_tol:
                 mid = 0.5 * (lo + hi)
-                fm = float(_horner_float(den, np.asarray(mid)))
+                fm = _horner_scalar(den_f, mid)
                 if fm == 0.0:
                     lo = hi = mid
                     break
@@ -401,29 +403,32 @@ def find_defects(
                 else:
                     hi = mid
             root = 0.5 * (lo + hi)
-        if root is None or root <= 0:
+        if root <= 0:
             continue
 
-        den_scale = _abs_poly_scale(den, root)
-        residual = abs(float(_horner_float(den, np.asarray(root)))) / den_scale
-        num_scale = _abs_poly_scale(num, root)
-        num_res = abs(float(_horner_float(num, np.asarray(root)))) / num_scale
+        residual = abs(_horner_scalar(den_f, root)) / _abs_poly_scale(den_f, root)
+        num_res = abs(_horner_scalar(num_f, root)) / _abs_poly_scale(num_f, root)
         if num_res < cancel_tol:
             continue  # common factor cancels; no actual pole
-        dden = _poly_derivative(den)
-        slope_scale = _abs_poly_scale(dden, root)
-        slope = abs(float(_horner_float(dden, np.asarray(root)))) / slope_scale
+        slope = abs(_horner_scalar(dden_f, root)) / _abs_poly_scale(dden_f, root)
         multiplicity = 1 if slope > 1e-6 else 2
-        poles.append(Pole(location=float(root), multiplicity=multiplicity, residual=residual))
+        poles.append(Pole(location=root, multiplicity=multiplicity, residual=residual))
 
     return DefectReport(poles=tuple(poles), y_max=float(y_max), panels=panels)
 
 
-def _abs_poly_scale(coeffs: Sequence[Fraction], y: float) -> float:
+def _horner_scalar(coeffs: Sequence[float], y: float) -> float:
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * y + c
+    return total
+
+
+def _abs_poly_scale(coeffs: Sequence[float], y: float) -> float:
     total = 0.0
     power = 1.0
     for c in coeffs:
-        total += abs(float(c)) * power
+        total += abs(c) * power
         power *= abs(y)
     return total if total > 0 else 1.0
 

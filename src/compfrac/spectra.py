@@ -21,7 +21,11 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, interpolate, special
+
+# scipy's integrate, interpolate and special modules are imported inside
+# the tabulated, quadrature and tail-model functions that use them: the
+# shipped scenarios never call those, and importing the three modules
+# took most of the CLI's start-up time
 
 
 class DivergentMoment(ValueError):
@@ -192,7 +196,9 @@ class Tabulated:
         object.__setattr__(self, "f0", tuple(float(v) for v in fa))
 
     def interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
-        pch = interpolate.PchipInterpolator(np.array(self.x), np.array(self.f0))
+        from scipy.interpolate import PchipInterpolator
+
+        pch = PchipInterpolator(np.array(self.x), np.array(self.f0))
 
         def f(x):
             x = np.asarray(x, dtype=float)
@@ -349,6 +355,8 @@ def _moment_gaussian(s: GaussianPulse, n: Fraction) -> Fraction | float:
         raise DivergentMoment(
             f"gaussian pulse reaching x=0 has divergent moment for n = {n} <= 1"
         )
+    from scipy.integrate import quad
+
     exponent = float(m)
 
     def integrand(x):
@@ -358,8 +366,8 @@ def _moment_gaussian(s: GaussianPulse, n: Fraction) -> Fraction | float:
     pts = [p for p in (mu - 2 * sig, mu, mu + 2 * sig) if a < p]
     # quad ignores interior break points on infinite intervals; split manually
     hi = mu + 40 * sig
-    v1, e1 = integrate.quad(integrand, a, hi, points=pts, limit=200, epsrel=1e-13, epsabs=0.0)
-    v2, e2 = integrate.quad(integrand, hi, np.inf, limit=200, epsrel=1e-13, epsabs=1e-300)
+    v1, e1 = quad(integrand, a, hi, points=pts, limit=200, epsrel=1e-13, epsabs=0.0)
+    v2, e2 = quad(integrand, hi, np.inf, limit=200, epsrel=1e-13, epsabs=1e-300)
     value, err = v1 + v2, e1 + e2
     if not math.isfinite(value) or err > 1e-8 * abs(value) + 1e-290:
         raise NonConvergedQuadrature(
@@ -389,10 +397,12 @@ def tabulated_moment(spectrum: Tabulated, n, rtol: float = 1e-12) -> tuple[float
     exponential or power-law tail.  The returned error combines the
     panel check with the tail-fit residual.
     """
+    from scipy.interpolate import PchipInterpolator
+
     n = float(_as_index(n))
     x = np.array(spectrum.x)
     f = np.array(spectrum.f0)
-    pch = interpolate.PchipInterpolator(x, f)
+    pch = PchipInterpolator(x, f)
 
     def body(nodes, weights):
         mid = 0.5 * (x[1:] + x[:-1])
@@ -437,13 +447,16 @@ def _tail_integral(x: np.ndarray, f: np.ndarray, n: float) -> tuple[float, float
 
     x_end = x[-1]
     if res_e <= res_p and be < 0:
+        from scipy.integrate import quad
+        from scipy.special import gammaincc
+
         b = -be
         amp = math.exp(ae)
         # integral of x^n exp(-b x) from x_end: upper incomplete gamma
         if n > -1:
-            val = amp * b ** (-(n + 1)) * special.gammaincc(n + 1, b * x_end) * math.gamma(n + 1)
+            val = amp * b ** (-(n + 1)) * gammaincc(n + 1, b * x_end) * math.gamma(n + 1)
         else:
-            val, _ = integrate.quad(lambda t: t**n * amp * math.exp(-b * t), x_end, np.inf)
+            val, _ = quad(lambda t: t**n * amp * math.exp(-b * t), x_end, np.inf)
         return val, val * max(res_e, 1e-12)
     s = -bp
     if s <= n + 1:

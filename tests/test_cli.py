@@ -9,10 +9,15 @@ repeat runs.
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import compfrac
 from compfrac import cli
 from compfrac.cli import (
     EXIT_CONFIG,
@@ -410,3 +415,21 @@ def test_out_dir_created_nested(tmp_path):
     out = tmp_path / "deep" / "nested"
     assert main(["derivs", "--M", "1", "--out-dir", str(out)]) == EXIT_OK
     assert (out / "derivs_monoenergetic.json").exists()
+
+
+def test_cli_import_skips_quadrature_modules():
+    # the shipped runs need no quadrature, interpolation or special
+    # functions, so every CLI call is spared their import time
+    src = str(Path(compfrac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys, compfrac.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.special') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -43,16 +43,14 @@ from compfrac.transport import (
     write_run_manifest,
     write_snapshot_csv,
 )
+from compfrac.verify import output_temperature
 
 from conftest import RUN_SNAPSHOTS
 
 
 def apply_operator(grid, F, theta=1.0):
-    lower, diag, upper = _Operator(grid, COMPTONIZATION).assemble(theta)
-    AF = diag * F
-    AF[:-1] += upper[1:] * F[1:]
-    AF[1:] += lower[:-1] * F[:-1]
-    return AF
+    op = _Operator(grid, COMPTONIZATION)
+    return op.apply(op.assemble(theta), F)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +335,54 @@ def test_nonfinite_temperature_mid_run_rejected():
 
 def test_step_budget_enforced():
     grid = Grid.log_spaced(cells=40, snapshots=())
+    theta = TemperatureFn.constant(1.0)
     with pytest.raises(StepSizeUnderflow):
-        solve_transport(
-            Monoenergetic(), TemperatureFn.constant(1.0), grid, max_steps=3
-        )
+        solve_transport(Monoenergetic(), theta, grid, max_steps=3)
+    # the budget counts every attempt, and a run that fits it exactly passes
+    stats = solve_transport(Monoenergetic(), theta, grid).stats
+    attempts = stats["steps_accepted"] + stats["steps_rejected"]
+    solve_transport(Monoenergetic(), theta, grid, max_steps=attempts)
+    with pytest.raises(StepSizeUnderflow):
+        solve_transport(Monoenergetic(), theta, grid, max_steps=attempts - 1)
+
+
+def test_negative_stage_rejected_and_retried():
+    # a first step of 0.5 on a coarse pulse grid drives a stage below the
+    # clipping tolerance; the solver must back off rather than clip,
+    # keeping every state non-negative and the number exact
+    grid = Grid.log_spaced(cells=80, snapshots=5)
+    sol = solve_transport(
+        Monoenergetic(), TemperatureFn.constant(1.0), grid, rtol=1e-2, initial_dy=0.5
+    )
+    assert sol.stats["steps_rejected_negative"] > 0
+    assert sol.stats["steps_rejected"] >= sol.stats["steps_rejected_negative"]
+    assert sol.stats["cells_clipped"] == 0
+    for _, F in sol.snapshots:
+        assert float(F.min()) >= 0.0
+    n = sol.trace_number
+    assert np.max(np.abs(n - n[0])) <= 1e-12 * abs(n[0])
+
+
+def test_equilibrium_fixed_point_from_large_first_step():
+    grid = Grid.log_spaced(cells=400, snapshots=21)
+    ic = equilibrium_spectrum(COMPTONIZATION, n_r=1, theta_eq=Fraction(4, 3))
+    sol = solve_transport(
+        ic, TemperatureFn.constant(Fraction(4, 3)), grid, rtol=1e-6, initial_dy=2.0
+    )
+    start = sol.snapshot(0.0)
+    assert np.max(np.abs(sol.snapshot(2.0) - start)) <= 1e-10 * np.max(start)
+    for trace in (sol.trace_number, sol.trace_energy):
+        assert np.max(np.abs(trace - trace[0])) <= 1e-10 * abs(trace[0])
+
+
+def test_recovered_temperature_converged_in_rtol(mono_theta):
+    # the shipped tolerance already gives theta_out to well within 1e-4 of
+    # a run at a thousand times tighter tolerance
+    grid = Grid.log_spaced(cells=60, snapshots=21)
+    shipped = output_temperature(solve_transport(Monoenergetic(), mono_theta, grid, rtol=1e-6))
+    tight = output_temperature(solve_transport(Monoenergetic(), mono_theta, grid, rtol=1e-9))
+    assert [y for y, _ in shipped] == [y for y, _ in tight]
+    assert max(abs(a - b) / b for (_, a), (_, b) in zip(shipped, tight)) <= 1e-4
 
 
 def test_solver_stats(mono_run):
@@ -348,10 +390,18 @@ def test_solver_stats(mono_run):
     assert stats["steps_accepted"] > 0
     assert stats["rtol"] == 1e-6
     assert stats["dy_min"] <= stats["dy_max"]
+    assert stats["method"] == "tr-bdf2"
     attempts = stats["steps_accepted"] + stats["steps_rejected"]
-    # one full step and two half steps per attempt, reusing the full-step bands
-    assert stats["assemblies"] == 2 * attempts
+    # one assembly for the initial rate; per attempt a trapezoidal and a
+    # BDF2 assembly, two stage solves and one error-filter solve
+    assert stats["assemblies"] == 2 * attempts + 1
     assert stats["linear_solves"] == 3 * attempts
+    histogram = stats["dy_histogram"]
+    assert sum(n for _, n in histogram) == stats["steps_accepted"]
+    edges = [lo for lo, _ in histogram]
+    assert edges == sorted(edges)
+    assert edges[0] <= stats["dy_min"] < 10 * edges[0]
+    assert edges[-1] <= stats["dy_max"] < 10 * edges[-1]
     assert "pulse" in stats["spectrum"] or "gaussian" in stats["spectrum"].lower()
 
 
