@@ -14,12 +14,11 @@ toward x = 0 and truncating the reservoir starves the late-time flux.
 import argparse
 import time
 
-import numpy as np
-
 from compfrac.contfrac import cf_coefficients
 from compfrac.moments import theta_derivatives_comptonization
-from compfrac.spectra import COMPTONIZATION, Bremsstrahlung, Monoenergetic
-from compfrac.transport import Grid, TemperatureFn, grid_moment, solve_transport
+from compfrac.spectra import Bremsstrahlung, Monoenergetic
+from compfrac.transport import Grid, TemperatureFn, solve_transport
+from compfrac.verify import conservation_report, self_consistency
 
 CASES = {
     "monoenergetic": (
@@ -39,15 +38,8 @@ CASES = {
 def run_case(spectrum, theta_fn, cells, x_min, rtol):
     grid = Grid.log_spaced(cells=cells, x_min=x_min, snapshots=21)
     sol = solve_transport(spectrum, theta_fn, grid, rtol=rtol)
-    base4 = grid_moment(grid, sol.snapshot(0.0), 4, COMPTONIZATION)
-    base3 = grid_moment(grid, sol.snapshot(0.0), 3, COMPTONIZATION)
-    dev = drift = 0.0
-    for t in grid.snapshot_times:
-        F = sol.snapshot(t)
-        t_out = grid_moment(grid, F, 4, COMPTONIZATION) / base4
-        t_in = theta_fn(float(t))
-        dev = max(dev, abs(t_out - t_in) / t_in)
-        drift = max(drift, abs(grid_moment(grid, F, 3, COMPTONIZATION) / base3 - 1))
+    dev = self_consistency(sol, theta_fn).max_rel_dev
+    drift = conservation_report(sol).energy_drift
     return dev, drift, sol.stats["steps_accepted"]
 
 

@@ -12,7 +12,6 @@ from .contfrac import (
     DefectReport,
     Pole,
     PoleHit,
-    PrecisionLossWarning,
     RationalForm,
     SelectionResult,
     cf_coefficients,
@@ -36,13 +35,11 @@ from .spectra import (
     EquilibriumSpectrum,
     GaussianPulse,
     Monoenergetic,
-    Tabulated,
     TransportParams,
     UnsupportedParams,
     equilibrium_spectrum,
     equilibrium_temperature,
     initial_moment,
-    load_tabulated,
     profile_function,
 )
 from .transport import (

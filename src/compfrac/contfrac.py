@@ -14,8 +14,7 @@ to evaluation is exact rational arithmetic.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,10 +32,6 @@ class PoleHit(ArithmeticError):
         super().__init__(
             message or f"denominator vanished at y={y!r} (fraction level {level})"
         )
-
-
-class PrecisionLossWarning(UserWarning):
-    """Double-precision evaluation disagrees with the exact value."""
 
 
 @dataclass(frozen=True)
@@ -160,19 +155,16 @@ def cf_coefficients(table: DerivativeTable) -> ContinuedFraction:
     )
 
 
-def cf_eval(
-    cf: ContinuedFraction,
-    level: int,
-    y,
-    pole_tol: float = 1e-12,
-    cross_check: bool = False,
-) -> float:
+# a backward-recurrence denominator below this, relative to its natural
+# scale, counts as a pole
+_POLE_TOL = 1e-12
+
+
+def cf_eval(cf: ContinuedFraction, level: int, y) -> float:
     """Evaluate Psi_level(y) by backward recurrence in double precision.
 
     Raises PoleHit when any denominator in the recurrence falls below
-    pole_tol relative to its natural scale.  With cross_check=True the
-    value is recomputed in exact rational arithmetic and a warning is
-    issued if the two disagree beyond 1e-8 relative.
+    _POLE_TOL relative to its natural scale.
     """
     if level > cf.truncation:
         raise ValueError(f"fraction holds levels 0..{cf.truncation}, asked for {level}")
@@ -181,24 +173,12 @@ def cf_eval(
     t = 1.0
     for n in range(level, 0, -1):
         scale = max(1.0, abs(c[n] * yv))
-        if abs(t) < pole_tol * scale:
+        if abs(t) < _POLE_TOL * scale:
             raise PoleHit(yv, n)
         t = 1.0 + c[n] * yv / t
-    if abs(t) < pole_tol:
+    if abs(t) < _POLE_TOL:
         raise PoleHit(yv, 0)
-    value = c[0] / t
-
-    if cross_check:
-        exact = cf_eval_exact(cf, level, Fraction(y))
-        ref = float(exact)
-        if ref != 0 and abs(value - ref) > 1e-8 * abs(ref):
-            warnings.warn(
-                f"double-precision fraction evaluation at y={yv} differs from the "
-                f"exact value by {abs(value - ref) / abs(ref):.2e} relative",
-                PrecisionLossWarning,
-                stacklevel=2,
-            )
-    return value
+    return c[0] / t
 
 
 def cf_eval_exact(cf: ContinuedFraction, level: int, y: Fraction) -> Fraction:
@@ -354,27 +334,28 @@ class DefectReport:
         }
 
 
-def find_defects(
-    rf: RationalForm,
-    y_max: float,
-    panels: int = 4096,
-    root_tol: float = 1e-12,
-    cancel_tol: float = 1e-8,
-) -> DefectReport:
+# sign-scan panels on (0, y_max], bisection width of a bracketed root, and
+# the numerator residual below which a root counts as a common factor
+_SCAN_PANELS = 4096
+_ROOT_TOL = 1e-12
+_CANCEL_TOL = 1e-8
+
+
+def find_defects(rf: RationalForm, y_max: float) -> DefectReport:
     """Scan (0, y_max] for real denominator roots.
 
-    A dense sign scan (panels intervals) catches every odd-multiplicity
-    root wider than the panel spacing; bisection then refines each
-    bracket to root_tol.  A root where the numerator also vanishes
-    (relative residual below cancel_tol) is a removable common factor,
-    not a defect, and is dropped.
+    A dense sign scan (_SCAN_PANELS intervals) catches every
+    odd-multiplicity root wider than the panel spacing; bisection then
+    refines each bracket to _ROOT_TOL.  A root where the numerator also
+    vanishes (relative residual below _CANCEL_TOL) is a removable common
+    factor, not a defect, and is dropped.
     """
     if y_max <= 0:
         raise ValueError("y_max must be positive")
     den = rf.denominator
     num = rf.numerator
 
-    ys = np.linspace(0.0, y_max, panels + 1)
+    ys = np.linspace(0.0, y_max, _SCAN_PANELS + 1)
     vals = _horner_float(den, ys)
     fa, fb = vals[:-1], vals[1:]
     # panels that end on a root, or change sign between two nonzero ends;
@@ -392,7 +373,7 @@ def find_defects(
             root = b
         else:
             lo, hi, flo = a, b, float(fa[idx])
-            while hi - lo > root_tol:
+            while hi - lo > _ROOT_TOL:
                 mid = 0.5 * (lo + hi)
                 fm = _horner_scalar(den_f, mid)
                 if fm == 0.0:
@@ -408,13 +389,13 @@ def find_defects(
 
         residual = abs(_horner_scalar(den_f, root)) / _abs_poly_scale(den_f, root)
         num_res = abs(_horner_scalar(num_f, root)) / _abs_poly_scale(num_f, root)
-        if num_res < cancel_tol:
+        if num_res < _CANCEL_TOL:
             continue  # common factor cancels; no actual pole
         slope = abs(_horner_scalar(dden_f, root)) / _abs_poly_scale(dden_f, root)
         multiplicity = 1 if slope > 1e-6 else 2
         poles.append(Pole(location=root, multiplicity=multiplicity, residual=residual))
 
-    return DefectReport(poles=tuple(poles), y_max=float(y_max), panels=panels)
+    return DefectReport(poles=tuple(poles), y_max=float(y_max), panels=_SCAN_PANELS)
 
 
 def _horner_scalar(coeffs: Sequence[float], y: float) -> float:
@@ -476,7 +457,6 @@ def select_approximant(
     cf: ContinuedFraction,
     y_max: float,
     theta_eq=None,
-    panels: int = 4096,
 ) -> SelectionResult:
     """Pick the working truncation level.
 
@@ -502,9 +482,9 @@ def select_approximant(
     for level in range(cf.truncation + 1):
         rf = to_rational(cf, level)
         report = (
-            DefectReport(poles=(), y_max=float(y_max), panels=panels)
+            DefectReport(poles=(), y_max=float(y_max), panels=_SCAN_PANELS)
             if level == 0
-            else find_defects(rf, y_max, panels=panels)
+            else find_defects(rf, y_max)
         )
         tail = None
         score = None

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,23 +53,17 @@ class NormalizationError(ValueError):
 
 @dataclass(frozen=True)
 class DerivativeTable:
-    """Initial derivatives theta^(0)(0) ... theta^(M)(0), exact.
-
-    ``exact`` is False when any input moment came from quadrature (the
-    float was lifted to a rational, so downstream arithmetic is still
-    exact but inherits the quadrature error).
-    """
+    """Initial derivatives theta^(0)(0) ... theta^(M)(0), exact rationals."""
 
     values: tuple
     provenance: str
     params: TransportParams
     spectrum: str
     moment_indices: tuple
-    exact: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        if self.values[0] != 1 and self.exact:
+        if self.values[0] != 1:
             raise NormalizationError(
                 f"temperature at y=0 must be exactly 1, got {self.values[0]}"
             )
@@ -93,14 +88,13 @@ class DerivativeTable:
             params=self.params,
             spectrum=self.spectrum,
             moment_indices=self.moment_indices,
-            exact=self.exact,
         )
 
     def to_json_dict(self) -> dict:
         return {
             "schema": "compfrac.derivative-table/1",
             "provenance": self.provenance,
-            "exact": self.exact,
+            "exact": True,  # every table is exact; kept for schema /1 readers
             "spectrum": self.spectrum,
             "params": {
                 "i": str(self.params.i),
@@ -136,7 +130,6 @@ class DerivativeTable:
             params=params,
             spectrum=data.get("spectrum", ""),
             moment_indices=tuple(Fraction(s) for s in data.get("moment_indices", [])),
-            exact=bool(data.get("exact", True)),
         )
 
     def dump_json(self, path) -> None:
@@ -201,24 +194,26 @@ def comptonization_table_from_moments(
 ) -> DerivativeTable:
     """Solve the closed Comptonization hierarchy for the derivative table.
 
-    ``moments`` maps integer indices 3 .. order+4 to I_n(0) values
-    (Fractions, or floats that are lifted to exact rationals).  Each
+    ``moments`` maps integer indices 3 .. order+4 to exact rational
+    I_n(0) values (ints or Fractions; anything else is rejected).  Each
     moment I_n is expanded to order min(M, M+4-n), the depth that
     theta^(M) = M! [y^M] I_4/(4 I_3) still reads.
     """
-    lifted = {int(n): Fraction(v) for n, v in moments.items()}
-    exact = all(isinstance(v, (int, Fraction)) for v in moments.values())
+    inexact = sorted(n for n, v in moments.items() if not isinstance(v, numbers.Rational))
+    if inexact:
+        raise TypeError(f"moments for indices {inexact} are not exact rationals")
+    initial = {int(n): Fraction(v) for n, v in moments.items()}
     needed = range(3, order + 5)
-    missing = [n for n in needed if n not in lifted]
+    missing = [n for n in needed if n not in initial]
     if missing:
         raise ValueError(f"moments missing for indices {missing}")
-    if lifted[3] <= 0:
+    if initial[3] <= 0:
         raise NonlinearSolveImpossible("conserved energy moment I_3(0) must be positive")
 
-    jets = {n: [lifted[n]] for n in needed}
+    jets = {n: [initial[n]] for n in needed}
     terms = {n: _hierarchy_terms(COMPTONIZATION, Fraction(n)) for n in needed}
     depth = {n: min(order, order + 4 - n) for n in needed}
-    theta = [lifted[4] / (4 * lifted[3])]
+    theta = [initial[4] / (4 * initial[3])]
     if order and theta[0] == 0:
         raise NonlinearSolveImpossible(
             "I_4(0) = 0 makes theta(0) = 0, so 1/theta has no series; "
@@ -231,14 +226,10 @@ def comptonization_table_from_moments(
         theta.append(_quotient_term(jets[4][c + 1] / 4, jets[3], theta))
 
     values = _derivatives(theta)
-    if exact and values[0] != 1:
+    if values[0] != 1:
         raise NormalizationError(
             f"I_4(0)/(4 I_3(0)) = {values[0]}, so theta(0) != 1; "
             "the spectrum violates energy-conservation closure"
-        )
-    if not exact and abs(float(values[0]) - 1.0) > 1e-9:
-        raise NormalizationError(
-            f"quadrature moments give theta(0) = {float(values[0])!r}, too far from 1"
         )
     return DerivativeTable(
         values=values,
@@ -246,7 +237,6 @@ def comptonization_table_from_moments(
         params=COMPTONIZATION,
         spectrum=spectrum_label,
         moment_indices=tuple(Fraction(n) for n in needed),
-        exact=exact,
     )
 
 
@@ -288,7 +278,6 @@ def theta_derivatives_general(
             params=params,
             spectrum=spectrum.describe(),
             moment_indices=(params.alpha,),
-            exact=True,
         )
 
     steps = {params.alpha: 0}
@@ -305,9 +294,7 @@ def theta_derivatives_general(
         frontier = reached
     indices = sorted(steps)
 
-    moments = {ix: initial_moment(spectrum, ix) for ix in indices}
-    exact = all(isinstance(v, (int, Fraction)) for v in moments.values())
-    jets = {ix: [Fraction(v)] for ix, v in moments.items()}
+    jets = {ix: [initial_moment(spectrum, ix)] for ix in indices}
     depth = {ix: order - s for ix, s in steps.items()}
     norm = jets[params.alpha][0]
     if norm == 0:
@@ -328,5 +315,4 @@ def theta_derivatives_general(
         params=params,
         spectrum=spectrum.describe(),
         moment_indices=tuple(indices),
-        exact=exact,
     )

@@ -5,43 +5,29 @@ over dimensionless energy x > 0.  The n-th power moment is
 
     I_n = integral of x^n f0(x) over (0, inf).
 
-For the symbolic spectrum kinds the moments are evaluated in closed form
-as exact rationals wherever the defining Gamma-function argument allows
-it; tabulated data falls back to quadrature with an error estimate.
+Every moment is evaluated in closed form as an exact rational; a moment
+without a rational closed form (a non-integer index, or a pulse too wide
+for the untruncated Gaussian expansion) is rejected rather than
+approximated.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-# scipy's integrate, interpolate and special modules are imported inside
-# the tabulated, quadrature and tail-model functions that use them: the
-# shipped scenarios never call those, and importing the three modules
-# took most of the CLI's start-up time
 
 
 class DivergentMoment(ValueError):
     """The defining moment integral does not converge."""
 
 
-class NonConvergedQuadrature(ArithmeticError):
-    """Numerical quadrature failed to reach the requested tolerance."""
-
-
 class UnsupportedParams(ValueError):
-    """The operation is not defined for these transport parameters."""
-
-
-class BadTableFile(ValueError):
-    """Malformed tabulated-spectrum CSV."""
+    """The operation is not defined, or has no exact form, for these parameters."""
 
 
 class DegenerateAlphaWarning(UserWarning):
@@ -131,7 +117,8 @@ class GaussianPulse:
     and renormalized (x is physically non-negative).  With the default
     variance the truncation correction is far below rational precision,
     so exact moments are computed from the untruncated form; they exist
-    in closed form for integer n >= 2 whenever mean >= 8 sigma.
+    in closed form for integer n >= 2 whenever mean >= 8 sigma, and any
+    other moment is rejected.
     """
 
     mean: Fraction = Fraction(4)
@@ -169,73 +156,7 @@ class GaussianPulse:
         return f"gaussian(mean={self.mean}, variance={self.variance}, n0={self.n0})"
 
 
-@dataclass(frozen=True)
-class Tabulated:
-    """Spectrum sampled at strictly increasing abscissae.
-
-    Treated as zero below the first sample; beyond the last sample a
-    power-law or exponential tail is fitted for moment integrals.
-    """
-
-    x: tuple
-    f0: tuple
-    source: str = "<memory>"
-
-    def __post_init__(self):
-        xa = np.asarray(self.x, dtype=float)
-        fa = np.asarray(self.f0, dtype=float)
-        if xa.ndim != 1 or xa.shape != fa.shape or len(xa) < 2:
-            raise BadTableFile(f"{self.source}: need two equal-length columns, >= 2 rows")
-        if not np.all(np.isfinite(xa)) or not np.all(np.isfinite(fa)):
-            raise BadTableFile(f"{self.source}: non-finite entries")
-        if xa[0] <= 0 or np.any(np.diff(xa) <= 0):
-            raise BadTableFile(f"{self.source}: x must be strictly increasing and positive")
-        if np.any(fa < 0):
-            raise BadTableFile(f"{self.source}: negative spectrum values")
-        object.__setattr__(self, "x", tuple(float(v) for v in xa))
-        object.__setattr__(self, "f0", tuple(float(v) for v in fa))
-
-    def interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
-        from scipy.interpolate import PchipInterpolator
-
-        pch = PchipInterpolator(np.array(self.x), np.array(self.f0))
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            inside = (x >= self.x[0]) & (x <= self.x[-1])
-            return np.where(inside, pch(np.clip(x, self.x[0], self.x[-1])), 0.0)
-
-        return f
-
-    def describe(self) -> str:
-        return f"tabulated({self.source}, {len(self.x)} samples)"
-
-
-InitialSpectrum = Bremsstrahlung | Monoenergetic | GaussianPulse | Tabulated
-
-
-def load_tabulated(path) -> Tabulated:
-    """Read a 2-column CSV with header ``x,f0``."""
-    path = Path(path)
-    xs: list[float] = []
-    fs: list[float] = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header[:2]] != ["x", "f0"]:
-                raise BadTableFile(f"{path}: expected header 'x,f0'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    xs.append(float(row[0]))
-                    fs.append(float(row[1]))
-                except (ValueError, IndexError):
-                    raise BadTableFile(f"{path}: bad row at line {lineno}: {row!r}")
-    except OSError as exc:
-        raise BadTableFile(f"{path}: {exc}") from exc
-    return Tabulated(x=tuple(xs), f0=tuple(fs), source=str(path))
+InitialSpectrum = Bremsstrahlung | Monoenergetic | GaussianPulse
 
 
 def profile_function(spectrum) -> Callable[[np.ndarray], np.ndarray]:
@@ -264,8 +185,6 @@ def profile_function(spectrum) -> Callable[[np.ndarray], np.ndarray]:
             return out
 
         return f
-    if isinstance(spectrum, Tabulated):
-        return spectrum.interpolant()
     if isinstance(spectrum, EquilibriumSpectrum):
         return lambda x: spectrum(x)
     if isinstance(spectrum, Monoenergetic):
@@ -280,53 +199,40 @@ def profile_function(spectrum) -> Callable[[np.ndarray], np.ndarray]:
 # moments
 
 
-def initial_moment(spectrum: InitialSpectrum, n) -> Fraction | float:
-    """The moment I_n of the initial spectrum.
+def initial_moment(spectrum: InitialSpectrum, n) -> Fraction:
+    """The moment I_n of the initial spectrum, as an exact Fraction.
 
-    Returns an exact Fraction whenever the closed form is rational
-    (symbolic kinds, suitable integer n); otherwise a float from the
-    Gamma-function form or from quadrature.  Raises DivergentMoment when
-    the integral does not converge.
+    Raises DivergentMoment when the integral does not converge and
+    UnsupportedParams when it has no rational closed form.
     """
-    n = _as_index(n)
+    n = Fraction(n)
     if isinstance(spectrum, Monoenergetic):
         return _moment_monoenergetic(spectrum, n)
     if isinstance(spectrum, Bremsstrahlung):
         return _moment_bremsstrahlung(n)
     if isinstance(spectrum, GaussianPulse):
         return _moment_gaussian(spectrum, n)
-    if isinstance(spectrum, Tabulated):
-        value, _err = tabulated_moment(spectrum, n)
-        return value
     raise TypeError(f"not a spectrum: {spectrum!r}")
 
 
-def _as_index(n) -> Fraction:
-    try:
-        return Fraction(n)
-    except (TypeError, ValueError):
-        # non-rational float index: keep as an exact binary fraction
-        return Fraction(float(n))
-
-
-def _moment_monoenergetic(s: Monoenergetic, n: Fraction) -> Fraction | float:
+def _moment_monoenergetic(s: Monoenergetic, n: Fraction) -> Fraction:
     # delta sifting: I_n = n0 * x0^(n-2)
     shift = n - 2
-    if shift.denominator == 1:
-        return s.n0 * s.x0 ** int(shift)
-    return float(s.n0) * float(s.x0) ** float(shift)
+    if shift.denominator != 1:
+        raise UnsupportedParams(f"line moment I_{n} has no rational closed form")
+    return s.n0 * s.x0 ** int(shift)
 
 
-def _moment_bremsstrahlung(n: Fraction) -> Fraction | float:
+def _moment_bremsstrahlung(n: Fraction) -> Fraction:
     # I_n = Gamma(n-2) * 4^(n-2); the integrand x^(n-3) exp(-x/4) is
     # integrable at the origin only for n > 2
     if n <= 2:
         raise DivergentMoment(f"bremsstrahlung moment diverges for n = {n} <= 2")
     arg = n - 2
-    if arg.denominator == 1:
-        m = int(arg)
-        return Fraction(math.factorial(m - 1)) * Fraction(4) ** m
-    return math.gamma(float(arg)) * 4.0 ** float(arg)
+    if arg.denominator != 1:
+        raise UnsupportedParams(f"bremsstrahlung moment I_{n} has no rational closed form")
+    m = int(arg)
+    return Fraction(math.factorial(m - 1)) * Fraction(4) ** m
 
 
 def _gauss_upper_mass(z: float) -> float:
@@ -334,46 +240,23 @@ def _gauss_upper_mass(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _moment_gaussian(s: GaussianPulse, n: Fraction) -> Fraction | float:
+def _moment_gaussian(s: GaussianPulse, n: Fraction) -> Fraction:
     # Since x^2 f0 is the Gaussian density, I_n = n0 E[x^(n-2)].
     m = n - 2
-    if s.narrow() and m.denominator == 1 and m >= 0:
-        # untruncated central-moment expansion; the 8-sigma truncation
-        # correction is below 1e-14 relative and is deliberately ignored
-        mm = int(m)
-        total = Fraction(0)
-        for l in range(mm // 2 + 1):
-            total += (
-                Fraction(math.comb(mm, 2 * l))
-                * s.mean ** (mm - 2 * l)
-                * s.variance**l
-                * Fraction(_double_factorial_odd(l))
-            )
-        return s.n0 * total
-    a = s.lower_cut
-    if a == 0.0 and n <= 1:
-        raise DivergentMoment(
-            f"gaussian pulse reaching x=0 has divergent moment for n = {n} <= 1"
+    if not (s.narrow() and m.denominator == 1 and m >= 0):
+        raise UnsupportedParams(f"{s.describe()} moment I_{n} has no rational closed form")
+    # untruncated central-moment expansion; the 8-sigma truncation
+    # correction is below 1e-14 relative and is deliberately ignored
+    mm = int(m)
+    total = Fraction(0)
+    for l in range(mm // 2 + 1):
+        total += (
+            Fraction(math.comb(mm, 2 * l))
+            * s.mean ** (mm - 2 * l)
+            * s.variance**l
+            * Fraction(_double_factorial_odd(l))
         )
-    from scipy.integrate import quad
-
-    exponent = float(m)
-
-    def integrand(x):
-        return float(x**exponent * s.number_density(x))
-
-    mu, sig = float(s.mean), math.sqrt(float(s.variance))
-    pts = [p for p in (mu - 2 * sig, mu, mu + 2 * sig) if a < p]
-    # quad ignores interior break points on infinite intervals; split manually
-    hi = mu + 40 * sig
-    v1, e1 = quad(integrand, a, hi, points=pts, limit=200, epsrel=1e-13, epsabs=0.0)
-    v2, e2 = quad(integrand, hi, np.inf, limit=200, epsrel=1e-13, epsabs=1e-300)
-    value, err = v1 + v2, e1 + e2
-    if not math.isfinite(value) or err > 1e-8 * abs(value) + 1e-290:
-        raise NonConvergedQuadrature(
-            f"gaussian moment n={n}: error estimate {err:.2e} for value {value:.6e}"
-        )
-    return value
+    return s.n0 * total
 
 
 def _double_factorial_odd(l: int) -> int:
@@ -384,90 +267,6 @@ def _double_factorial_odd(l: int) -> int:
     return out
 
 
-_GL_NODES_16, _GL_WEIGHTS_16 = np.polynomial.legendre.leggauss(16)
-_GL_NODES_8, _GL_WEIGHTS_8 = np.polynomial.legendre.leggauss(8)
-
-
-def tabulated_moment(spectrum: Tabulated, n, rtol: float = 1e-12) -> tuple[float, float]:
-    """Moment of a tabulated spectrum with an error estimate.
-
-    The body integral uses fixed Gauss-Legendre panels per sample
-    interval on a monotone cubic interpolant (16-point, checked against
-    8-point); the region beyond the last sample uses a fitted
-    exponential or power-law tail.  The returned error combines the
-    panel check with the tail-fit residual.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    n = float(_as_index(n))
-    x = np.array(spectrum.x)
-    f = np.array(spectrum.f0)
-    pch = PchipInterpolator(x, f)
-
-    def body(nodes, weights):
-        mid = 0.5 * (x[1:] + x[:-1])
-        half = 0.5 * (x[1:] - x[:-1])
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = pts**n * pch(pts)
-        return float(np.sum(half * (vals @ weights)))
-
-    coarse = body(_GL_NODES_8, _GL_WEIGHTS_8)
-    fine = body(_GL_NODES_16, _GL_WEIGHTS_16)
-    body_err = abs(fine - coarse)
-
-    tail, tail_err = _tail_integral(x, f, n)
-    value = fine + tail
-    err = body_err + tail_err
-    # the fixed-panel scheme is effectively exact for the cubic interpolant,
-    # so a body mismatch means the quadrature itself failed; the tail-model
-    # uncertainty is irreducible and is reported, not gated
-    if value != 0 and body_err > 10 * rtol * abs(value) + 1e-300:
-        raise NonConvergedQuadrature(
-            f"tabulated moment n={n}: panel check {body_err:.2e} vs value {value:.6e}"
-        )
-    return value, err
-
-
-def _tail_integral(x: np.ndarray, f: np.ndarray, n: float) -> tuple[float, float]:
-    """Integral of x^n times the fitted tail beyond the last sample."""
-    m = min(5, len(x))
-    xs, fs = x[-m:], f[-m:]
-    good = fs > 0
-    if good.sum() < 3 or f[-1] == 0:
-        return 0.0, 0.0
-    xs, fs = xs[good], fs[good]
-    lx, lf = np.log(xs), np.log(fs)
-
-    # exponential model log f = a - b x
-    be, ae = np.polyfit(xs, lf, 1)
-    res_e = float(np.sqrt(np.mean((ae + be * xs - lf) ** 2)))
-    # power model log f = a - s log x
-    bp, ap = np.polyfit(lx, lf, 1)
-    res_p = float(np.sqrt(np.mean((ap + bp * lx - lf) ** 2)))
-
-    x_end = x[-1]
-    if res_e <= res_p and be < 0:
-        from scipy.integrate import quad
-        from scipy.special import gammaincc
-
-        b = -be
-        amp = math.exp(ae)
-        # integral of x^n exp(-b x) from x_end: upper incomplete gamma
-        if n > -1:
-            val = amp * b ** (-(n + 1)) * gammaincc(n + 1, b * x_end) * math.gamma(n + 1)
-        else:
-            val, _ = quad(lambda t: t**n * amp * math.exp(-b * t), x_end, np.inf)
-        return val, val * max(res_e, 1e-12)
-    s = -bp
-    if s <= n + 1:
-        raise DivergentMoment(
-            f"tabulated spectrum tail falls like x^-{s:.3g}; moment n={n} diverges"
-        )
-    amp = math.exp(ap)
-    val = amp * x_end ** (n - s + 1) / (s - n - 1)
-    return val, val * max(res_p, 1e-12)
-
-
 # ---------------------------------------------------------------------------
 # normalization and equilibria
 
@@ -476,7 +275,7 @@ def _tail_integral(x: np.ndarray, f: np.ndarray, n: float) -> tuple[float, float
 class NormalizationReport:
     """Result of the temperature-normalization check theta(0) = 1."""
 
-    ratio: Fraction | float
+    ratio: Fraction
     passed: bool
     constrained: bool
     detail: str
@@ -485,7 +284,6 @@ class NormalizationReport:
 def check_temperature_normalization(
     spectrum: InitialSpectrum,
     params: TransportParams = COMPTONIZATION,
-    tol: float = 1e-9,
 ) -> NormalizationReport:
     """Check the closure condition linking theta to the conserved moments.
 
@@ -500,13 +298,9 @@ def check_temperature_normalization(
         den = initial_moment(spectrum, params.i + params.k - 1)
         factor = params.i + params.k
         ratio = num / (factor * den)
-        if isinstance(ratio, Fraction):
-            passed = ratio == 1
-        else:
-            passed = abs(ratio - 1.0) <= tol
         return NormalizationReport(
             ratio=ratio,
-            passed=passed,
+            passed=ratio == 1,
             constrained=True,
             detail=f"I_{params.i + params.j}(0) / ({factor} I_{params.i + params.k - 1}(0))",
         )
@@ -522,7 +316,7 @@ def check_temperature_normalization(
 class EquilibriumTemperature:
     """Asymptotic temperature; meaningful only when photon number is finite."""
 
-    value: Fraction | float
+    value: Fraction
     meaningful: bool
     note: str = ""
 

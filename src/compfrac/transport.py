@@ -189,10 +189,6 @@ class TemperatureFn:
 
         return cls(fn=fn, description=f"constant {v:.6g}")
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], float], description: str) -> "TemperatureFn":
-        return cls(fn=fn, description=description)
-
 
 def check_temperature_positive(theta: TemperatureFn, y_end: float, samples: int = 2048):
     """Dense positivity pre-check; raises naming the first bad y."""
@@ -416,8 +412,9 @@ def solve_transport(
     the next step's k1, so an attempt costs two assemblies and three
     solves.  An attempt whose stage or result dips below the clipping
     tolerance is rejected and retried at half the width; smaller
-    negative values are clipped to zero and counted.  Snapshot times are
-    landed on exactly by clamping the step.
+    negative values are clipped to zero and counted, and the step is
+    rescaled to keep its photon number.  Snapshot times are landed on
+    exactly by clamping the step.
     """
     check_temperature_positive(theta, grid.y_end)
     F, actual_spectrum = initial_cell_values(spectrum, grid, params)
@@ -494,8 +491,12 @@ def solve_transport(
         y += dy_try
         neg = F_new < 0
         if np.any(neg):
+            # zeroing the negative cells adds photons; scale the rest back
+            # so the clipped step keeps the number integral it had
             clipped += int(np.count_nonzero(neg))
+            number = float(np.sum(F_new * dx))
             F_new = np.where(neg, 0.0, F_new)
+            F_new *= number / float(np.sum(F_new * dx))
             k3 = op.apply(bands, F_new)
         F, k1 = F_new, k3
         accepted += 1

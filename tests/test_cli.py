@@ -356,6 +356,16 @@ def test_solve_outputs(tmp_path):
         assert len(lines) == 1 + 64
 
 
+def test_solve_taylor_theta(tmp_path):
+    code = main(
+        ["solve", "--grid-cells", "32", "--rtol", "1e-3", "--snapshots", "2",
+         "--theta", "taylor:4", "--out-dir", str(tmp_path)]
+    )
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "run_monoenergetic.json").read_text())
+    assert manifest["theta"] == "Taylor partial sum, level 4 (monoenergetic(x0=4, n0=1))"
+
+
 def test_reproduce_chains_all_stages(tmp_path, monkeypatch, capsys):
     calls = {}
 

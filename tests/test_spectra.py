@@ -14,7 +14,6 @@ from compfrac.spectra import (
     DivergentMoment,
     GaussianPulse,
     Monoenergetic,
-    Tabulated,
     TransportParams,
     UnsupportedParams,
     check_temperature_normalization,
@@ -22,7 +21,6 @@ from compfrac.spectra import (
     equilibrium_temperature,
     initial_moment,
     profile_function,
-    tabulated_moment,
 )
 
 
@@ -122,22 +120,22 @@ def test_profile_function_rejects_raw_line():
         profile_function(Monoenergetic())
 
 
-def test_tabulated_roundtrip(tmp_path):
-    x = np.geomspace(0.05, 30, 200)
-    f = np.exp(-x / 2)
-    path = tmp_path / "spec.csv"
-    with open(path, "w") as fh:
-        fh.write("x,f0\n")
-        for xi, fi in zip(x, f):
-            fh.write(f"{xi:.12e},{fi:.12e}\n")
-    from compfrac.spectra import load_tabulated
-
-    tab = load_tabulated(path)
-    assert isinstance(tab, Tabulated)
-    value, err = tabulated_moment(tab, 3)
-    # integral of x^3 e^(-x/2) = 6 * 2^4 = 96, up to tail truncation
-    assert abs(value - 96.0) / 96.0 < 1e-3
-    assert err < 1e-2 * value
+@pytest.mark.parametrize(
+    "spectrum, n",
+    [
+        (Monoenergetic(), Fraction(7, 2)),
+        (Bremsstrahlung(), Fraction(7, 2)),
+        (GaussianPulse(mean=4, variance=Fraction(1, 100), n0=1), Fraction(7, 2)),
+        # below n = 2 the pulse moment E[x^(n-2)] has no polynomial form
+        (GaussianPulse(mean=4, variance=Fraction(1, 100), n0=1), 1),
+        # 8 sigma reaches past x = 0, so the untruncated expansion is wrong
+        (GaussianPulse(mean=4, variance=1, n0=1), 3),
+    ],
+    ids=["line-half-index", "free-free-half-index", "pulse-half-index", "pulse-n1", "wide-pulse"],
+)
+def test_moment_without_rational_form_rejected(spectrum, n):
+    with pytest.raises(UnsupportedParams, match="no rational closed form"):
+        initial_moment(spectrum, n)
 
 
 def test_normalization_check_accepts_consistent_pair():

@@ -43,7 +43,7 @@ from compfrac.transport import (
     write_run_manifest,
     write_snapshot_csv,
 )
-from compfrac.verify import output_temperature
+from compfrac.verify import conservation_report, output_temperature
 
 from conftest import RUN_SNAPSHOTS
 
@@ -327,7 +327,7 @@ def test_nonfinite_temperature_mid_run_rejected():
         calls.append(y)
         return 1.0 if len(calls) <= 2048 else math.nan
 
-    theta = TemperatureFn.from_callable(fn, "NaN after the pre-check")
+    theta = TemperatureFn(fn, "NaN after the pre-check")
     grid = Grid.log_spaced(cells=40, snapshots=())
     with pytest.raises(NonFiniteState):
         solve_transport(Bremsstrahlung(), theta, grid)
@@ -361,6 +361,19 @@ def test_negative_stage_rejected_and_retried():
         assert float(F.min()) >= 0.0
     n = sol.trace_number
     assert np.max(np.abs(n - n[0])) <= 1e-12 * abs(n[0])
+
+
+def test_clipping_keeps_photon_number():
+    # a coarse free-free grid at loose tolerance lands accepted steps with
+    # a few slightly negative cells; zeroing them must not add photons
+    grid = Grid.log_spaced(cells=40, snapshots=2)
+    sol = solve_transport(
+        Bremsstrahlung(), TemperatureFn.constant(1.0), grid, rtol=0.1, initial_dy=0.5
+    )
+    assert sol.stats["cells_clipped"] > 0
+    assert conservation_report(sol).number_drift <= 1e-12
+    for _, F in sol.snapshots:
+        assert float(F.min()) >= 0.0
 
 
 def test_equilibrium_fixed_point_from_large_first_step():

@@ -66,9 +66,7 @@ def test_negative_control_fails(negctl_run):
 
 def test_perturbed_temperature_fails(mono_run, mono_theta):
     # a 10 percent offset in the driving curve must trip the 2 percent gate
-    skewed = TemperatureFn.from_callable(
-        lambda y: 1.1 * mono_theta(y), "skewed input"
-    )
+    skewed = TemperatureFn(lambda y: 1.1 * mono_theta(y), "skewed input")
     report = self_consistency(mono_run, skewed)
     assert not report.passed
     assert report.max_rel_dev > 0.08
