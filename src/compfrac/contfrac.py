@@ -9,13 +9,21 @@ continued fraction
 whose coefficients come from the classical two-dimensional quotient-
 difference style recursion on the series coefficients.  Everything up
 to evaluation is exact rational arithmetic.
+
+Each fraction is folded into rational forms P_n/Q_n once: the first
+request for any level runs the three-term convergent recurrence over
+every level 0..N and caches the results on the instance, so selection,
+defect reports and the driving temperature all read the same fold.
+Every polynomial, exact or float, is evaluated by one Horner helper.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +74,10 @@ class ContinuedFraction:
     def __getitem__(self, n: int) -> Fraction:
         return self.coefficients[n]
 
+    @cached_property
+    def _rational_forms(self) -> tuple:
+        return _fold(self)
+
     def to_json_dict(self) -> dict:
         return {
             "schema": "compfrac.continued-fraction/1",
@@ -74,8 +86,8 @@ class ContinuedFraction:
             "coefficients": [
                 {
                     "n": n,
-                    "numerator": str(c.numerator),
-                    "denominator": str(c.denominator),
+                    "numerator": str(Decimal(c.numerator)),
+                    "denominator": str(Decimal(c.denominator)),
                     "float": float(c),
                 }
                 for n, c in enumerate(self.coefficients)
@@ -87,9 +99,12 @@ class ContinuedFraction:
         if data.get("schema") != "compfrac.continued-fraction/1":
             raise ValueError(f"unknown schema: {data.get('schema')!r}")
         rows = sorted(data["coefficients"], key=lambda r: r["n"])
+        # Decimal carries integers past the int <-> str digit limit (4300 by
+        # default), which the deepest free-free coefficients exceed
         return cls(
             coefficients=tuple(
-                Fraction(int(r["numerator"]), int(r["denominator"])) for r in rows
+                Fraction(int(Decimal(r["numerator"])), int(Decimal(r["denominator"])))
+                for r in rows
             ),
             source=data.get("source", ""),
             pivot_break=data.get("pivot_break"),
@@ -102,16 +117,26 @@ def taylor_eval(table: DerivativeTable, level: int, y) -> float:
     The sum runs in exact arithmetic (y lifted to an exact binary
     fraction) and is rounded exactly once at the end.
     """
-    if level > table.order:
-        raise ValueError(f"table holds orders 0..{table.order}, asked for {level}")
-    yf = Fraction(y)
-    total = Fraction(0)
-    power = Fraction(1)
-    for n in range(level + 1):
-        if n:
-            power *= yf
-        total += table[n] * power / math.factorial(n)
-    return float(total)
+    _check_level(level, table.order, "table holds orders")
+    series = [table[n] / math.factorial(n) for n in range(level + 1)]
+    return float(_horner(series, Fraction(y)))
+
+
+def _check_level(level: int, top: int, holds: str) -> None:
+    if not 0 <= level <= top:
+        raise ValueError(f"{holds} 0..{top}, asked for {level}")
+
+
+def _horner(coeffs: Sequence, y):
+    """sum_k coeffs[k] y^k by Horner's rule.
+
+    Exact for Fraction coefficients and y; elementwise for a numpy array
+    y.  Float callers pass coefficients already converted to float.
+    """
+    total = 0
+    for c in reversed(coeffs):
+        total = total * y + c
+    return total
 
 
 def cf_coefficients(table: DerivativeTable) -> ContinuedFraction:
@@ -166,8 +191,7 @@ def cf_eval(cf: ContinuedFraction, level: int, y) -> float:
     Raises PoleHit when any denominator in the recurrence falls below
     _POLE_TOL relative to its natural scale.
     """
-    if level > cf.truncation:
-        raise ValueError(f"fraction holds levels 0..{cf.truncation}, asked for {level}")
+    _check_level(level, cf.truncation, "fraction holds levels")
     c = cf.floats
     yv = float(y)
     t = 1.0
@@ -183,8 +207,7 @@ def cf_eval(cf: ContinuedFraction, level: int, y) -> float:
 
 def cf_eval_exact(cf: ContinuedFraction, level: int, y: Fraction) -> Fraction:
     """Exact rational evaluation of Psi_level at rational y."""
-    if level > cf.truncation:
-        raise ValueError(f"fraction holds levels 0..{cf.truncation}, asked for {level}")
+    _check_level(level, cf.truncation, "fraction holds levels")
     y = Fraction(y)
     t = Fraction(1)
     for n in range(level, 0, -1):
@@ -220,66 +243,48 @@ class RationalForm:
 
     def eval_exact(self, y) -> Fraction:
         y = Fraction(y)
-        num = _horner_exact(self.numerator, y)
-        den = _horner_exact(self.denominator, y)
+        num = _horner(self.numerator, y)
+        den = _horner(self.denominator, y)
         if den == 0:
             raise PoleHit(y, None, f"denominator root at y={y}")
         return num / den
 
     def eval_float(self, y):
         y = np.asarray(y, dtype=float)
-        num = _horner_float(self.numerator, y)
-        den = _horner_float(self.denominator, y)
+        num = _horner([float(c) for c in self.numerator], y)
+        den = _horner([float(c) for c in self.denominator], y)
         return num / den
 
 
-def _horner_exact(coeffs: Sequence[Fraction], y: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * y + c
-    return total
-
-
-def _horner_float(coeffs: Sequence[Fraction], y: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(y, dtype=float)
-    for c in reversed(coeffs):
-        total = total * y + float(c)
-    return total
-
-
 def to_rational(cf: ContinuedFraction, level: int) -> RationalForm:
-    """Fold the fraction into a single ratio of polynomials.
+    """The fraction truncated at ``level`` as one ratio of polynomials.
 
-    Uses the three-term recurrence over convergents; numerator degree is
-    floor(level/2), denominator degree ceil(level/2), and Q(0) = 1 falls
-    out of the construction.
+    Numerator degree is floor(level/2), denominator degree ceil(level/2),
+    and Q(0) = 1.  The first call on a fraction folds every level at
+    once (see _fold); later calls return the same cached objects.
     """
-    if level > cf.truncation:
-        raise ValueError(f"fraction holds levels 0..{cf.truncation}, asked for {level}")
-    p_prev, q_prev = [Fraction(0)], [Fraction(1)]  # convergent before c0
-    p_cur, q_cur = [cf[0]], [Fraction(1)]
-    for n in range(1, level + 1):
-        p_nxt = _poly_add(p_cur, _poly_shift_scale(p_prev, cf[n]))
-        q_nxt = _poly_add(q_cur, _poly_shift_scale(q_prev, cf[n]))
-        p_prev, q_prev = p_cur, q_cur
-        p_cur, q_cur = p_nxt, q_nxt
-    return RationalForm(numerator=tuple(p_cur), denominator=tuple(q_cur))
+    _check_level(level, cf.truncation, "fraction holds levels")
+    return cf._rational_forms[level]
 
 
-def _poly_add(a: list, b: list) -> list:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_shift_scale(a: list, c: Fraction) -> list:
-    """c * y * a(y)."""
-    return [Fraction(0)] + [c * v for v in a]
+def _fold(cf: ContinuedFraction) -> tuple:
+    """RationalForm of every level 0..N in one pass of the convergent
+    recurrence  X_n = X_{n-1} + c_n y X_{n-2}  for X = P and X = Q,
+    starting from P_{-1} = 0, Q_{-1} = 1, P_0 = c0, Q_0 = 1."""
+    prev, cur = ([Fraction(0)], [Fraction(1)]), ([cf[0]], [Fraction(1)])
+    forms = [RationalForm(*cur)]
+    for c in cf.coefficients[1:]:
+        nxt = []
+        for a, b in zip(cur, prev):
+            poly = a + [Fraction(0)] * (len(b) + 1 - len(a))
+            for i, v in enumerate(b, 1):
+                poly[i] += c * v
+            while len(poly) > 1 and poly[-1] == 0:
+                poly.pop()
+            nxt.append(poly)
+        prev, cur = cur, tuple(nxt)
+        forms.append(RationalForm(*cur))
+    return tuple(forms)
 
 
 def maclaurin_of_rational(rf: RationalForm, order: int) -> list:
@@ -355,16 +360,16 @@ def find_defects(rf: RationalForm, y_max: float) -> DefectReport:
     den = rf.denominator
     num = rf.numerator
 
+    den_f = [float(c) for c in den]
+    num_f = [float(c) for c in num]
     ys = np.linspace(0.0, y_max, _SCAN_PANELS + 1)
-    vals = _horner_float(den, ys)
+    vals = _horner(den_f, ys)
     fa, fb = vals[:-1], vals[1:]
     # panels that end on a root, or change sign between two nonzero ends;
     # a panel starting on a zero holds either y = 0 (where Q = 1, so only
     # roundoff) or a root already recorded when it closed the previous panel
     bracketing = (fb == 0.0) | ((fa != 0.0) & ((fa < 0) != (fb < 0)))
 
-    den_f = [float(c) for c in den]
-    num_f = [float(c) for c in num]
     dden_f = [float(c) for c in _poly_derivative(den)]
     poles: list = []
     for idx in np.flatnonzero(bracketing):
@@ -375,7 +380,7 @@ def find_defects(rf: RationalForm, y_max: float) -> DefectReport:
             lo, hi, flo = a, b, float(fa[idx])
             while hi - lo > _ROOT_TOL:
                 mid = 0.5 * (lo + hi)
-                fm = _horner_scalar(den_f, mid)
+                fm = _horner(den_f, mid)
                 if fm == 0.0:
                     lo = hi = mid
                     break
@@ -387,22 +392,15 @@ def find_defects(rf: RationalForm, y_max: float) -> DefectReport:
         if root <= 0:
             continue
 
-        residual = abs(_horner_scalar(den_f, root)) / _abs_poly_scale(den_f, root)
-        num_res = abs(_horner_scalar(num_f, root)) / _abs_poly_scale(num_f, root)
+        residual = abs(_horner(den_f, root)) / _abs_poly_scale(den_f, root)
+        num_res = abs(_horner(num_f, root)) / _abs_poly_scale(num_f, root)
         if num_res < _CANCEL_TOL:
             continue  # common factor cancels; no actual pole
-        slope = abs(_horner_scalar(dden_f, root)) / _abs_poly_scale(dden_f, root)
+        slope = abs(_horner(dden_f, root)) / _abs_poly_scale(dden_f, root)
         multiplicity = 1 if slope > 1e-6 else 2
         poles.append(Pole(location=root, multiplicity=multiplicity, residual=residual))
 
     return DefectReport(poles=tuple(poles), y_max=float(y_max), panels=_SCAN_PANELS)
-
-
-def _horner_scalar(coeffs: Sequence[float], y: float) -> float:
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * y + c
-    return total
 
 
 def _abs_poly_scale(coeffs: Sequence[float], y: float) -> float:

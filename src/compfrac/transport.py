@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .contfrac import ContinuedFraction, to_rational
+from .contfrac import ContinuedFraction, _check_level, _horner, to_rational
 from .moments import DerivativeTable
 from .spectra import (
     COMPTONIZATION,
@@ -154,29 +154,19 @@ class TemperatureFn:
         den = tuple(float(c) for c in rf.denominator)
 
         def fn(y: float) -> float:
-            p = 0.0
-            for c in reversed(num):
-                p = p * y + c
-            q = 0.0
-            for c in reversed(den):
-                q = q * y + c
-            return p / q
+            return _horner(num, y) / _horner(den, y)
 
         return cls(fn=fn, description=f"continued fraction, level {level} ({cf.source})")
 
     @classmethod
     def from_table(cls, table: DerivativeTable, level: int) -> "TemperatureFn":
-        if level > table.order:
-            raise ValueError(f"table holds orders 0..{table.order}, asked for {level}")
+        _check_level(level, table.order, "table holds orders")
         coeffs = tuple(
             float(table[n]) / math.factorial(n) for n in range(level + 1)
         )
 
         def fn(y: float) -> float:
-            p = 0.0
-            for c in reversed(coeffs):
-                p = p * y + c
-            return p
+            return _horner(coeffs, y)
 
         return cls(fn=fn, description=f"Taylor partial sum, level {level} ({table.spectrum})")
 

@@ -8,8 +8,10 @@ repeat runs.
 """
 
 import filecmp
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import compfrac
-from compfrac import cli
+from compfrac import cli, contfrac
 from compfrac.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -35,6 +37,7 @@ from compfrac.cli import (
     load_config_file,
     main,
 )
+from compfrac.contfrac import ContinuedFraction
 from compfrac.moments import DerivativeTable
 from compfrac.spectra import Bremsstrahlung, EquilibriumSpectrum, Monoenergetic
 from compfrac.transport import NonFiniteState
@@ -369,17 +372,18 @@ def test_solve_taylor_theta(tmp_path):
 def test_reproduce_chains_all_stages(tmp_path, monkeypatch, capsys):
     calls = {}
 
-    def counted(name):
-        original = getattr(cli, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in ("solve_transport", "theta_derivatives_comptonization", "select_approximant"):
-        counted(name)
+        counted(cli, name)
+    counted(contfrac, "_fold")
     config = tmp_path / "tiny.cfg"
     config.write_text(
         "spectrum = monoenergetic\n"
@@ -410,15 +414,83 @@ def test_reproduce_chains_all_stages(tmp_path, monkeypatch, capsys):
     for name in expected:
         assert (out / name).exists(), name
     assert (out / "snapshot_monoenergetic_04.csv").exists()
-    # every stage shares one table, one level selection and one solve
+    # every stage shares one table, one level selection, one fold of the
+    # fraction into rational forms and one solve
     assert calls == {
         "solve_transport": 1,
         "theta_derivatives_comptonization": 1,
         "select_approximant": 1,
+        "_fold": 1,
     }
     stdout = capsys.readouterr().out
     assert "solved to y = 2" in stdout
     assert "self-consistency pass" in stdout
+
+
+def test_cf_deepest_order_finishes(tmp_path):
+    # the deepest order the CLI accepts: selection over all 65 levels and
+    # a coefficient file past the int-to-str digit limit, about 2.5 s
+    code = main(["cf", "--spectrum", "bremsstrahlung", "--M", "64",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    sel = json.loads((tmp_path / "selection_bremsstrahlung.json").read_text())
+    assert len(sel["candidates"]) == 65
+    # the deepest coefficients run past 4300 decimal digits
+    data = json.loads((tmp_path / "cf_bremsstrahlung.json").read_text())
+    assert max(len(r["numerator"]) for r in data["coefficients"]) > 4300
+    cf = ContinuedFraction.from_json_dict(data)
+    assert cf.truncation == 64
+    assert cf.floats == tuple(r["float"] for r in data["coefficients"])
+
+
+# sha256 of the exact-layer files of both shipped configs; a change to
+# them must be deliberate and say why
+SHIPPED_DIGESTS = {
+    "monoenergetic": {
+        "derivs_monoenergetic.json": "9065c9f9d483a6e3700f4b76b3d3450da30d9c06e4ca55a986902e48354bd75a",
+        "derivs_monoenergetic.csv": "aed0ee754b82ce2309131ef1fa16daa2740a709e7d03bd8d60497e48ee483ac0",
+        "cf_monoenergetic.json": "d5720a42635c24b0f80c63c2ff11bb2ce16263fc6fbf9abdf3bcfdc85a6c1a52",
+        "cf_monoenergetic.csv": "00bcecec4c7f010056de0eb0a2bbbbb3e112ccdc0099907ecde9586e6c86f1a7",
+        "selection_monoenergetic.json": "3cfe83c48e8d4fa3af1d8d193a28e49edd96aecbb49eb988acaf9b4baea29096",
+        "defects_monoenergetic.json": "ae325a230a48234acc9382f10c3eb7e6f0dd4d61b955498e7d49aca018da30eb",
+        "cf_curves_monoenergetic.csv": "39a3d09b4ff4758bd79be2dc4c193f00f5ee895549c7b07bd0eaa4d9c5d8acfa",
+        "taylor_curves_monoenergetic.csv": "0e01e0c0396774dbe5dbd50bed6a11b4bcf6929ba989b15bb61ddbeb9f7f5735",
+    },
+    "bremsstrahlung": {
+        "derivs_bremsstrahlung.json": "35c52947ea975a107c1c2b69525a4064ed1bf8bf7befec13578c135935e0bf74",
+        "derivs_bremsstrahlung.csv": "2ef65d2c822cb667b8e5ff8111b33b7145d452b5b5296dad02fd91de8e1a5e29",
+        "cf_bremsstrahlung.json": "f3c66ee6a4835458afc386936c37dffd18145bad63b0bf0333df2efbd98cb9fd",
+        "cf_bremsstrahlung.csv": "75ff028075e11ed6a8d0f8b1408a31aa022b07062dd55908056c8be76d9a10b2",
+        "selection_bremsstrahlung.json": "ed50c569483c84521ee53fbc20a353f4525828723b6ff68fa23cbaaae60d07a9",
+        "defects_bremsstrahlung.json": "ae325a230a48234acc9382f10c3eb7e6f0dd4d61b955498e7d49aca018da30eb",
+        "cf_curves_bremsstrahlung.csv": "1d58dd38809670d39194d712e03c374b410bc6c4dd3f33a2e6c621d38f3f0432",
+        "taylor_curves_bremsstrahlung.csv": "44fb9a8ab50cd102ec76513d7e6c59a1f17967cb73d1c3b12a444bbc2ac350f5",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SHIPPED_DIGESTS))
+def test_shipped_exact_artifacts_pinned(tmp_path, scenario):
+    config = Path(compfrac.__file__).parent / "configs" / f"{scenario}.cfg"
+    for command in ("derivs", "cf"):
+        code = main([command, "--config", str(config), "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in SHIPPED_DIGESTS[scenario]
+    }
+    assert got == SHIPPED_DIGESTS[scenario]
+
+
+def test_readme_quick_start_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    block = block.split("```", 2)[1]
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("compfrac ")]
+    assert {argv[1] for argv in commands} >= {"reproduce", "derivs", "cf", "solve", "verify"}
+    for argv in commands:
+        cli._build_parser().parse_args(argv[1:])
 
 
 def test_out_dir_created_nested(tmp_path):

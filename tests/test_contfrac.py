@@ -27,8 +27,9 @@ from compfrac.contfrac import (
     taylor_eval,
     to_rational,
 )
-from compfrac.moments import DerivativeTable
-from compfrac.spectra import COMPTONIZATION
+from compfrac.moments import DerivativeTable, theta_derivatives_comptonization
+from compfrac.spectra import COMPTONIZATION, Bremsstrahlung, Monoenergetic
+from compfrac.transport import TemperatureFn
 
 MONO_HEAD = (Fraction(1), Fraction(-2), Fraction(5), Fraction(-5, 3), Fraction(269, 75))
 BREMS_HEAD = (Fraction(1), Fraction(6), Fraction(5), Fraction(167, 15), Fraction(22511, 2505))
@@ -152,6 +153,46 @@ def test_level_bounds_checked(mono_cf, mono_table):
         to_rational(mono_cf, 25)
     with pytest.raises(ValueError):
         taylor_eval(mono_table, 25, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cf, table: to_rational(cf, -1),
+        lambda cf, table: TemperatureFn.from_continued_fraction(cf, -1),
+        lambda cf, table: cf_eval(cf, -1, 1.0),
+        lambda cf, table: cf_eval_exact(cf, -1, Fraction(1)),
+        lambda cf, table: taylor_eval(table, -1, 1.0),
+        lambda cf, table: TemperatureFn.from_table(table, -1),
+    ],
+    ids=["to_rational", "theta_from_cf", "cf_eval", "cf_eval_exact",
+         "taylor_eval", "theta_from_table"],
+)
+def test_negative_level_rejected(mono_cf, mono_table, call):
+    with pytest.raises(ValueError, match="asked for -1"):
+        call(mono_cf, mono_table)
+
+
+@pytest.mark.parametrize(
+    "spectrum", [Monoenergetic(), Bremsstrahlung()], ids=["monoenergetic", "bremsstrahlung"]
+)
+def test_shared_fold_every_level(spectrum):
+    # one fold serves every level of a deep fraction; about 0.5 s per
+    # spectrum at M = 40 (2 CPUs)
+    table = theta_derivatives_comptonization(spectrum, 40)
+    cf = cf_coefficients(table)
+    assert cf.truncation == 40
+    series = [table[m] / _fact(m) for m in range(41)]
+    for n in range(41):
+        rf = to_rational(cf, n)
+        assert to_rational(cf, n) is rf
+        assert rf.degree_pair == (n // 2, (n + 1) // 2)
+        assert maclaurin_of_rational(rf, n) == series[: n + 1]
+        try:
+            expected = cf_eval_exact(cf, n, Fraction(2))
+        except PoleHit:
+            continue
+        assert rf.eval_exact(2) == expected
 
 
 def test_taylor_eval_exact_partial_sum(mono_table):
