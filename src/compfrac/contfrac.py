@@ -8,13 +8,18 @@ continued fraction
 
 whose coefficients come from the classical two-dimensional quotient-
 difference style recursion on the series coefficients.  Everything up
-to evaluation is exact rational arithmetic.
+to evaluation is exact: coefficients and rational forms are Fractions at
+the interface, computed inside in integers over shared denominators
+(each recursion row is an integer vector, each fold level a pair of
+integer polynomials over one denominator), with one gcd per row or
+level instead of one per entry.
 
 Each fraction is folded into rational forms P_n/Q_n once: the first
 request for any level runs the three-term convergent recurrence over
 every level 0..N and caches the results on the instance, so selection,
 defect reports and the driving temperature all read the same fold.
-Every polynomial, exact or float, is evaluated by one Horner helper.
+Polynomials are evaluated by Horner's rule: _horner for float and
+Fraction coefficients, _homogeneous for integer ones at y = a/b.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class ContinuedFraction:
     def truncation(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
+    @cached_property
     def floats(self) -> tuple:
         return tuple(float(c) for c in self.coefficients)
 
@@ -75,8 +80,17 @@ class ContinuedFraction:
         return self.coefficients[n]
 
     @cached_property
-    def _rational_forms(self) -> tuple:
+    def _integer_forms(self) -> tuple:
         return _fold(self)
+
+    @cached_property
+    def _rational_forms(self) -> tuple:
+        return tuple(
+            RationalForm(
+                tuple(Fraction(x, q[0]) for x in p), tuple(Fraction(x, q[0]) for x in q)
+            )
+            for p, q in self._integer_forms
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,12 +128,14 @@ class ContinuedFraction:
 def taylor_eval(table: DerivativeTable, level: int, y) -> float:
     """Taylor partial sum of theta(y) through the given order.
 
-    The sum runs in exact arithmetic (y lifted to an exact binary
-    fraction) and is rounded exactly once at the end.
+    The sum runs in exact integer arithmetic (y lifted to an exact binary
+    fraction a/b) and is rounded exactly once, by one correctly rounded
+    integer division.
     """
     _check_level(level, table.order, "table holds orders")
-    series = [table[n] / math.factorial(n) for n in range(level + 1)]
-    return float(_horner(series, Fraction(y)))
+    series, common = table.maclaurin
+    a, b = Fraction(y).as_integer_ratio()
+    return _homogeneous(series[: level + 1], a, b) / (common * b**level)
 
 
 def _check_level(level: int, top: int, holds: str) -> None:
@@ -139,6 +155,16 @@ def _horner(coeffs: Sequence, y):
     return total
 
 
+def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
+    """b^deg sum_k coeffs[k] (a/b)^k for integer coefficients, by Horner's
+    rule in integers."""
+    total, scale = 0, 1
+    for c in reversed(coeffs):
+        total = total * a + c * scale
+        scale *= b
+    return total
+
+
 def cf_coefficients(table: DerivativeTable) -> ContinuedFraction:
     """Continued-fraction coefficients from the derivative table, exactly.
 
@@ -147,33 +173,32 @@ def cf_coefficients(table: DerivativeTable) -> ContinuedFraction:
     contributes its leading entry as the next coefficient.  A vanishing
     leading entry stops the recursion: the fraction terminates there.
     """
-    series = [table[m] / math.factorial(m) for m in range(table.order + 1)]
+    series, common = table.maclaurin
     top = table.order
-    coeffs = [series[0]]
+    coeffs = [Fraction(series[0], common)]
     pivot_break = None
 
     if series[0] == 0:
         # degenerate table with theta(0) = 0; nothing below c0 is defined
         pivot_break = 0
     else:
-        prev2: list | None = None
-        prev = series
+        # rows are integer vectors known up to a scale: the recursion reads
+        # only the ratios row[m+1]/row[0], so each row is divided by the gcd
+        # of its entries and a coefficient keeps its denominator apart; the
+        # row above row zero is 1, 0, 0, ..., whose ratios all vanish
+        prev2, prev = [1] + [0] * (top + 1), series
         for n in range(1, top + 1):
-            width = top - n + 1
-            if n == 1:
-                row = [-prev[m + 1] / prev[0] for m in range(width)]
-            else:
-                row = [
-                    prev2[m + 1] / prev2[0] - prev[m + 1] / prev[0]
-                    for m in range(width)
-                ]
+            p0, q0 = prev[0], prev2[0]
+            row = [prev2[m + 1] * p0 - prev[m + 1] * q0 for m in range(top - n + 1)]
+            row_den = q0 * p0
             if row[0] == 0:
                 # zero pivot: the fraction terminates at level n - 1 and
                 # the coefficients so far represent the series exactly
                 pivot_break = n
                 break
-            coeffs.append(row[0])
-            prev2, prev = prev, row
+            coeffs.append(Fraction(row[0], row_den))
+            g = math.gcd(*row)
+            prev2, prev = prev, [v // g for v in row]
 
     return ContinuedFraction(
         coefficients=tuple(coeffs), source=table.spectrum, pivot_break=pivot_break
@@ -268,23 +293,42 @@ def to_rational(cf: ContinuedFraction, level: int) -> RationalForm:
 
 
 def _fold(cf: ContinuedFraction) -> tuple:
-    """RationalForm of every level 0..N in one pass of the convergent
-    recurrence  X_n = X_{n-1} + c_n y X_{n-2}  for X = P and X = Q,
-    starting from P_{-1} = 0, Q_{-1} = 1, P_0 = c0, Q_0 = 1."""
-    prev, cur = ([Fraction(0)], [Fraction(1)]), ([cf[0]], [Fraction(1)])
-    forms = [RationalForm(*cur)]
+    """Every level 0..N in one pass of the convergent recurrence
+    X_n = X_{n-1} + c_n y X_{n-2}  for X = P and X = Q, starting from
+    P_{-1} = 0, Q_{-1} = 1, P_0 = c0, Q_0 = 1.
+
+    Level n is carried as integer polynomials (p, q) over one denominator
+    d_n; since Q_n(0) = 1, that denominator is q[0].  Returns the (p, q)
+    pair of every level."""
+    c0 = cf[0]
+    prev, cur = ([0], [1]), ([c0.numerator], [c0.denominator])
+    levels = [cur]
     for c in cf.coefficients[1:]:
+        # X_n = (u x_{n-1} + v y x_{n-2}) / L  with  L = lcm(d_{n-1}, b d_{n-2})
+        d1, bd2 = cur[1][0], c.denominator * prev[1][0]
+        common = math.lcm(d1, bd2)
+        u, v = common // d1, c.numerator * (common // bd2)
         nxt = []
         for a, b in zip(cur, prev):
-            poly = a + [Fraction(0)] * (len(b) + 1 - len(a))
-            for i, v in enumerate(b, 1):
-                poly[i] += c * v
+            poly = [u * x for x in a] + [0] * (len(b) + 1 - len(a))
+            for i, x in enumerate(b, 1):
+                poly[i] += v * x
             while len(poly) > 1 and poly[-1] == 0:
                 poly.pop()
             nxt.append(poly)
-        prev, cur = cur, tuple(nxt)
-        forms.append(RationalForm(*cur))
-    return tuple(forms)
+        # reduce by the content, which divides q[0] = L; the end coefficients
+        # nearly always fix it, and the remainders of the exact division by
+        # it say whether the rest share less
+        p, q = nxt
+        g = math.gcd(q[0], q[-1], p[0], p[-1])
+        parts = [divmod(x, g) for x in p + q]
+        content = math.gcd(g, *(r for _, r in parts))
+        if content != g:
+            parts = [divmod(x, content) for x in p + q]
+        reduced = [x for x, _ in parts]
+        prev, cur = cur, (reduced[: len(p)], reduced[len(p):])
+        levels.append(cur)
+    return tuple(levels)
 
 
 def maclaurin_of_rational(rf: RationalForm, order: int) -> list:
@@ -474,6 +518,7 @@ def select_approximant(
     diags: list = []
     admissible: list = []
     y_exact = Fraction(y_max)
+    y_num, y_den = y_exact.as_integer_ratio()
     score_it = theta_eq is not None and Fraction(theta_eq) > 0
     theta_exact = Fraction(theta_eq) if score_it else None
 
@@ -487,7 +532,13 @@ def select_approximant(
         tail = None
         score = None
         if report.is_empty():
-            tail_exact = rf.eval_exact(y_exact)
+            # P/Q = p/q over the level's shared denominator, so the tail
+            # is one integer Horner of p and of q
+            p, q = cf._integer_forms[level]
+            tail_den = _homogeneous(q, y_num, y_den) * y_den ** len(p)
+            if tail_den == 0:
+                raise PoleHit(y_exact, level, f"denominator root at y={y_exact}")
+            tail_exact = Fraction(_homogeneous(p, y_num, y_den) * y_den ** len(q), tail_den)
             tail = float(tail_exact)
             if score_it:
                 score = float(abs(tail_exact - theta_exact))

@@ -9,8 +9,11 @@ Both routes below advance truncated Taylor series (jets) of the moments
 through this hierarchy in exact rational arithmetic, with Cauchy
 products for I_{n+j-1}/theta and the series reciprocal of theta
 (Taylor-mode differentiation; Griewank & Walther, Evaluating
-Derivatives, 2nd ed. 2008, ch. 13).  They differ in how the
-temperature is recovered:
+Derivatives, 2nd ed. 2008, ch. 13).  The arithmetic inside is in
+integers: every jet shares one denominator per order, so each Cauchy
+product is an integer dot product and each order is normalised by one
+gcd; Fractions appear only at the interface (the table values).  They
+differ in how the temperature is recovered:
 
 * the Comptonization route (i=j=k=2, alpha=4), where energy conservation
   closes the hierarchy: theta is the series quotient I_4/(4 I_3) over the
@@ -28,9 +31,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .spectra import (
@@ -75,6 +80,14 @@ class DerivativeTable:
     @property
     def floats(self) -> tuple:
         return tuple(float(v) for v in self.values)
+
+    @cached_property
+    def maclaurin(self) -> tuple:
+        """Series coefficients theta^(n)(0)/n! as (integer numerators, one
+        common denominator), computed once per table."""
+        dens = [v.denominator * math.factorial(n) for n, v in enumerate(self.values)]
+        common = math.lcm(*dens)
+        return tuple(v.numerator * (common // d) for v, d in zip(self.values, dens)), common
 
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]
@@ -147,15 +160,21 @@ class DerivativeTable:
 # Taylor jets: list c holds the coefficient of y^c
 
 
-def _cauchy(a: list, b: list, c: int) -> Fraction:
-    """Coefficient c of the product of the series a and b."""
-    return sum(a[r] * b[c - r] for r in range(c + 1))
+def _dot(xs: list, ys) -> Fraction:
+    """sum_r xs[r] ys[r] for Fractions, accumulated over one common
+    denominator and normalised once."""
+    dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+    common = math.lcm(*dens)
+    return Fraction(
+        sum(x.numerator * y.numerator * (common // d) for x, y, d in zip(xs, ys, dens)),
+        common,
+    )
 
 
 def _quotient_term(num_c: Fraction, den: list, q: list) -> Fraction:
     """Next coefficient of q = num/den, from num's coefficient and q so far."""
     c = len(q)
-    return (num_c - sum(q[r] * den[c - r] for r in range(c))) / den[0]
+    return (num_c - _dot(q, den[c:0:-1])) / den[0]
 
 
 def _hierarchy_terms(params: TransportParams, n: Fraction) -> tuple:
@@ -169,15 +188,61 @@ def _hierarchy_terms(params: TransportParams, n: Fraction) -> tuple:
     return tuple(t for t in terms if t[0] != 0)
 
 
-def _advance(jets: dict, terms: dict, depth: dict, recip: list, c: int) -> None:
-    """Append coefficient c+1 to every jet expanded beyond c; recip is 1/theta."""
-    for n, jet in jets.items():
-        if depth[n] > c:
-            rate = sum(
-                coeff * (_cauchy(recip, jets[m], c) if cool else jets[m][c])
-                for coeff, m, cool in terms[n]
+class _Jets:
+    """Taylor jets of the moments I_n, advanced through the hierarchy.
+
+    Every jet shares one denominator per order: jets[n][c] is an integer
+    numerator over dens[c].  The hierarchy coefficients are integers over
+    the common denominator ``scale``.  So each new coefficient is one
+    integer sum of products, and each order is normalised by one gcd.
+    """
+
+    def __init__(self, initial: dict, terms: dict, depth: dict):
+        den = math.lcm(*(v.denominator for v in initial.values()))
+        self.dens = [den]
+        self.jets = {n: [v.numerator * (den // v.denominator)] for n, v in initial.items()}
+        grows = [n for n in initial if depth[n] > 0]
+        self.scale = math.lcm(*(t[0].denominator for n in grows for t in terms[n]))
+        # per growing moment: its jet, its depth and its terms, each holding
+        # an integer coefficient and the jet it reads
+        self.rules = [
+            (
+                self.jets[n],
+                depth[n],
+                tuple(
+                    (coeff.numerator * (self.scale // coeff.denominator), self.jets[m], cool)
+                    for coeff, m, cool in terms[n]
+                ),
             )
-            jet.append(Fraction(rate, c + 1))
+            for n in grows
+        ]
+
+    def __getitem__(self, key: tuple) -> Fraction:
+        n, c = key
+        return Fraction(self.jets[n][c], self.dens[c])
+
+    def advance(self, recip: list, c: int) -> None:
+        """Append coefficient c+1 to every jet expanded beyond c; recip
+        holds the coefficients 0..c of 1/theta."""
+        dens = self.dens
+        # Cauchy weights of 1/theta * I_m over one denominator for all m
+        prods = [r.denominator * dens[c - k] for k, r in enumerate(recip)]
+        common = math.lcm(*prods)
+        weights = [r.numerator * (common // p) for r, p in zip(recip, prods)]
+        lift = common // dens[c]  # exact: the r = 0 weight holds dens[c]
+        rates = [
+            (jet, sum(
+                coeff * (sum(map(operator.mul, weights, src[c::-1])) if cool else lift * src[c])
+                for coeff, src, cool in rule
+            ))
+            for jet, depth, rule in self.rules
+            if depth > c
+        ]
+        den = common * self.scale * (c + 1)
+        g = math.gcd(den, *(rate for _, rate in rates))
+        dens.append(den // g)
+        for jet, rate in rates:
+            jet.append(rate // g)
 
 
 def _derivatives(theta: list) -> tuple:
@@ -210,20 +275,22 @@ def comptonization_table_from_moments(
     if initial[3] <= 0:
         raise NonlinearSolveImpossible("conserved energy moment I_3(0) must be positive")
 
-    jets = {n: [initial[n]] for n in needed}
     terms = {n: _hierarchy_terms(COMPTONIZATION, Fraction(n)) for n in needed}
     depth = {n: min(order, order + 4 - n) for n in needed}
+    jets = _Jets({n: initial[n] for n in needed}, terms, depth)
     theta = [initial[4] / (4 * initial[3])]
     if order and theta[0] == 0:
         raise NonlinearSolveImpossible(
             "I_4(0) = 0 makes theta(0) = 0, so 1/theta has no series; "
             "the spectrum is degenerate"
         )
+    i3 = [initial[3]]
     recip: list = []
     for c in range(order):
         recip.append(_quotient_term(Fraction(c == 0), theta, recip))
-        _advance(jets, terms, depth, recip, c)
-        theta.append(_quotient_term(jets[4][c + 1] / 4, jets[3], theta))
+        jets.advance(recip, c)
+        i3.append(jets[3, c + 1])
+        theta.append(_quotient_term(jets[4, c + 1] / 4, i3, theta))
 
     values = _derivatives(theta)
     if values[0] != 1:
@@ -294,20 +361,20 @@ def theta_derivatives_general(
         frontier = reached
     indices = sorted(steps)
 
-    jets = {ix: [initial_moment(spectrum, ix)] for ix in indices}
-    depth = {ix: order - s for ix, s in steps.items()}
-    norm = jets[params.alpha][0]
+    initial = {ix: Fraction(initial_moment(spectrum, ix)) for ix in indices}
+    norm = initial[params.alpha]
     if norm == 0:
         raise NonlinearSolveImpossible(
             f"I_alpha(0) = 0 at alpha = {params.alpha}; theta is undefined"
         )
+    jets = _Jets(initial, terms, {ix: order - s for ix, s in steps.items()})
 
     theta = [Fraction(1)]
     recip: list = []
     for c in range(order):
         recip.append(_quotient_term(Fraction(c == 0), theta, recip))
-        _advance(jets, terms, depth, recip, c)
-        theta.append(jets[params.alpha][c + 1] / norm)
+        jets.advance(recip, c)
+        theta.append(jets[params.alpha, c + 1] / norm)
 
     return DerivativeTable(
         values=_derivatives(theta),

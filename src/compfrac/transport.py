@@ -552,10 +552,9 @@ def write_snapshot_csv(sol: PdeSolution, y: float, path) -> None:
     i = float(sol.params.i)
     f = F / x ** i
     G = F * x ** (3.0 - i)
+    rows = np.column_stack((x, F, f, G)).ravel().tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,F,f,G\n")
-        for row in zip(x, F, f, G):
-            fh.write(",".join(f"{v:.12e}" for v in row) + "\n")
+        fh.write("x,F,f,G\n" + ("%.12e,%.12e,%.12e,%.12e\n" * len(x)) % tuple(rows))
 
 
 def write_run_manifest(sol: PdeSolution, path, snapshot_files: dict | None = None, timestamp: str | None = None) -> None:

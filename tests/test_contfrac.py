@@ -314,3 +314,51 @@ def test_coefficients_prefix_stable(tail):
     short = cf_coefficients(table.truncated(table.order - 1))
     assume(full.pivot_break is None and short.pivot_break is None)
     assert full.coefficients[: len(short.coefficients)] == short.coefficients
+
+
+def plain_fold(coefficients):
+    """Every level's (P, Q) by the convergent recurrence in plain Fraction
+    polynomials, trailing zeros trimmed; Q_n(0) = 1 throughout."""
+    prev, cur = ([Fraction(0)], [Fraction(1)]), ([coefficients[0]], [Fraction(1)])
+    levels = [cur]
+    for c in coefficients[1:]:
+        nxt = []
+        for a, b in zip(cur, prev):
+            poly = a + [Fraction(0)] * (len(b) + 1 - len(a))
+            for i, v in enumerate(b, 1):
+                poly[i] += c * v
+            while len(poly) > 1 and poly[-1] == 0:
+                poly.pop()
+            nxt.append(poly)
+        prev, cur = cur, tuple(nxt)
+        levels.append(cur)
+    return [(tuple(p), tuple(q)) for p, q in levels]
+
+
+fold_coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-5, max_value=5).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=st.lists(fold_coefficients, min_size=1, max_size=14))
+def test_fold_matches_plain_recurrence(coeffs):
+    # zero coefficients leave trailing zeros to trim, and unlike
+    # denominators exercise the per-level common denominator
+    cf = ContinuedFraction(coefficients=tuple(coeffs))
+    got = [(to_rational(cf, n).numerator, to_rational(cf, n).denominator)
+           for n in range(len(coeffs))]
+    assert got == plain_fold(tuple(coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    y=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    level=st.integers(min_value=0, max_value=24),
+)
+def test_taylor_eval_rounds_exact_sum_once(mono_table, y, level):
+    series = [mono_table[n] / _fact(n) for n in range(level + 1)]
+    exact = sum(c * Fraction(y) ** n for n, c in enumerate(series))
+    assert taylor_eval(mono_table, level, y) == float(exact)

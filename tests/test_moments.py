@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compfrac.moments import (
     DerivativeTable,
@@ -24,8 +26,10 @@ from compfrac.spectra import (
     COMPTONIZATION,
     Bremsstrahlung,
     DegenerateAlphaWarning,
+    GaussianPulse,
     Monoenergetic,
     TransportParams,
+    initial_moment,
 )
 
 DEEP = 64
@@ -241,3 +245,83 @@ def test_degenerate_alpha_warns():
         params = TransportParams(Fraction(2), Fraction(2), Fraction(2), Fraction(2))
         table = theta_derivatives_general(params, Monoenergetic(), 6)
     assert table.values == (Fraction(1),) + (Fraction(0),) * 6
+
+
+# The shipped spectra have integer moments, so the cases below feed the
+# integer jets rational moments with unlike denominators and signs.
+
+rational_moments = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    i3=st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=60),
+    rest=st.lists(rational_moments, min_size=11, max_size=11),
+    order=st.integers(min_value=0, max_value=10),
+)
+def test_random_rational_moments_match_oracle(i3, rest, order):
+    # I_4 = 4 I_3 > 0 closes the hierarchy at theta(0) = 1; I_5... are free
+    moments = {3: i3, 4: 4 * i3, **{n: v for n, v in enumerate(rest, start=5)}}
+    table = comptonization_table_from_moments(
+        {n: moments[n] for n in range(3, order + 5)}, order
+    )
+    assert table.values == hierarchy_jets(moments.__getitem__, order)
+
+
+def plain_general_route(params, spectrum, order):
+    """The general route as plain Fraction sums, each product and sum
+    normalised as it goes: per-entry Cauchy products over the index
+    lattice, with theta = I_alpha/I_alpha(0) and 1/theta by long division."""
+    steps, frontier = {params.alpha: 0}, [params.alpha]
+    rules = {}
+    for s in range(1, order + 1):
+        reached = []
+        for n in frontier:
+            pre = n - params.i
+            rules[n] = [
+                t
+                for t in (
+                    (pre * (n + params.k - 1), n + params.k - 2, False),
+                    (-pre, n + params.j - 1, True),
+                )
+                if t[0] != 0
+            ]
+            for _, m, _ in rules[n]:
+                if m not in steps:
+                    steps[m] = s
+                    reached.append(m)
+        frontier = reached
+    jets = {n: [Fraction(initial_moment(spectrum, n))] for n in steps}
+    norm = jets[params.alpha][0]
+    theta, recip = [Fraction(1)], []
+    for c in range(order):
+        recip.append(
+            (Fraction(c == 0) - sum(recip[r] * theta[c - r] for r in range(c))) / theta[0]
+        )
+        for n, s in steps.items():
+            if order - s > c:
+                rate = sum(
+                    coeff * (
+                        sum(recip[r] * jets[m][c - r] for r in range(c + 1)) if cool
+                        else jets[m][c]
+                    )
+                    for coeff, m, cool in rules[n]
+                )
+                jets[n].append(Fraction(rate, c + 1))
+        theta.append(jets[params.alpha][c + 1] / norm)
+    return tuple(math.factorial(m) * t for m, t in enumerate(theta))
+
+
+@pytest.mark.parametrize(
+    "ijka",
+    [(2, 2, 2, 4), (2, 3, 3, 5), (Fraction(5, 2), 2, 3, 4)],
+    ids=["comptonization", "2-3-3-5", "5/2-2-3-4"],
+)
+def test_general_route_on_rational_pulse_moments(ijka):
+    # I_4 = 113/50 for this pulse; the fractional i gives the hierarchy
+    # coefficients a denominator too
+    pulse = GaussianPulse(mean=Fraction(3, 2), variance=Fraction(1, 100))
+    assert initial_moment(pulse, 4) == Fraction(113, 50)
+    params = TransportParams(*(Fraction(v) for v in ijka))
+    table = theta_derivatives_general(params, pulse, 12)
+    assert table.values == plain_general_route(params, pulse, 12)
