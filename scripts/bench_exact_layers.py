@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Before/after timings of the exact layers, written to a BENCH_*.json.
 
-    python3 scripts/bench_exact_layers.py --before ../parent --pairs 10 \
+    python3 scripts/bench_exact_layers.py --before ../parent \
         --out BENCH_exact_layers.json
 
 ``--before`` is the root of another checkout (for instance the parent
 commit, extracted with ``git archive``); "after" is the checkout holding
 this script.  For each side, order M in {24, 40, 64} and spectrum, a fresh
 interpreter importing that side's ``src/`` times, as the median of
-``--reps`` repetitions on fresh objects:
+``REPS`` repetitions on fresh objects:
 
 * ``table_comptonization`` and ``table_general``: the derivative table by
   both routes;
@@ -18,10 +18,10 @@ interpreter importing that side's ``src/`` times, as the median of
 * ``select``: ``select_approximant`` (y_max = 2, theta_eq from
   ``equilibrium_temperature``) on a fresh fraction, fold included.
 
-With ``--pairs N`` it then runs the benchmark's ``deep_series`` workload
-(``perfbench/run.py --trace 0``) N times on each side, alternating which
-side goes first, and records every ``wall_s`` with the medians, quartiles
-and the number of pairs the after side wins.
+It then runs the benchmark's ``deep_series`` workload
+(``perfbench/run.py --trace 0``) ``PAIRS`` times on each side, alternating
+which side goes first, and records every ``wall_s`` with the medians,
+quartiles and the number of pairs the after side wins.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = (24, 40, 64)
 SPECTRA = ("monoenergetic", "bremsstrahlung")
+REPS = 3
+PAIRS = 10
 
 
-def time_layers(order: int, spectrum_name: str, reps: int) -> dict:
+def time_layers(order: int, spectrum_name: str) -> dict:
     """Median seconds per layer for one order and spectrum, in this process."""
     from fractions import Fraction
 
@@ -60,7 +62,7 @@ def time_layers(order: int, spectrum_name: str, reps: int) -> dict:
         samples.setdefault(name, []).append(time.perf_counter() - start)
         return out
 
-    for _ in range(reps):
+    for _ in range(REPS):
         table = timed(
             "table_comptonization",
             lambda: moments.theta_derivatives_comptonization(spectrum, order),
@@ -77,12 +79,12 @@ def time_layers(order: int, spectrum_name: str, reps: int) -> dict:
     return {name: statistics.median(vals) for name, vals in samples.items()}
 
 
-def layers_of(root: Path, reps: int) -> dict:
+def layers_of(root: Path) -> dict:
     out: dict = {}
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
     for order in ORDERS:
         for spectrum in SPECTRA:
-            cmd = [sys.executable, __file__, "--child", spectrum, str(order), "--reps", str(reps)]
+            cmd = [sys.executable, __file__, "--child", spectrum, str(order)]
             proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
             out[f"{spectrum}/M={order}"] = json.loads(proc.stdout)
     return out
@@ -107,14 +109,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", type=Path)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_exact_layers.json")
-    parser.add_argument("--reps", type=int, default=3)
-    parser.add_argument("--pairs", type=int, default=0)
     parser.add_argument("--child", nargs=2, metavar=("SPECTRUM", "ORDER"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.child:
         spectrum, order = args.child
-        print(json.dumps(time_layers(int(order), spectrum, args.reps)))
+        print(json.dumps(time_layers(int(order), spectrum)))
         return 0
     if args.before is None:
         parser.error("--before is required")
@@ -131,23 +131,22 @@ def main(argv=None) -> int:
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
         },
-        "reps": args.reps,
+        "reps": REPS,
         "unit": "s",
-        "layers": {side: layers_of(root, args.reps) for side, root in sides.items()},
+        "layers": {side: layers_of(root) for side, root in sides.items()},
     }
-    if args.pairs:
-        walls: dict = {"before": [], "after": []}
-        for pair in range(args.pairs):
-            order = ("before", "after") if pair % 2 == 0 else ("after", "before")
-            for side in order:
-                walls[side].append(deep_series_wall(sides[side], seed=100 + pair))
-        wins = sum(a < b for a, b in zip(walls["after"], walls["before"]))
-        report["deep_series_wall_s"] = {
-            "command": "python3 perfbench/run.py --workload deep_series --seed S --seconds 15 --trace 0",
-            "pairs": args.pairs,
-            "after_wins": wins,
-            **{side: summary(vals) for side, vals in walls.items()},
-        }
+    walls: dict = {"before": [], "after": []}
+    for pair in range(PAIRS):
+        order = ("before", "after") if pair % 2 == 0 else ("after", "before")
+        for side in order:
+            walls[side].append(deep_series_wall(sides[side], seed=100 + pair))
+    wins = sum(a < b for a, b in zip(walls["after"], walls["before"]))
+    report["deep_series_wall_s"] = {
+        "command": "python3 perfbench/run.py --workload deep_series --seed S --seconds 15 --trace 0",
+        "pairs": PAIRS,
+        "after_wins": wins,
+        **{side: summary(vals) for side, vals in walls.items()},
+    }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
