@@ -5,7 +5,18 @@ The pipeline: exact initial derivatives of the temperature functional
 radius of convergence (contfrac), a conservative positivity-preserving
 transport solve driven by the resummed temperature (transport), and
 the a-posteriori consistency check (verify).
+
+Importing the package sets OPENBLAS_NUM_THREADS to 1 unless it is already
+set, before numpy or scipy load OpenBLAS: compfrac makes no threaded BLAS
+call (its one LAPACK routine, dgtsv, runs sequentially), and the worker
+threads OpenBLAS would otherwise start spin for about 0.1 s after loading,
+competing with the main thread on a small machine.  Set the variable
+before starting Python to choose another thread count.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .contfrac import (
     ContinuedFraction,
@@ -18,6 +29,7 @@ from .contfrac import (
     cf_eval,
     cf_eval_exact,
     find_defects,
+    level_defects,
     maclaurin_of_rational,
     select_approximant,
     taylor_eval,

@@ -29,10 +29,10 @@ from .contfrac import (
     PoleHit,
     cf_coefficients,
     cf_eval,
-    find_defects,
+    find_defects,  # noqa: F401  (perfbench/tracer.py wraps it here by name)
+    level_defects,
     select_approximant,
     taylor_eval,
-    to_rational,
 )
 from .moments import DerivativeTable, theta_derivatives_comptonization
 from .spectra import (
@@ -357,7 +357,7 @@ def cmd_derivs(run: _Artifacts) -> int:
 
 def _cf_level_artifacts(cf: ContinuedFraction, level: int, ys: list, y_max: float):
     """Defect report and sampled curve for one truncation level."""
-    report = find_defects(to_rational(cf, level), y_max)
+    report = level_defects(cf, level, y_max)
     values = []
     for y in ys:
         try:

@@ -18,6 +18,9 @@ Each fraction is folded into rational forms P_n/Q_n once: the first
 request for any level runs the three-term convergent recurrence over
 every level 0..N and caches the results on the instance, so selection,
 defect reports and the driving temperature all read the same fold.
+They read it as float coefficients rounded once from the integer
+polynomials; Fraction-valued RationalForms are built only when
+to_rational asks for one.
 Polynomials are evaluated by Horner's rule: _horner for float and
 Fraction coefficients, _homogeneous for integer ones at y = a/b.
 """
@@ -91,6 +94,26 @@ class ContinuedFraction:
             )
             for p, q in self._integer_forms
         )
+
+    @cached_property
+    def _float_forms(self) -> tuple:
+        # each coefficient is one correctly rounded int / int division, the
+        # same float as float() of the matching RationalForm coefficient,
+        # without building that Fraction (a gcd on thousands of digits)
+        return tuple(
+            (
+                tuple(x / q[0] for x in p),
+                tuple(x / q[0] for x in q),
+                tuple(l * x / q[0] for l, x in enumerate(q) if l) or (0.0,),
+            )
+            for p, q in self._integer_forms
+        )
+
+    def float_form(self, level: int) -> tuple:
+        """(P, Q, Q') of ``level`` as float coefficient tuples, lowest
+        order first, each equal to float() of the exact coefficient."""
+        _check_level(level, self.truncation, "fraction holds levels")
+        return self._float_forms[level]
 
     def to_json_dict(self) -> dict:
         return {
@@ -400,13 +423,24 @@ def find_defects(rf: RationalForm, y_max: float) -> DefectReport:
     vanishes (relative residual below _CANCEL_TOL) is a removable common
     factor, not a defect, and is dropped.
     """
+    return _scan_defects(
+        [float(c) for c in rf.numerator],
+        [float(c) for c in rf.denominator],
+        [float(c) for c in _poly_derivative(rf.denominator)],
+        y_max,
+    )
+
+
+def level_defects(cf: ContinuedFraction, level: int, y_max: float) -> DefectReport:
+    """find_defects(to_rational(cf, level), y_max), read from the float
+    coefficients of the fold without building any RationalForm."""
+    return _scan_defects(*cf.float_form(level), y_max)
+
+
+def _scan_defects(num_f, den_f, dden_f, y_max: float) -> DefectReport:
+    """The scan of find_defects on float coefficients of P, Q and Q'."""
     if y_max <= 0:
         raise ValueError("y_max must be positive")
-    den = rf.denominator
-    num = rf.numerator
-
-    den_f = [float(c) for c in den]
-    num_f = [float(c) for c in num]
     ys = np.linspace(0.0, y_max, _SCAN_PANELS + 1)
     vals = _horner(den_f, ys)
     fa, fb = vals[:-1], vals[1:]
@@ -415,7 +449,6 @@ def find_defects(rf: RationalForm, y_max: float) -> DefectReport:
     # roundoff) or a root already recorded when it closed the previous panel
     bracketing = (fb == 0.0) | ((fa != 0.0) & ((fa < 0) != (fb < 0)))
 
-    dden_f = [float(c) for c in _poly_derivative(den)]
     poles: list = []
     for idx in np.flatnonzero(bracketing):
         a, b = float(ys[idx]), float(ys[idx + 1])
@@ -524,18 +557,17 @@ def select_approximant(
     theta_exact = Fraction(theta_eq) if score_it else None
 
     for level in range(cf.truncation + 1):
-        rf = to_rational(cf, level)
         report = (
             DefectReport(poles=(), y_max=float(y_max), panels=_SCAN_PANELS)
             if level == 0
-            else find_defects(rf, y_max)
+            else level_defects(cf, level, y_max)
         )
         tail = None
         score = None
         if report.is_empty():
             # P/Q = p/q over the level's shared denominator, so the tail
-            # is one integer Horner of p and of q (rf.eval_exact would redo
-            # it in Fractions, a gcd per step, at many times the cost)
+            # is one integer Horner of p and of q, with no Fraction built
+            # until the quotient
             p, q = cf._integer_forms[level]
             tail_den = _homogeneous(q, y_num, y_den) * y_den ** len(p)
             if tail_den == 0:

@@ -21,16 +21,19 @@ retried at half the width.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
-from .contfrac import ContinuedFraction, _check_level, _horner, to_rational
+from .contfrac import ContinuedFraction, _check_level, _horner
 from .moments import DerivativeTable
 from .spectra import (
     COMPTONIZATION,
@@ -39,6 +42,35 @@ from .spectra import (
     TransportParams,
     profile_function,
 )
+
+
+def _load_dgtsv():
+    """LAPACK dgtsv from scipy's compiled LAPACK wrapper, without
+    importing scipy.linalg.
+
+    scipy.linalg.lapack.dgtsv is the dgtsv of the extension module
+    scipy.linalg._flapack, so loading that module alone gives the same
+    routine and bit-identical solves, while the import of scipy.linalg
+    (hundreds of modules, about 0.3 s) is skipped.  The module is not
+    registered in sys.modules, so a later ``import scipy.linalg`` works
+    as usual.  Falls back to the public import if the module cannot be
+    found or loaded.
+    """
+    linalg_dirs = [os.path.join(d, "linalg") for d in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", linalg_dirs)
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.dgtsv
+        except ImportError:
+            pass
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 class NonPositiveTemperature(ValueError):
@@ -139,24 +171,32 @@ class Grid:
 
 @dataclass(frozen=True)
 class TemperatureFn:
-    """theta(y) as a plain callable plus a provenance description."""
+    """theta(y) as a plain callable plus a provenance description.
+
+    ``vectorized`` says that ``fn`` also takes a numpy array of y and
+    evaluates it elementwise, as the functions built by the constructors
+    below do; a plain callable is only ever called with one float.
+    """
 
     fn: Callable[[float], float]
     description: str
+    vectorized: bool = False
 
     def __call__(self, y: float) -> float:
         return float(self.fn(y))
 
     @classmethod
     def from_continued_fraction(cls, cf: ContinuedFraction, level: int) -> "TemperatureFn":
-        rf = to_rational(cf, level)
-        num = tuple(float(c) for c in rf.numerator)
-        den = tuple(float(c) for c in rf.denominator)
+        num, den, _ = cf.float_form(level)
 
         def fn(y: float) -> float:
             return _horner(num, y) / _horner(den, y)
 
-        return cls(fn=fn, description=f"continued fraction, level {level} ({cf.source})")
+        return cls(
+            fn=fn,
+            description=f"continued fraction, level {level} ({cf.source})",
+            vectorized=True,
+        )
 
     @classmethod
     def from_table(cls, table: DerivativeTable, level: int) -> "TemperatureFn":
@@ -168,7 +208,11 @@ class TemperatureFn:
         def fn(y: float) -> float:
             return _horner(coeffs, y)
 
-        return cls(fn=fn, description=f"Taylor partial sum, level {level} ({table.spectrum})")
+        return cls(
+            fn=fn,
+            description=f"Taylor partial sum, level {level} ({table.spectrum})",
+            vectorized=True,
+        )
 
     @classmethod
     def constant(cls, value) -> "TemperatureFn":
@@ -177,19 +221,24 @@ class TemperatureFn:
         def fn(y: float) -> float:
             return v
 
-        return cls(fn=fn, description=f"constant {v:.6g}")
+        return cls(fn=fn, description=f"constant {v:.6g}", vectorized=True)
 
 
 def check_temperature_positive(theta: TemperatureFn, y_end: float, samples: int = 2048):
     """Dense positivity pre-check; raises naming the first bad y."""
     ys = np.linspace(0.0, y_end, samples)
-    for y in ys:
-        v = theta(float(y))
-        if not math.isfinite(v) or v <= 0:
-            raise NonPositiveTemperature(
-                f"theta(y) = {v!r} at y = {float(y):.6g}; the transport "
-                f"equation requires a strictly positive temperature"
-            )
+    if theta.vectorized:
+        with np.errstate(all="ignore"):
+            values = np.broadcast_to(np.asarray(theta.fn(ys), dtype=float), ys.shape)
+    else:
+        values = np.array([theta(y) for y in ys.tolist()])
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        v, y = float(values[bad[0]]), float(ys[bad[0]])
+        raise NonPositiveTemperature(
+            f"theta(y) = {v!r} at y = {y:.6g}; the transport "
+            f"equation requires a strictly positive temperature"
+        )
 
 
 @dataclass(frozen=True, eq=False)

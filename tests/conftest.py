@@ -5,7 +5,15 @@ gate, so each configuration runs once per session.  Snapshot sets:
 UNIFORM21 is the reporting mesh for temperature comparisons, FD_SET is
 the denser mesh (log-spaced early, uniform late) used to difference
 moment curves in y.
+
+Every test, the set-up of the fixtures it needs included, must finish
+within TEST_TIME_LIMIT_S: an arithmetic slip that inflates integers
+instead of giving a wrong small value then fails one test rather than
+hanging the suite.
 """
+
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +28,33 @@ from compfrac.spectra import (
     equilibrium_spectrum,
 )
 from compfrac.transport import Grid, TemperatureFn, solve_transport
+
+# the slowest test, its session fixtures included, takes about 1 s (2 CPUs)
+TEST_TIME_LIMIT_S = 60
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fail a test that runs past TEST_TIME_LIMIT_S.  The limit is a
+    SIGALRM, so it holds on POSIX in the main thread only; elsewhere tests
+    run unlimited.  It wraps the whole protocol rather than the test call
+    alone, because session fixtures (tables, fractions, solves) are set up
+    inside the first test that asks for them."""
+    if not hasattr(signal, "SIGALRM") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expired(signum, frame):
+        raise TimeoutError(f"{item.nodeid} ran past the {TEST_TIME_LIMIT_S} s limit per test")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 UNIFORM21 = tuple(float(v) for v in np.linspace(0.0, 2.0, 21))
 FD_SET = tuple(

@@ -499,19 +499,37 @@ def test_out_dir_created_nested(tmp_path):
     assert (out / "derivs_monoenergetic.json").exists()
 
 
-def test_cli_import_skips_quadrature_modules():
-    # the shipped runs need no quadrature, interpolation or special
-    # functions, so every CLI call is spared their import time
+def _fresh_python(probe: str, **env_vars) -> str:
+    """stdout of ``probe`` run by a fresh interpreter that imports compfrac
+    from this checkout, without OPENBLAS_NUM_THREADS unless given."""
     src = str(Path(compfrac.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = (
-        "import sys, compfrac.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.special') "
-        "if m in sys.modules))"
-    )
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars)
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_skips_quadrature_modules():
+    # the shipped runs need no quadrature, interpolation, special functions
+    # or scipy.linalg (dgtsv is loaded on its own), so every CLI call is
+    # spared their import time; OpenBLAS starts no worker threads
+    probe = (
+        "import os, sys, compfrac.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.special', "
+        "'scipy.linalg') if m in sys.modules)); "
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)"
+    )
+    modules, threads = _fresh_python(probe).splitlines()
+    assert modules == "[]"
+    assert threads == "1"
+
+
+def test_user_openblas_threads_kept():
+    probe = "import os, compfrac; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(probe) == "1"
+    assert _fresh_python(probe, OPENBLAS_NUM_THREADS="2") == "2"

@@ -21,7 +21,9 @@ from compfrac.contfrac import (
     cf_coefficients,
     cf_eval,
     cf_eval_exact,
+    _poly_derivative,
     find_defects,
+    level_defects,
     maclaurin_of_rational,
     select_approximant,
     taylor_eval,
@@ -152,6 +154,8 @@ def test_level_bounds_checked(mono_cf, mono_table):
     with pytest.raises(ValueError):
         to_rational(mono_cf, 25)
     with pytest.raises(ValueError):
+        mono_cf.float_form(25)
+    with pytest.raises(ValueError):
         taylor_eval(mono_table, 25, 1.0)
 
 
@@ -164,23 +168,30 @@ def test_level_bounds_checked(mono_cf, mono_table):
         lambda cf, table: cf_eval_exact(cf, -1, Fraction(1)),
         lambda cf, table: taylor_eval(table, -1, 1.0),
         lambda cf, table: TemperatureFn.from_table(table, -1),
+        lambda cf, table: level_defects(cf, -1, 2.0),
     ],
     ids=["to_rational", "theta_from_cf", "cf_eval", "cf_eval_exact",
-         "taylor_eval", "theta_from_table"],
+         "taylor_eval", "theta_from_table", "level_defects"],
 )
 def test_negative_level_rejected(mono_cf, mono_table, call):
     with pytest.raises(ValueError, match="asked for -1"):
         call(mono_cf, mono_table)
 
 
-@pytest.mark.parametrize(
-    "spectrum", [Monoenergetic(), Bremsstrahlung()], ids=["monoenergetic", "bremsstrahlung"]
+@pytest.fixture(
+    scope="module",
+    params=[Monoenergetic(), Bremsstrahlung()],
+    ids=["monoenergetic", "bremsstrahlung"],
 )
-def test_shared_fold_every_level(spectrum):
+def deep_fraction(request):
+    table = theta_derivatives_comptonization(request.param, 40)
+    return table, cf_coefficients(table)
+
+
+def test_shared_fold_every_level(deep_fraction):
     # one fold serves every level of a deep fraction; about 0.5 s per
     # spectrum at M = 40 (2 CPUs)
-    table = theta_derivatives_comptonization(spectrum, 40)
-    cf = cf_coefficients(table)
+    table, cf = deep_fraction
     assert cf.truncation == 40
     series = [table[m] / _fact(m) for m in range(41)]
     for n in range(41):
@@ -193,6 +204,25 @@ def test_shared_fold_every_level(spectrum):
         except PoleHit:
             continue
         assert rf.eval_exact(2) == expected
+
+
+def test_float_forms_match_rational_forms(deep_fraction):
+    # selection, the emitted defect reports and the driving temperature
+    # read the float forms; they must be float() of the exact forms and
+    # give the very reports find_defects gives on the RationalForms
+    _, cf = deep_fraction
+    selection = select_approximant(cf, 2.0)
+    for n in range(cf.truncation + 1):
+        rf = to_rational(cf, n)
+        num, den, dden = cf.float_form(n)
+        assert num == tuple(float(c) for c in rf.numerator)
+        assert den == tuple(float(c) for c in rf.denominator)
+        assert dden == tuple(float(c) for c in _poly_derivative(rf.denominator))
+        report = find_defects(rf, 2.0)
+        assert level_defects(cf, n, 2.0) == report
+        if n:
+            locations = tuple(p.location for p in report.poles)
+            assert selection.candidates[n].pole_locations == locations
 
 
 def test_taylor_eval_exact_partial_sum(mono_table):

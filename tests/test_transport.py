@@ -9,6 +9,8 @@ the sampled equilibrium profile an exact stationary state, which is
 tested directly.
 """
 
+import importlib.machinery
+import importlib.util
 import json
 import math
 from fractions import Fraction
@@ -18,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv as public_dgtsv
 
+from compfrac import transport
 from compfrac.spectra import (
     COMPTONIZATION,
     Bremsstrahlung,
@@ -35,7 +39,9 @@ from compfrac.transport import (
     StepSizeUnderflow,
     TemperatureFn,
     _lambda_minus,
+    _load_dgtsv,
     _Operator,
+    check_temperature_positive,
     drift_diffusion,
     grid_moment,
     initial_cell_values,
@@ -196,6 +202,47 @@ def test_step_matches_banded_solve():
             assert np.array_equal(op.step(F, bands, dy), solve_banded((1, 1), ab, F))
 
 
+def _no_flapack_spec(monkeypatch, hits):
+    real = importlib.machinery.PathFinder.find_spec
+
+    def find_spec(name, path=None, target=None):
+        if name == "scipy.linalg._flapack":
+            hits.append(name)
+            return None
+        return real(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", find_spec)
+
+
+def _flapack_load_fails(monkeypatch, hits):
+    real = importlib.util.module_from_spec
+
+    def module_from_spec(spec):
+        if spec.name == "scipy.linalg._flapack":
+            hits.append(spec.name)
+            raise ImportError("simulated load failure")
+        return real(spec)
+
+    monkeypatch.setattr(importlib.util, "module_from_spec", module_from_spec)
+
+
+@pytest.mark.parametrize("breakage", [_no_flapack_spec, _flapack_load_fails],
+                         ids=["spec_missing", "load_fails"])
+def test_dgtsv_loader_falls_back_to_public_import(monkeypatch, breakage):
+    hits = []
+    breakage(monkeypatch, hits)
+    loaded = _load_dgtsv()
+    assert hits == ["scipy.linalg._flapack"]
+    assert loaded is public_dgtsv
+    rng = np.random.default_rng(3)
+    lower, upper = rng.uniform(-1, 0, 49), rng.uniform(-1, 0, 49)
+    diag, rhs = rng.uniform(2.5, 3.0, 50), rng.uniform(0, 1, 50)
+    got = loaded(lower, diag, upper, rhs)
+    want = transport.dgtsv(lower, diag, upper, rhs)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def test_singular_step_matrix_rejected():
     grid = Grid.log_spaced(cells=8, snapshots=())
     op = _Operator(grid, COMPTONIZATION)
@@ -317,6 +364,27 @@ def test_temperature_crossing_zero_rejected(mono_table):
     grid = Grid.log_spaced(cells=16, snapshots=())
     with pytest.raises(NonPositiveTemperature):
         solve_transport(Monoenergetic(), theta, grid)
+
+
+def _precheck_message(theta):
+    with pytest.raises(NonPositiveTemperature) as info:
+        check_temperature_positive(theta, 2.0)
+    return str(info.value)
+
+
+def test_positivity_precheck_same_first_bad_y(mono_table, mono_cf):
+    # the array pre-check of the built-in temperatures raises at the same
+    # sample, with the same message, as 2,048 scalar calls of the same fn
+    for theta in (TemperatureFn.from_table(mono_table, 2),
+                  TemperatureFn.from_continued_fraction(mono_cf, 1),
+                  TemperatureFn.constant(-1.0)):
+        assert theta.vectorized
+        scalar = TemperatureFn(theta.fn, "the same function, one y at a time")
+        assert _precheck_message(theta) == _precheck_message(scalar)
+    # 1 + 2y - 6y^2 first turns negative just past its root 0.6076
+    assert "at y = 0.60" in _precheck_message(TemperatureFn.from_table(mono_table, 2))
+    check_temperature_positive(TemperatureFn.constant(Fraction(4, 3)), 2.0)
+    check_temperature_positive(TemperatureFn.from_continued_fraction(mono_cf, 24), 2.0)
 
 
 def test_nonfinite_temperature_mid_run_rejected():
