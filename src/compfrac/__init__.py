@@ -6,17 +6,26 @@ radius of convergence (contfrac), a conservative positivity-preserving
 transport solve driven by the resummed temperature (transport), and
 the a-posteriori consistency check (verify).
 
-Importing the package sets OPENBLAS_NUM_THREADS to 1 unless it is already
-set, before numpy or scipy load OpenBLAS: compfrac makes no threaded BLAS
-call (its one LAPACK routine, dgtsv, runs sequentially), and the worker
+While the package imports numpy and scipy's LAPACK wrapper, which load
+OpenBLAS, it sets OPENBLAS_NUM_THREADS to 1 unless the variable is already
+set, and afterwards restores the environment as it was, so processes the
+caller starts later do not inherit the setting.  compfrac makes no threaded
+BLAS call (its one LAPACK routine, dgtsv, runs sequentially), and the worker
 threads OpenBLAS would otherwise start spin for about 0.1 s after loading,
-competing with the main thread on a small machine.  Set the variable
-before starting Python to choose another thread count.
+competing with the main thread on a small machine.  Set the variable before
+starting Python to choose another thread count.
 """
 
 import os
 
+_openblas_threads_preset = "OPENBLAS_NUM_THREADS" in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+try:
+    from . import transport  # imports numpy and loads scipy's LAPACK
+finally:
+    if not _openblas_threads_preset:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    del _openblas_threads_preset
 
 from .contfrac import (
     ContinuedFraction,
@@ -29,7 +38,6 @@ from .contfrac import (
     cf_eval,
     cf_eval_exact,
     find_defects,
-    level_defects,
     maclaurin_of_rational,
     select_approximant,
     taylor_eval,

@@ -29,8 +29,7 @@ from .contfrac import (
     PoleHit,
     cf_coefficients,
     cf_eval,
-    find_defects,  # noqa: F401  (perfbench/tracer.py wraps it here by name)
-    level_defects,
+    find_defects,
     select_approximant,
     taylor_eval,
 )
@@ -357,7 +356,7 @@ def cmd_derivs(run: _Artifacts) -> int:
 
 def _cf_level_artifacts(cf: ContinuedFraction, level: int, ys: list, y_max: float):
     """Defect report and sampled curve for one truncation level."""
-    report = level_defects(cf, level, y_max)
+    report = find_defects(cf.float_form(level), y_max)
     values = []
     for y in ys:
         try:

@@ -414,8 +414,13 @@ _ROOT_TOL = 1e-12
 _CANCEL_TOL = 1e-8
 
 
-def find_defects(rf: RationalForm, y_max: float) -> DefectReport:
-    """Scan (0, y_max] for real denominator roots.
+def find_defects(form, y_max: float) -> DefectReport:
+    """Scan (0, y_max] for real denominator roots of ``form``.
+
+    ``form`` is a RationalForm, or the float coefficients (P, Q, Q') of
+    one level of a fold as ``ContinuedFraction.float_form`` gives them,
+    which are float() of the level's RationalForm coefficients and so
+    give the same report without building it.
 
     A dense sign scan (_SCAN_PANELS intervals) catches every
     odd-multiplicity root wider than the panel spacing; bisection then
@@ -423,22 +428,12 @@ def find_defects(rf: RationalForm, y_max: float) -> DefectReport:
     vanishes (relative residual below _CANCEL_TOL) is a removable common
     factor, not a defect, and is dropped.
     """
-    return _scan_defects(
-        [float(c) for c in rf.numerator],
-        [float(c) for c in rf.denominator],
-        [float(c) for c in _poly_derivative(rf.denominator)],
-        y_max,
-    )
-
-
-def level_defects(cf: ContinuedFraction, level: int, y_max: float) -> DefectReport:
-    """find_defects(to_rational(cf, level), y_max), read from the float
-    coefficients of the fold without building any RationalForm."""
-    return _scan_defects(*cf.float_form(level), y_max)
-
-
-def _scan_defects(num_f, den_f, dden_f, y_max: float) -> DefectReport:
-    """The scan of find_defects on float coefficients of P, Q and Q'."""
+    if isinstance(form, RationalForm):
+        num_f = [float(c) for c in form.numerator]
+        den_f = [float(c) for c in form.denominator]
+        dden_f = [float(c) for c in _poly_derivative(form.denominator)]
+    else:
+        num_f, den_f, dden_f = form
     if y_max <= 0:
         raise ValueError("y_max must be positive")
     ys = np.linspace(0.0, y_max, _SCAN_PANELS + 1)
@@ -560,7 +555,7 @@ def select_approximant(
         report = (
             DefectReport(poles=(), y_max=float(y_max), panels=_SCAN_PANELS)
             if level == 0
-            else level_defects(cf, level, y_max)
+            else find_defects(cf.float_form(level), y_max)
         )
         tail = None
         score = None

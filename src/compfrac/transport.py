@@ -26,6 +26,7 @@ import importlib.util
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -51,13 +52,18 @@ def _load_dgtsv():
     scipy.linalg.lapack.dgtsv is the dgtsv of the extension module
     scipy.linalg._flapack, so loading that module alone gives the same
     routine and bit-identical solves, while the import of scipy.linalg
-    (hundreds of modules, about 0.3 s) is skipped.  The module is not
-    registered in sys.modules, so a later ``import scipy.linalg`` works
-    as usual.  Falls back to the public import if the module cannot be
-    found or loaded.
+    (hundreds of modules, about 0.3 s) is skipped.  Creating the module
+    enters it in sys.modules (it is a single-phase extension module);
+    the entry is taken out again, so a later ``import scipy.linalg``
+    imports it as usual, and CPython then hands back the same routines.
+    Falls back to the public import if scipy.linalg is already loaded or
+    the module cannot be found or loaded.
     """
-    linalg_dirs = [os.path.join(d, "linalg") for d in scipy.__path__]
-    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", linalg_dirs)
+    name = "scipy.linalg._flapack"
+    spec = None
+    if name not in sys.modules:
+        linalg_dirs = [os.path.join(d, "linalg") for d in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(name, linalg_dirs)
     if spec is not None:
         try:
             module = importlib.util.module_from_spec(spec)
@@ -65,6 +71,8 @@ def _load_dgtsv():
             return module.dgtsv
         except ImportError:
             pass
+        finally:
+            sys.modules.pop(name, None)
     from scipy.linalg.lapack import dgtsv
 
     return dgtsv
@@ -171,16 +179,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class TemperatureFn:
-    """theta(y) as a plain callable plus a provenance description.
-
-    ``vectorized`` says that ``fn`` also takes a numpy array of y and
-    evaluates it elementwise, as the functions built by the constructors
-    below do; a plain callable is only ever called with one float.
-    """
+    """theta(y) as a plain callable plus a provenance description."""
 
     fn: Callable[[float], float]
     description: str
-    vectorized: bool = False
 
     def __call__(self, y: float) -> float:
         return float(self.fn(y))
@@ -192,11 +194,7 @@ class TemperatureFn:
         def fn(y: float) -> float:
             return _horner(num, y) / _horner(den, y)
 
-        return cls(
-            fn=fn,
-            description=f"continued fraction, level {level} ({cf.source})",
-            vectorized=True,
-        )
+        return cls(fn=fn, description=f"continued fraction, level {level} ({cf.source})")
 
     @classmethod
     def from_table(cls, table: DerivativeTable, level: int) -> "TemperatureFn":
@@ -208,11 +206,7 @@ class TemperatureFn:
         def fn(y: float) -> float:
             return _horner(coeffs, y)
 
-        return cls(
-            fn=fn,
-            description=f"Taylor partial sum, level {level} ({table.spectrum})",
-            vectorized=True,
-        )
+        return cls(fn=fn, description=f"Taylor partial sum, level {level} ({table.spectrum})")
 
     @classmethod
     def constant(cls, value) -> "TemperatureFn":
@@ -221,24 +215,19 @@ class TemperatureFn:
         def fn(y: float) -> float:
             return v
 
-        return cls(fn=fn, description=f"constant {v:.6g}", vectorized=True)
+        return cls(fn=fn, description=f"constant {v:.6g}")
 
 
 def check_temperature_positive(theta: TemperatureFn, y_end: float, samples: int = 2048):
     """Dense positivity pre-check; raises naming the first bad y."""
     ys = np.linspace(0.0, y_end, samples)
-    if theta.vectorized:
-        with np.errstate(all="ignore"):
-            values = np.broadcast_to(np.asarray(theta.fn(ys), dtype=float), ys.shape)
-    else:
-        values = np.array([theta(y) for y in ys.tolist()])
-    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
-    if bad.size:
-        v, y = float(values[bad[0]]), float(ys[bad[0]])
-        raise NonPositiveTemperature(
-            f"theta(y) = {v!r} at y = {y:.6g}; the transport "
-            f"equation requires a strictly positive temperature"
-        )
+    for y in ys:
+        v = theta(float(y))
+        if not math.isfinite(v) or v <= 0:
+            raise NonPositiveTemperature(
+                f"theta(y) = {v!r} at y = {float(y):.6g}; the transport "
+                f"equation requires a strictly positive temperature"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,6 +33,12 @@ from compfrac.transport import Grid, TemperatureFn, solve_transport
 TEST_TIME_LIMIT_S = 60
 
 
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past TEST_TIME_LIMIT_S.  It is not an
+    Exception, so hypothesis passes it on instead of taking it for a
+    failing example to shrink and replay; pytest records it as a failure."""
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_protocol(item, nextitem):
     """Fail a test that runs past TEST_TIME_LIMIT_S.  The limit is a
@@ -45,7 +51,7 @@ def pytest_runtest_protocol(item, nextitem):
         return
 
     def expired(signum, frame):
-        raise TimeoutError(f"{item.nodeid} ran past the {TEST_TIME_LIMIT_S} s limit per test")
+        raise TimeLimitExceeded(f"{item.nodeid} ran past the {TEST_TIME_LIMIT_S} s limit per test")
 
     previous = signal.signal(signal.SIGALRM, expired)
     signal.alarm(TEST_TIME_LIMIT_S)

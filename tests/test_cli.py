@@ -516,12 +516,13 @@ def _fresh_python(probe: str, **env_vars) -> str:
 
 def test_cli_import_skips_quadrature_modules():
     # the shipped runs need no quadrature, interpolation, special functions
-    # or scipy.linalg (dgtsv is loaded on its own), so every CLI call is
-    # spared their import time; OpenBLAS starts no worker threads
+    # or scipy.linalg (dgtsv is loaded on its own and its module taken out
+    # of sys.modules again), so every CLI call is spared their import time;
+    # OpenBLAS starts no worker threads
     probe = (
         "import os, sys, compfrac.cli; "
         "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.special', "
-        "'scipy.linalg') if m in sys.modules)); "
+        "'scipy.linalg', 'scipy.linalg._flapack') if m in sys.modules)); "
         "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)"
     )
     modules, threads = _fresh_python(probe).splitlines()
@@ -529,7 +530,30 @@ def test_cli_import_skips_quadrature_modules():
     assert threads == "1"
 
 
+def test_scipy_linalg_importable_after_compfrac():
+    probe = (
+        "import compfrac.transport as t, scipy.linalg; "
+        "print(scipy.linalg.lapack.dgtsv is t.dgtsv, "
+        "scipy.linalg._flapack.dgtsv is t.dgtsv)"
+    )
+    assert _fresh_python(probe) == "True True"
+
+
+_CHILD_OPENBLAS_PROBE = (
+    "import os, subprocess, sys, compfrac; "
+    "print(os.environ.get('OPENBLAS_NUM_THREADS')); "
+    "child = \"import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))\"; "
+    "print(subprocess.run([sys.executable, '-c', child], capture_output=True, "
+    "text=True, check=True).stdout.strip())"
+)
+
+
+def test_openblas_default_not_inherited():
+    # the one-thread default holds only while OpenBLAS loads: afterwards
+    # neither this process nor a child it starts sees the variable
+    assert _fresh_python(_CHILD_OPENBLAS_PROBE).splitlines() == ["None", "None"]
+
+
 def test_user_openblas_threads_kept():
-    probe = "import os, compfrac; print(os.environ['OPENBLAS_NUM_THREADS'])"
-    assert _fresh_python(probe) == "1"
-    assert _fresh_python(probe, OPENBLAS_NUM_THREADS="2") == "2"
+    probe = _CHILD_OPENBLAS_PROBE
+    assert _fresh_python(probe, OPENBLAS_NUM_THREADS="2").splitlines() == ["2", "2"]

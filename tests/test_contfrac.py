@@ -23,7 +23,6 @@ from compfrac.contfrac import (
     cf_eval_exact,
     _poly_derivative,
     find_defects,
-    level_defects,
     maclaurin_of_rational,
     select_approximant,
     taylor_eval,
@@ -168,10 +167,10 @@ def test_level_bounds_checked(mono_cf, mono_table):
         lambda cf, table: cf_eval_exact(cf, -1, Fraction(1)),
         lambda cf, table: taylor_eval(table, -1, 1.0),
         lambda cf, table: TemperatureFn.from_table(table, -1),
-        lambda cf, table: level_defects(cf, -1, 2.0),
+        lambda cf, table: find_defects(cf.float_form(-1), 2.0),
     ],
     ids=["to_rational", "theta_from_cf", "cf_eval", "cf_eval_exact",
-         "taylor_eval", "theta_from_table", "level_defects"],
+         "taylor_eval", "theta_from_table", "float_form"],
 )
 def test_negative_level_rejected(mono_cf, mono_table, call):
     with pytest.raises(ValueError, match="asked for -1"):
@@ -219,7 +218,7 @@ def test_float_forms_match_rational_forms(deep_fraction):
         assert den == tuple(float(c) for c in rf.denominator)
         assert dden == tuple(float(c) for c in _poly_derivative(rf.denominator))
         report = find_defects(rf, 2.0)
-        assert level_defects(cf, n, 2.0) == report
+        assert find_defects(cf.float_form(n), 2.0) == report
         if n:
             locations = tuple(p.location for p in report.poles)
             assert selection.candidates[n].pole_locations == locations

@@ -13,6 +13,7 @@ import importlib.machinery
 import importlib.util
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,6 @@ from compfrac.transport import (
     _lambda_minus,
     _load_dgtsv,
     _Operator,
-    check_temperature_positive,
     drift_diffusion,
     grid_moment,
     initial_cell_values,
@@ -229,10 +229,14 @@ def _flapack_load_fails(monkeypatch, hits):
 @pytest.mark.parametrize("breakage", [_no_flapack_spec, _flapack_load_fails],
                          ids=["spec_missing", "load_fails"])
 def test_dgtsv_loader_falls_back_to_public_import(monkeypatch, breakage):
+    # scipy.linalg is loaded here, so hide its LAPACK module from the
+    # loader to reach the direct load it would try in a fresh process
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     hits = []
     breakage(monkeypatch, hits)
     loaded = _load_dgtsv()
     assert hits == ["scipy.linalg._flapack"]
+    assert "scipy.linalg._flapack" not in sys.modules
     assert loaded is public_dgtsv
     rng = np.random.default_rng(3)
     lower, upper = rng.uniform(-1, 0, 49), rng.uniform(-1, 0, 49)
@@ -241,6 +245,17 @@ def test_dgtsv_loader_falls_back_to_public_import(monkeypatch, breakage):
     want = transport.dgtsv(lower, diag, upper, rhs)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def test_dgtsv_loader_keeps_loaded_scipy_linalg(monkeypatch):
+    # with scipy.linalg already imported the loader takes the public
+    # routine and leaves its module in sys.modules
+    hits = []
+    _no_flapack_spec(monkeypatch, hits)
+    flapack = sys.modules["scipy.linalg._flapack"]
+    assert _load_dgtsv() is public_dgtsv
+    assert hits == []
+    assert sys.modules["scipy.linalg._flapack"] is flapack
 
 
 def test_singular_step_matrix_rejected():
@@ -364,27 +379,6 @@ def test_temperature_crossing_zero_rejected(mono_table):
     grid = Grid.log_spaced(cells=16, snapshots=())
     with pytest.raises(NonPositiveTemperature):
         solve_transport(Monoenergetic(), theta, grid)
-
-
-def _precheck_message(theta):
-    with pytest.raises(NonPositiveTemperature) as info:
-        check_temperature_positive(theta, 2.0)
-    return str(info.value)
-
-
-def test_positivity_precheck_same_first_bad_y(mono_table, mono_cf):
-    # the array pre-check of the built-in temperatures raises at the same
-    # sample, with the same message, as 2,048 scalar calls of the same fn
-    for theta in (TemperatureFn.from_table(mono_table, 2),
-                  TemperatureFn.from_continued_fraction(mono_cf, 1),
-                  TemperatureFn.constant(-1.0)):
-        assert theta.vectorized
-        scalar = TemperatureFn(theta.fn, "the same function, one y at a time")
-        assert _precheck_message(theta) == _precheck_message(scalar)
-    # 1 + 2y - 6y^2 first turns negative just past its root 0.6076
-    assert "at y = 0.60" in _precheck_message(TemperatureFn.from_table(mono_table, 2))
-    check_temperature_positive(TemperatureFn.constant(Fraction(4, 3)), 2.0)
-    check_temperature_positive(TemperatureFn.from_continued_fraction(mono_cf, 24), 2.0)
 
 
 def test_nonfinite_temperature_mid_run_rejected():
