@@ -28,7 +28,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,15 +253,30 @@ class PdeSolution:
             f"no snapshot at y = {y}; stored: {[t for t, _ in self.snapshots]}"
         )
 
+    @cached_property
+    def _center_powers(self) -> tuple:
+        """(x^i, x^(3-i)) at the cell centers, read-only."""
+        x = self.grid.centers
+        i = float(self.params.i)
+        powers = (x ** i, x ** (3.0 - i))
+        for arr in powers:
+            arr.flags.writeable = False
+        return powers
+
     def photon_spectrum(self, y: float) -> np.ndarray:
         """f(x, y) = F / x^i at the cell centers."""
-        F = self.snapshot(y)
-        return F / self.grid.centers ** float(self.params.i)
+        return self.snapshot(y) / self._center_powers[0]
 
     def energy_spectrum(self, y: float) -> np.ndarray:
         """G(x, y) = x^3 f = x^(3-i) F at the cell centers."""
-        F = self.snapshot(y)
-        return F * self.grid.centers ** (3.0 - float(self.params.i))
+        return self.snapshot(y) * self._center_powers[1]
+
+    @cached_property
+    def _csv_template(self) -> str:
+        """The rows of a snapshot file with the x column formatted in and
+        %-fields left for F, f and G."""
+        row = "%.12e,%%.12e,%%.12e,%%.12e\n"
+        return (row * self.grid.cells) % tuple(self.grid.centers.tolist())
 
     def moment(self, n, y: float) -> float:
         return grid_moment(self.grid, self.snapshot(y), n, self.params)
@@ -338,15 +355,18 @@ class _Operator:
     Every term that depends only on the grid and the parameters is
     computed once here; ``assemble`` evaluates the theta-dependent rest.
     Each floating-point expression keeps the operation order of a
-    from-scratch assembly, so the bands are bit-identical to it.  The
-    counters record the work done.
+    from-scratch assembly, so the bands are bit-identical to it.  A stage
+    matrix I - dy A is built by ``stage_matrix`` and can serve several
+    ``solve`` calls: TR-BDF2 builds its BDF2-stage matrix once for the
+    stage solve and the error filter.  The counters record the work done.
     """
 
     def __init__(self, grid: Grid, params: TransportParams):
         x = grid.centers
         lo, hi = x[:-1], x[1:]
         self.cells = grid.cells
-        self.dx = grid.widths
+        dx = grid.widths
+        self.dx_lo, self.dx_hi = dx[:-1], dx[1:]
         self.p = float(params.p)
         # exact integral of W/C = x^(j-k)/theta - i/x between adjacent
         # centers: (hi^p - lo^p)/(p theta) - i ln(hi/lo) with p = j - k + 1,
@@ -362,7 +382,11 @@ class _Operator:
         self.linear_solves = 0
 
     def assemble(self, theta_val: float):
-        """(lower, diag, upper) of A at temperature theta_val."""
+        """(lower, diag, upper) of A at temperature theta_val.
+
+        ``diag`` has one entry per cell; ``lower`` (row m + 1, column m)
+        and ``upper`` (row m, column m + 1) have one per interface.
+        """
         self.assemblies += 1
         if self.p == 0.0:
             w = self.logratio / theta_val - self.i_logratio
@@ -370,42 +394,51 @@ class _Operator:
             w = self.power_gap / (self.p * theta_val) - self.i_logratio
         lam_m = _lambda_minus(w)
         lam_p = lam_m + w  # identity lambda_plus - lambda_minus = w
-        g, dx = self.g, self.dx
-
         # flux at interface m+1/2: g * (lam_p F_{m+1} - lam_m F_m)
-        upper = np.zeros(self.cells)
-        lower = np.zeros(self.cells)
+        g_p = self.g * lam_p
+        g_m = self.g * lam_m
         diag = np.zeros(self.cells)
-        upper[1:] = g * lam_p / dx[:-1]  # coefficient of F_{m+1} in row m
-        lower[:-1] = g * lam_m / dx[1:]  # coefficient of F_{m-1} in row m+1
-        diag[:-1] -= g * lam_m / dx[:-1]
-        diag[1:] -= g * lam_p / dx[1:]
-        return lower, diag, upper
+        diag[:-1] -= g_m / self.dx_lo
+        diag[1:] -= g_p / self.dx_hi
+        return g_m / self.dx_hi, diag, g_p / self.dx_lo
 
     @staticmethod
     def apply(bands, F: np.ndarray) -> np.ndarray:
         """The rate A F for the bands of one assembly."""
         lower, diag, upper = bands
         AF = diag * F
-        AF[:-1] += upper[1:] * F[1:]
-        AF[1:] += lower[:-1] * F[:-1]
+        AF[:-1] += upper * F[1:]
+        AF[1:] += lower * F[:-1]
         return AF
 
-    def step(self, F: np.ndarray, bands, dy: float) -> np.ndarray:
-        """Solve (1 - dy A) F_new = F with LAPACK gtsv.
-
-        That is one implicit Euler step of width dy; a TR-BDF2 stage of
-        width h is the same solve with dy = d h.
-        """
+    @staticmethod
+    def stage_matrix(bands, dy: float):
+        """(dl, d, du) of the M-matrix I - dy A for the bands of one assembly."""
         lower, diag, upper = bands
+        return -dy * lower, 1.0 - dy * diag, -dy * upper
+
+    def solve(self, matrix, rhs: np.ndarray, last_use: bool = True) -> np.ndarray:
+        """Solve matrix @ x = rhs with LAPACK gtsv; rhs is left intact.
+
+        gtsv factors the matrix in place, so the arrays of ``matrix`` are
+        kept (copied by the wrapper) unless this is their last use.
+        """
+        dl, d, du = matrix
         self.linear_solves += 1
-        _, _, _, F_new, info = dgtsv(
-            -dy * lower[:-1], 1.0 - dy * diag, -dy * upper[1:], F,
-            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+        _, _, _, x, info = dgtsv(
+            dl, d, du, rhs,
+            overwrite_dl=last_use, overwrite_d=last_use, overwrite_du=last_use,
         )
         if info != 0:
             raise NonFiniteState(f"step matrix is singular (LAPACK gtsv info = {info})")
-        return F_new
+        return x
+
+    def step(self, F: np.ndarray, bands, dy: float) -> np.ndarray:
+        """Solve (1 - dy A) F_new = F: one implicit Euler step of width dy.
+
+        A TR-BDF2 stage of width h is the same solve with dy = d h.
+        """
+        return self.solve(self.stage_matrix(bands, dy), F)
 
 
 # TR-BDF2 with gamma = 2 - sqrt(2): both implicit stages share the
@@ -436,13 +469,15 @@ def solve_transport(
     y + gamma h and a BDF2 stage to y + h, each one solve with
     I - d h A; a third solve with the BDF2 matrix filters the embedded
     error estimate h (e1 k1 + e2 k2 + e3 k3), and the step width follows
-    it with exponent -1/3.  The rate at the end of an accepted step is
+    it with exponent -1/3.  The BDF2-stage matrix is built once and
+    serves both its solves.  The rate at the end of an accepted step is
     the next step's k1, so an attempt costs two assemblies and three
     solves.  An attempt whose stage or result dips below the clipping
     tolerance is rejected and retried at half the width; smaller
     negative values are clipped to zero and counted, and the step is
     rescaled to keep its photon number.  Snapshot times are landed on
-    exactly by clamping the step.
+    exactly by clamping the step.  ``stats["wall_s"]`` is the time spent
+    in the stepping loop.
     """
     check_temperature_positive(theta, grid.y_end)
     F, actual_spectrum = initial_cell_values(spectrum, grid, params)
@@ -451,7 +486,8 @@ def solve_transport(
     op = _Operator(grid, params)
     k1 = op.apply(op.assemble(theta(0.0)), F)
 
-    atol = 1e-3 * rtol * float(np.max(F)) if np.max(F) > 0 else 1e-3 * rtol
+    F_max = F.max()
+    atol = 1e-3 * rtol * float(F_max) if F_max > 0 else 1e-3 * rtol
     y = 0.0
     dy = float(initial_dy)
     min_dy = 1e-13 * max(1.0, grid.y_end)
@@ -463,8 +499,8 @@ def solve_transport(
         pending.pop(0)
 
     trace_y = [0.0]
-    trace_number = [float(np.sum(F * dx))]
-    trace_energy = [float(np.sum(op.energy_weight * F * dx))]
+    trace_number = [float((F * dx).sum())]
+    trace_energy = [float((op.energy_weight * F * dx).sum())]
 
     accepted = 0
     rejected = 0
@@ -474,9 +510,12 @@ def solve_transport(
     dy_max_seen = 0.0
     dy_decades: dict = {}
 
-    def below_clip(G):
-        return float(G.min()) < -1e-6 * float(np.max(np.abs(G)))
+    def below_clip(G, low):
+        # low is G.min(); max |G| is needed only when it is negative, and a
+        # NaN minimum compares false either way
+        return low < 0.0 and low < -1e-6 * float(np.abs(G).max())
 
+    started = perf_counter()
     while y < grid.y_end - 1e-14:
         target = pending[0] if pending else grid.y_end
         dy_try = min(dy, target - y, grid.y_end - y)
@@ -489,20 +528,22 @@ def solve_transport(
         # trapezoidal stage to y + gamma h
         F_tr = op.step(F + dh * k1, op.assemble(theta(y + _GAMMA * dy_try)), dh)
         k2 = (F_tr - F) / dh - k1
-        # BDF2 stage to y + h
+        # BDF2 stage to y + h; its matrix also filters the error estimate
         bands = op.assemble(theta(y + dy_try))
+        bdf2 = op.stage_matrix(bands, dh)
         rhs = F + (_W * dy_try) * (k1 + k2)
-        F_new = op.step(rhs, bands, dh)
+        F_new = op.solve(bdf2, rhs, last_use=False)
         k3 = (F_new - rhs) / dh
-        est = op.step(dy_try * (_E1 * k1 + _E2 * k2 + _E3 * k3), bands, dh)
+        est = op.solve(bdf2, dy_try * (_E1 * k1 + _E2 * k2 + _E3 * k3))
 
-        scale = atol + rtol * np.abs(F_new)
-        err = float(np.max(np.abs(est) / scale))
+        err = float((np.abs(est) / (atol + rtol * np.abs(F_new))).max())
         if not math.isfinite(err):
-            # a NaN norm would compare as an accepted step
+            # a NaN norm would compare as an accepted step; it also means
+            # F_new holds no NaN past this point
             raise NonFiniteState(f"step error norm is {err} at y = {y:.6g}")
 
-        negative = below_clip(F_tr) or below_clip(F_new)
+        low_new = float(F_new.min())
+        negative = below_clip(F_tr, float(F_tr.min())) or below_clip(F_new, low_new)
         if negative or err > 1.0:
             rejected += 1
             shrink = max(0.25, 0.9 * err ** (-1.0 / 3.0)) if err > 1.0 else 1.0
@@ -517,14 +558,14 @@ def solve_transport(
             continue
 
         y += dy_try
-        neg = F_new < 0
-        if np.any(neg):
+        if low_new < 0.0:
             # zeroing the negative cells adds photons; scale the rest back
             # so the clipped step keeps the number integral it had
+            neg = F_new < 0
             clipped += int(np.count_nonzero(neg))
-            number = float(np.sum(F_new * dx))
+            number = float((F_new * dx).sum())
             F_new = np.where(neg, 0.0, F_new)
-            F_new *= number / float(np.sum(F_new * dx))
+            F_new *= number / float((F_new * dx).sum())
             k3 = op.apply(bands, F_new)
         F, k1 = F_new, k3
         accepted += 1
@@ -534,8 +575,8 @@ def solve_transport(
         dy_decades[decade] = dy_decades.get(decade, 0) + 1
 
         trace_y.append(y)
-        trace_number.append(float(np.sum(F * dx)))
-        trace_energy.append(float(np.sum(op.energy_weight * F * dx)))
+        trace_number.append(float((F * dx).sum()))
+        trace_energy.append(float((op.energy_weight * F * dx).sum()))
 
         if pending and abs(y - pending[0]) <= 1e-12:
             snaps.append((pending.pop(0), F.copy()))
@@ -545,6 +586,7 @@ def solve_transport(
 
         growth = 4.0 if err == 0.0 else min(4.0, max(0.25, 0.9 * err ** (-1.0 / 3.0)))
         dy = dy_try * growth
+    wall_s = perf_counter() - started
 
     if pending:
         # y_end reached within roundoff of the last snapshot time
@@ -567,6 +609,8 @@ def solve_transport(
         "dy_histogram": [[float(f"1e{e}"), n] for e, n in sorted(dy_decades.items())],
         "rtol": rtol,
         "spectrum": actual_spectrum.describe(),
+        # seconds in the stepping loop; reaches the run manifest only
+        "wall_s": wall_s,
     }
     return PdeSolution(
         grid=grid,
@@ -585,14 +629,11 @@ def solve_transport(
 
 
 def write_snapshot_csv(sol: PdeSolution, y: float, path) -> None:
-    x = sol.grid.centers
     F = sol.snapshot(y)
-    i = float(sol.params.i)
-    f = F / x ** i
-    G = F * x ** (3.0 - i)
-    rows = np.column_stack((x, F, f, G)).ravel().tolist()
+    x_i, x_3mi = sol._center_powers
+    rows = np.column_stack((F, F / x_i, F * x_3mi))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,F,f,G\n" + ("%.12e,%.12e,%.12e,%.12e\n" * len(x)) % tuple(rows))
+        fh.write("x,F,f,G\n" + sol._csv_template % tuple(rows.ravel().tolist()))
 
 
 def write_run_manifest(sol: PdeSolution, path, snapshot_files: dict | None = None, timestamp: str | None = None) -> None:

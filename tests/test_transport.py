@@ -182,24 +182,37 @@ def test_cached_assembly_matches_from_scratch(params):
     # so the masked branch of the interface weights is compared as well as
     # the unmasked one the other temperatures take
     for theta in (2e-5, 0.01, 0.37, 1.0, 4.0 / 3.0, 25.0):
-        got = op.assemble(theta)
-        want = assemble_from_scratch(grid, theta, params)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        lower, diag, upper = op.assemble(theta)
+        want_lower, want_diag, want_upper = assemble_from_scratch(grid, theta, params)
+        # the off-diagonals hold one entry per interface; the from-scratch
+        # bands pad them to a cell each with a zero
+        assert want_lower[-1] == 0.0 and want_upper[0] == 0.0
+        assert np.array_equal(lower, want_lower[:-1])
+        assert np.array_equal(diag, want_diag)
+        assert np.array_equal(upper, want_upper[1:])
 
 
 def test_step_matches_banded_solve():
     grid = Grid.log_spaced(cells=400, snapshots=())
     F, _ = initial_cell_values(Monoenergetic(), grid, COMPTONIZATION)
+    F.flags.writeable = False
     op = _Operator(grid, COMPTONIZATION)
     for theta in (0.5, 1.0, 1.6):
         lower, diag, upper = bands = op.assemble(theta)
         for dy in (1e-7, 1e-4, 0.05):
             ab = np.zeros((3, grid.cells))
-            ab[0, 1:] = -dy * upper[1:]
+            ab[0, 1:] = -dy * upper
             ab[1, :] = 1.0 - dy * diag
-            ab[2, :-1] = -dy * lower[:-1]
-            assert np.array_equal(op.step(F, bands, dy), solve_banded((1, 1), ab, F))
+            ab[2, :-1] = -dy * lower
+            want = solve_banded((1, 1), ab, F)
+            assert np.array_equal(op.step(F, bands, dy), want)
+            # a kept stage matrix serves a second solve unchanged
+            matrix = op.stage_matrix(bands, dy)
+            kept = [band.copy() for band in matrix]
+            assert np.array_equal(op.solve(matrix, F, last_use=False), want)
+            for band, copy in zip(matrix, kept):
+                assert np.array_equal(band, copy)
+            assert np.array_equal(op.solve(matrix, F), want)
 
 
 def _no_flapack_spec(monkeypatch, hits):
@@ -261,7 +274,7 @@ def test_dgtsv_loader_keeps_loaded_scipy_linalg(monkeypatch):
 def test_singular_step_matrix_rejected():
     grid = Grid.log_spaced(cells=8, snapshots=())
     op = _Operator(grid, COMPTONIZATION)
-    zero = np.zeros(grid.cells)
+    zero = np.zeros(grid.cells - 1)
     # 1 - dy * diag vanishes on every row
     with pytest.raises(NonFiniteState):
         op.step(np.ones(grid.cells), (zero, np.ones(grid.cells), zero), 1.0)
@@ -438,6 +451,177 @@ def test_clipping_keeps_photon_number():
         assert float(F.min()) >= 0.0
 
 
+# ---------------------------------------------------------------------------
+# bit-identity oracle: the TR-BDF2 loop written plainly
+
+
+def plain_apply(bands, F):
+    lower, diag, upper = bands
+    AF = diag * F
+    AF[:-1] += upper[1:] * F[1:]
+    AF[1:] += lower[:-1] * F[:-1]
+    return AF
+
+
+def plain_step(F, bands, dy):
+    lower, diag, upper = bands
+    _, _, _, F_new, info = public_dgtsv(-dy * lower[:-1], 1.0 - dy * diag, -dy * upper[1:], F)
+    assert info == 0
+    return F_new
+
+
+def plain_tr_bdf2(spectrum, theta, grid, params=COMPTONIZATION, rtol=1e-6, initial_dy=1e-5):
+    """TR-BDF2 with the Hosea-Shampine estimate, one plain numpy
+    expression per formula: every stage matrix is built for each solve,
+    from bands assembled from scratch.  Returns what solve_transport
+    returns, as (snapshots, trace_y, trace_number, trace_energy, stats)."""
+    gamma = 2.0 - math.sqrt(2.0)
+    d = gamma / 2.0
+    w = math.sqrt(2.0) / 4.0
+    e1, e2, e3 = (1.0 - 4.0 * w) / 3.0, 1.0 / 3.0, -2.0 * d / 3.0
+    counts = {"assemblies": 0, "linear_solves": 0}
+
+    def assemble(y):
+        counts["assemblies"] += 1
+        return assemble_from_scratch(grid, theta(y), params)
+
+    def step(F, bands, dy):
+        counts["linear_solves"] += 1
+        return plain_step(F, bands, dy)
+
+    def below_clip(G):
+        return float(G.min()) < -1e-6 * float(np.max(np.abs(G)))
+
+    F, actual = initial_cell_values(spectrum, grid, params)
+    F = F.copy()
+    dx = grid.widths
+    energy_weight = grid.centers ** float(Fraction(3) - params.i)
+    k1 = plain_apply(assemble(0.0), F)
+    atol = 1e-3 * rtol * float(np.max(F)) if np.max(F) > 0 else 1e-3 * rtol
+    y, dy = 0.0, float(initial_dy)
+    min_dy = 1e-13 * max(1.0, grid.y_end)
+    pending = list(grid.snapshot_times)
+    snaps = []
+    if pending and abs(pending[0]) <= 1e-12:
+        snaps.append((0.0, F.copy()))
+        pending.pop(0)
+    trace_y = [0.0]
+    trace_number = [float(np.sum(F * dx))]
+    trace_energy = [float(np.sum(energy_weight * F * dx))]
+    accepted = rejected = rejected_negative = clipped = 0
+    dy_min, dy_max, decades = math.inf, 0.0, {}
+    while y < grid.y_end - 1e-14:
+        target = pending[0] if pending else grid.y_end
+        h = min(dy, target - y, grid.y_end - y)
+        assert h >= min_dy
+        dh = d * h
+        F_tr = step(F + dh * k1, assemble(y + gamma * h), dh)
+        k2 = (F_tr - F) / dh - k1
+        bands = assemble(y + h)
+        rhs = F + (w * h) * (k1 + k2)
+        F_new = step(rhs, bands, dh)
+        k3 = (F_new - rhs) / dh
+        est = step(h * (e1 * k1 + e2 * k2 + e3 * k3), bands, dh)
+        err = float(np.max(np.abs(est) / (atol + rtol * np.abs(F_new))))
+        assert math.isfinite(err)
+        negative = below_clip(F_tr) or below_clip(F_new)
+        if negative or err > 1.0:
+            rejected += 1
+            shrink = max(0.25, 0.9 * err ** (-1.0 / 3.0)) if err > 1.0 else 1.0
+            if negative:
+                rejected_negative += 1
+                shrink = min(shrink, 0.5)
+            dy = max(h * shrink, min_dy / 2)
+            continue
+        y += h
+        neg = F_new < 0
+        if np.any(neg):
+            clipped += int(np.count_nonzero(neg))
+            number = float(np.sum(F_new * dx))
+            F_new = np.where(neg, 0.0, F_new)
+            F_new *= number / float(np.sum(F_new * dx))
+            k3 = plain_apply(bands, F_new)
+        F, k1 = F_new, k3
+        accepted += 1
+        dy_min, dy_max = min(dy_min, h), max(dy_max, h)
+        decades[math.floor(math.log10(h))] = decades.get(math.floor(math.log10(h)), 0) + 1
+        trace_y.append(y)
+        trace_number.append(float(np.sum(F * dx)))
+        trace_energy.append(float(np.sum(energy_weight * F * dx)))
+        if pending and abs(y - pending[0]) <= 1e-12:
+            snaps.append((pending.pop(0), F.copy()))
+        dy = h * (4.0 if err == 0.0 else min(4.0, max(0.25, 0.9 * err ** (-1.0 / 3.0))))
+    while pending and abs(y - pending[0]) <= 1e-9:
+        snaps.append((pending.pop(0), F.copy()))
+    assert not pending
+    stats = {
+        "method": "tr-bdf2",
+        "steps_accepted": accepted,
+        "steps_rejected": rejected,
+        "steps_rejected_negative": rejected_negative,
+        "cells_clipped": clipped,
+        **counts,
+        "dy_min": dy_min if accepted else 0.0,
+        "dy_max": dy_max,
+        "dy_histogram": [[float(f"1e{e}"), n] for e, n in sorted(decades.items())],
+        "rtol": rtol,
+        "spectrum": actual.describe(),
+    }
+    return snaps, trace_y, trace_number, trace_energy, stats
+
+
+def _shipped_case(spectrum, cf_fixture, selection_fixture, cells, x_min):
+    """A shipped reproduce scenario: its grid, driven by its selected level."""
+
+    def case(request):
+        cf = request.getfixturevalue(cf_fixture)
+        level = request.getfixturevalue(selection_fixture).level
+        theta = TemperatureFn.from_continued_fraction(cf, level)
+        grid = Grid.log_spaced(cells=cells, x_min=x_min, x_max=50.0, y_end=2.0, snapshots=21)
+        return dict(spectrum=spectrum, theta=theta, grid=grid)
+
+    return case
+
+
+ORACLE_CASES = {
+    "pulse": _shipped_case(Monoenergetic(), "mono_cf", "mono_selection", 400, 1e-3),
+    "freefree": _shipped_case(Bremsstrahlung(), "brems_cf", "brems_selection", 600, 1e-5),
+    # p = 0 takes the logarithmic interface exponent
+    "p0": lambda request: dict(
+        spectrum=Monoenergetic(), theta=TemperatureFn.constant(Fraction(4, 3)),
+        grid=Grid.log_spaced(cells=120, snapshots=5), params=TransportParams(2, 1, 2, 4),
+    ),
+    # accepted steps clip cells and are rescaled
+    "clipping": lambda request: dict(
+        spectrum=Bremsstrahlung(), theta=TemperatureFn.constant(1.0),
+        grid=Grid.log_spaced(cells=40, snapshots=2), rtol=0.1, initial_dy=0.5,
+    ),
+    # stages dip below the clipping tolerance and are retried
+    "negative": lambda request: dict(
+        spectrum=Monoenergetic(), theta=TemperatureFn.constant(1.0),
+        grid=Grid.log_spaced(cells=80, snapshots=5), rtol=1e-2, initial_dy=0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_solve_bit_identical_to_plain_tr_bdf2(request, case):
+    kwargs = ORACLE_CASES[case](request)
+    sol = solve_transport(**kwargs)
+    snaps, trace_y, trace_number, trace_energy, stats = plain_tr_bdf2(**kwargs)
+    assert [t for t, _ in sol.snapshots] == [t for t, _ in snaps]
+    for (_, got), (_, want) in zip(sol.snapshots, snaps):
+        assert np.array_equal(got, want)
+    assert np.array_equal(sol.trace_y, trace_y)
+    assert np.array_equal(sol.trace_number, trace_number)
+    assert np.array_equal(sol.trace_energy, trace_energy)
+    assert {k: v for k, v in sol.stats.items() if k != "wall_s"} == stats
+    if case == "clipping":
+        assert stats["cells_clipped"] > 0
+    if case == "negative":
+        assert stats["steps_rejected_negative"] > 0
+
+
 def test_equilibrium_fixed_point_from_large_first_step():
     grid = Grid.log_spaced(cells=400, snapshots=21)
     ic = equilibrium_spectrum(COMPTONIZATION, n_r=1, theta_eq=Fraction(4, 3))
@@ -478,6 +662,7 @@ def test_solver_stats(mono_run):
     assert edges[0] <= stats["dy_min"] < 10 * edges[0]
     assert edges[-1] <= stats["dy_max"] < 10 * edges[-1]
     assert "pulse" in stats["spectrum"] or "gaussian" in stats["spectrum"].lower()
+    assert 0.0 < stats["wall_s"] < 60.0
 
 
 def test_snapshot_csv_round_trip(tmp_path, mono_run):
