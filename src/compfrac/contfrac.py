@@ -331,6 +331,10 @@ def _fold(cf: ContinuedFraction) -> tuple:
         d1, bd2 = cur[1][0], c.denominator * prev[1][0]
         common = math.lcm(d1, bd2)
         u, v = common // d1, c.numerator * (common // bd2)
+        # a factor shared by u and v is part of the content removed below;
+        # dividing it out first keeps the products smaller
+        g = math.gcd(u, v)
+        u, v = u // g, v // g
         nxt = []
         for a, b in zip(cur, prev):
             poly = [u * x for x in a] + [0] * (len(b) + 1 - len(a))

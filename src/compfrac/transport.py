@@ -34,7 +34,6 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy
 
 from .contfrac import ContinuedFraction, _check_level, _horner
 from .moments import DerivativeTable
@@ -58,14 +57,19 @@ def _load_dgtsv():
     enters it in sys.modules (it is a single-phase extension module);
     the entry is taken out again, so a later ``import scipy.linalg``
     imports it as usual, and CPython then hands back the same routines.
+    The scipy package itself is located with find_spec, which does not
+    run scipy/__init__ and so spares its two dozen modules as well.
     Falls back to the public import if scipy.linalg is already loaded or
-    the module cannot be found or loaded.
+    the package or module cannot be found or loaded.
     """
     name = "scipy.linalg._flapack"
     spec = None
     if name not in sys.modules:
-        linalg_dirs = [os.path.join(d, "linalg") for d in scipy.__path__]
-        spec = importlib.machinery.PathFinder.find_spec(name, linalg_dirs)
+        package = importlib.util.find_spec("scipy")
+        locations = package.submodule_search_locations if package is not None else None
+        if locations:
+            linalg_dirs = [os.path.join(d, "linalg") for d in locations]
+            spec = importlib.machinery.PathFinder.find_spec(name, linalg_dirs)
     if spec is not None:
         try:
             module = importlib.util.module_from_spec(spec)

@@ -10,6 +10,7 @@ drifts measure the solver against the exact invariants of the scheme.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,8 @@ def self_consistency(
     """Compare the recovered temperature against the driving one.
 
     Passes iff max_y |theta_out - theta_in| / theta_in <= tolerance.
+    A deviation that is NaN counts as the worst: it is reported as
+    max_rel_dev at the first y where it occurs, and the check fails.
     theta_fn must be the same function the solver ran with; handing a
     different one turns the report into a negative control.
     """
@@ -126,7 +129,9 @@ def self_consistency(
         t_in = theta_fn(y)
         dev = abs(t_out - t_in) / t_in
         rows.append((y, t_in, t_out, dev))
-        if dev > worst:
+        # NaN compares false both ways, so `not dev <= worst` takes the
+        # first NaN, and the guard keeps it against everything after
+        if not dev <= worst and not math.isnan(worst):
             worst, worst_y = dev, y
     return VerificationReport(
         rows=tuple(rows),

@@ -517,12 +517,14 @@ def _fresh_python(probe: str, **env_vars) -> str:
 def test_cli_import_skips_quadrature_modules():
     # the shipped runs need no quadrature, interpolation, special functions
     # or scipy.linalg (dgtsv is loaded on its own and its module taken out
-    # of sys.modules again), so every CLI call is spared their import time;
-    # OpenBLAS starts no worker threads
+    # of sys.modules again), and not even the scipy package itself (found
+    # without running its __init__), so every CLI call is spared their
+    # import time; OpenBLAS starts no worker threads
     probe = (
         "import os, sys, compfrac.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.special', "
-        "'scipy.linalg', 'scipy.linalg._flapack') if m in sys.modules)); "
+        "print(sorted(m for m in ('scipy', 'scipy._lib', 'scipy.integrate', "
+        "'scipy.interpolate', 'scipy.special', 'scipy.linalg', 'scipy.linalg._flapack') "
+        "if m in sys.modules)); "
         "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)"
     )
     modules, threads = _fresh_python(probe).splitlines()

@@ -8,6 +8,7 @@ level-N convergent's Maclaurin series must reproduce the input series
 through y^N, which determines the fraction uniquely.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from compfrac.contfrac import (
     cf_coefficients,
     cf_eval,
     cf_eval_exact,
+    _fold,
     _poly_derivative,
     find_defects,
     maclaurin_of_rational,
@@ -362,6 +364,40 @@ def plain_fold(coefficients):
         prev, cur = cur, tuple(nxt)
         levels.append(cur)
     return [(tuple(p), tuple(q)) for p, q in levels]
+
+
+def unscaled_fold(cf):
+    """The integer fold without the gcd(u, v) division of the multipliers:
+    each level is the full product reduced by its content afterwards."""
+    c0 = cf[0]
+    prev, cur = ([0], [1]), ([c0.numerator], [c0.denominator])
+    levels = [cur]
+    for c in cf.coefficients[1:]:
+        d1, bd2 = cur[1][0], c.denominator * prev[1][0]
+        common = math.lcm(d1, bd2)
+        u, v = common // d1, c.numerator * (common // bd2)
+        nxt = []
+        for a, b in zip(cur, prev):
+            poly = [u * x for x in a] + [0] * (len(b) + 1 - len(a))
+            for i, x in enumerate(b, 1):
+                poly[i] += v * x
+            while len(poly) > 1 and poly[-1] == 0:
+                poly.pop()
+            nxt.append(poly)
+        content = math.gcd(*nxt[0], *nxt[1])
+        prev, cur = cur, tuple([x // content for x in side] for side in nxt)
+        levels.append(cur)
+    return tuple(levels)
+
+
+@pytest.mark.parametrize("spectrum", [Monoenergetic(), Bremsstrahlung()],
+                         ids=["monoenergetic", "bremsstrahlung"])
+def test_fold_matches_unscaled_fold_to_order_64(spectrum):
+    # dividing u and v by their gcd leaves every level's primitive integer
+    # form, sign included, as the unscaled products give it
+    cf = cf_coefficients(theta_derivatives_comptonization(spectrum, 64))
+    assert cf.truncation == 64
+    assert _fold(cf) == unscaled_fold(cf)
 
 
 fold_coefficients = st.one_of(

@@ -239,16 +239,45 @@ def _flapack_load_fails(monkeypatch, hits):
     monkeypatch.setattr(importlib.util, "module_from_spec", module_from_spec)
 
 
-@pytest.mark.parametrize("breakage", [_no_flapack_spec, _flapack_load_fails],
-                         ids=["spec_missing", "load_fails"])
-def test_dgtsv_loader_falls_back_to_public_import(monkeypatch, breakage):
+def _scipy_spec(monkeypatch, hits, spec):
+    real = importlib.util.find_spec
+
+    def find_spec(name, package=None):
+        if name == "scipy":
+            hits.append(name)
+            return spec
+        return real(name, package)
+
+    monkeypatch.setattr(importlib.util, "find_spec", find_spec)
+
+
+def _no_scipy_spec(monkeypatch, hits):
+    _scipy_spec(monkeypatch, hits, None)
+
+
+def _scipy_spec_without_locations(monkeypatch, hits):
+    # a plain module spec, not a package: submodule_search_locations is None
+    _scipy_spec(monkeypatch, hits, importlib.machinery.ModuleSpec("scipy", None))
+
+
+@pytest.mark.parametrize(
+    "breakage, hit",
+    [
+        (_no_flapack_spec, "scipy.linalg._flapack"),
+        (_flapack_load_fails, "scipy.linalg._flapack"),
+        (_no_scipy_spec, "scipy"),
+        (_scipy_spec_without_locations, "scipy"),
+    ],
+    ids=["spec_missing", "load_fails", "scipy_spec_missing", "scipy_no_locations"],
+)
+def test_dgtsv_loader_falls_back_to_public_import(monkeypatch, breakage, hit):
     # scipy.linalg is loaded here, so hide its LAPACK module from the
     # loader to reach the direct load it would try in a fresh process
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     hits = []
     breakage(monkeypatch, hits)
     loaded = _load_dgtsv()
-    assert hits == ["scipy.linalg._flapack"]
+    assert hits == [hit]
     assert "scipy.linalg._flapack" not in sys.modules
     assert loaded is public_dgtsv
     rng = np.random.default_rng(3)

@@ -9,6 +9,7 @@ the driving curve is wrong.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,26 @@ def test_perturbed_temperature_fails(mono_run, mono_theta):
     report = self_consistency(mono_run, skewed)
     assert not report.passed
     assert report.max_rel_dev > 0.08
+
+
+def test_one_nan_row_fails(brems_run, brems_theta):
+    # every other row is within 1.5 percent, so the NaN row alone must
+    # fail the check and be the reported worst
+    y_bad = brems_run.grid.snapshot_times[3]
+    theta = TemperatureFn(lambda y: float("nan") if y == y_bad else brems_theta(y), "NaN row")
+    report = self_consistency(brems_run, theta)
+    assert not report.passed
+    assert math.isnan(report.max_rel_dev)
+    assert report.argmax_y == y_bad
+    assert sum(math.isnan(row[3]) for row in report.rows) == 1
+
+
+def test_all_nan_rows_fail(brems_run):
+    report = self_consistency(brems_run, TemperatureFn(lambda y: float("nan"), "NaN"))
+    assert not report.passed
+    assert math.isnan(report.max_rel_dev)
+    assert report.argmax_y == brems_run.grid.snapshot_times[0]
+    assert all(math.isnan(row[3]) for row in report.rows)
 
 
 def test_conservation_report_monoenergetic(mono_run):
