@@ -6,13 +6,15 @@ radius of convergence (contfrac), a conservative positivity-preserving
 transport solve driven by the resummed temperature (transport), and
 the a-posteriori consistency check (verify).
 
-While the package imports numpy and scipy's LAPACK wrapper, which load
-OpenBLAS, it sets OPENBLAS_NUM_THREADS to 1 unless the variable is already
-set, and afterwards restores the environment as it was, so processes the
-caller starts later do not inherit the setting.  compfrac makes no threaded
-BLAS call (its one LAPACK routine, dgtsv, runs sequentially), and the worker
-threads OpenBLAS would otherwise start spin for about 0.1 s after loading,
-competing with the main thread on a small machine.  Set the variable before
+While the package imports numpy, which loads OpenBLAS, it sets
+OPENBLAS_NUM_THREADS to 1 unless the variable is already set, and afterwards
+restores the environment as it was, so processes the caller starts later do
+not inherit the setting.  compfrac makes no threaded BLAS call (its one
+LAPACK routine, dgtsv, runs sequentially and is taken from numpy's
+OpenBLAS), and the worker threads OpenBLAS would otherwise start spin for
+about 0.1 s after loading, competing with the main thread on a small
+machine.  Where numpy's LAPACK exports no dgtsv, scipy's LAPACK wrapper and
+its own OpenBLAS load under the same setting.  Set the variable before
 starting Python to choose another thread count.
 """
 
@@ -21,7 +23,7 @@ import os
 _openblas_threads_preset = "OPENBLAS_NUM_THREADS" in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 try:
-    from . import transport  # imports numpy and loads scipy's LAPACK
+    from . import transport  # imports numpy, which loads OpenBLAS
 finally:
     if not _openblas_threads_preset:
         os.environ.pop("OPENBLAS_NUM_THREADS", None)

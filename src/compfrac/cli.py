@@ -13,7 +13,6 @@ fixed config; the run manifest carries the only timestamp.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -33,7 +32,7 @@ from .contfrac import (
     select_approximant,
     taylor_eval,
 )
-from .moments import DerivativeTable, theta_derivatives_comptonization
+from .moments import DerivativeTable, theta_derivatives_comptonization, write_json
 from .spectra import (
     COMPTONIZATION,
     Bremsstrahlung,
@@ -273,12 +272,6 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _dump_json(data: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _theta_eq(config: RunConfig):
     report = equilibrium_temperature(_table_spectrum(config))
     return report.value if report.meaningful else Fraction(0)
@@ -370,18 +363,18 @@ def cmd_cf(run: _Artifacts) -> int:
     config, table, cf, selection = run.config, run.table, run.fraction, run.selection
     out = _out_dir(config)
 
-    _dump_json(cf.to_json_dict(), out / f"cf_{config.tag}.json")
+    write_json(cf.to_json_dict(), out / f"cf_{config.tag}.json")
     with open(out / f"cf_{config.tag}.csv", "w", encoding="utf-8") as fh:
         fh.write("n,c\n")
         for n, c in enumerate(cf.coefficients):
             fh.write(f"{n},{float(c):.6g}\n")
-    _dump_json(selection.to_json_dict(), out / f"selection_{config.tag}.json")
+    write_json(selection.to_json_dict(), out / f"selection_{config.tag}.json")
 
     ys = [float(v) for v in np.linspace(0.0, config.y_max, config.samples)]
     cf_levels = _parse_levels(config.cf_n, cf.truncation, "cf_n") or (selection.level,)
     results = [_cf_level_artifacts(cf, level, ys, config.y_max) for level in sorted(cf_levels)]
 
-    _dump_json(
+    write_json(
         {
             "schema": "compfrac.defect-sweep/1",
             "levels": {str(lv): report.to_json_dict() for lv, report, _ in results},

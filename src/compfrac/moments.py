@@ -48,6 +48,13 @@ from .spectra import (
 )
 
 
+def write_json(data, path) -> None:
+    """Write an artifact as sorted, indented JSON and a final newline, in
+    one write call (json.dump with indent streams thousands of small ones)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 class NonlinearSolveImpossible(ArithmeticError):
     """The data leave the temperature or its reciprocal undefined."""
 
@@ -146,9 +153,7 @@ class DerivativeTable:
         )
 
     def dump_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
     @classmethod
     def load_json(cls, path) -> "DerivativeTable":

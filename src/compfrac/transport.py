@@ -21,9 +21,9 @@ retried at half the width.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
-import json
 import math
 import os
 import sys
@@ -34,9 +34,10 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .contfrac import ContinuedFraction, _check_level, _horner
-from .moments import DerivativeTable
+from .moments import DerivativeTable, write_json
 from .spectra import (
     COMPTONIZATION,
     GaussianPulse,
@@ -84,7 +85,33 @@ def _load_dgtsv():
     return dgtsv
 
 
-dgtsv = _load_dgtsv()
+# dgtsv as numpy's bundled scipy-openblas64 exports it: prefix scipy_, and
+# suffix 64_ for the ILP64 interface, whose integers are 64-bit
+_NUMPY_DGTSV = "scipy_dgtsv_64_"
+
+
+def _find_numpy_dgtsv():
+    """LAPACK dgtsv from the OpenBLAS numpy has already loaded, or None.
+
+    dlsym on the handle of numpy.linalg._umath_linalg also searches the
+    libraries that module links, so the routine is found without naming
+    a library file.  All eight arguments are passed by reference:
+    N, NRHS, DL, D, DU, B, LDB, INFO.  A numpy built against MKL or a
+    system LAPACK exports no such symbol, and then None is returned.
+    """
+    try:
+        routine = ctypes.CDLL(_umath_linalg.__file__)[_NUMPY_DGTSV]
+    except AttributeError:
+        return None
+    routine.argtypes = (ctypes.c_void_p,) * 8
+    routine.restype = None
+    return routine
+
+
+# scipy's LAPACK, with its own second OpenBLAS, is loaded only where
+# numpy's exports no dgtsv
+_numpy_gtsv = _find_numpy_dgtsv()
+dgtsv = _load_dgtsv() if _numpy_gtsv is None else None
 
 
 class NonPositiveTemperature(ValueError):
@@ -368,7 +395,7 @@ class _Operator:
     def __init__(self, grid: Grid, params: TransportParams):
         x = grid.centers
         lo, hi = x[:-1], x[1:]
-        self.cells = grid.cells
+        self.cells = n = grid.cells
         dx = grid.widths
         self.dx_lo, self.dx_hi = dx[:-1], dx[1:]
         self.p = float(params.p)
@@ -384,6 +411,19 @@ class _Operator:
         self.energy_weight = x ** float(Fraction(3) - params.i)
         self.assemblies = 0
         self.linear_solves = 0
+        # LAPACK work arrays: gtsv overwrites the bands (dl, d, du) with
+        # their factors and b with the solution.  numpy's routine takes
+        # every argument by address; the addresses are taken once, and the
+        # arrays live as long as the operator.
+        self._work = (np.empty(n - 1), np.empty(n), np.empty(n - 1))
+        self._b = np.empty(n)
+        self._info = np.zeros(1, dtype=np.int64)
+        self._sizes = np.array([n, 1, n], dtype=np.int64)  # N, NRHS, LDB
+        n_p, nrhs_p, ldb_p = (self._sizes.ctypes.data + 8 * i for i in range(3))
+        self._gtsv_args = (
+            n_p, nrhs_p, *(a.ctypes.data for a in (*self._work, self._b)),
+            ldb_p, self._info.ctypes.data,
+        )
 
     def assemble(self, theta_val: float):
         """(lower, diag, upper) of A at temperature theta_val.
@@ -422,27 +462,47 @@ class _Operator:
         return -dy * lower, 1.0 - dy * diag, -dy * upper
 
     def solve(self, matrix, rhs: np.ndarray, last_use: bool = True) -> np.ndarray:
-        """Solve matrix @ x = rhs with LAPACK gtsv; rhs is left intact.
+        """Solve matrix @ x = rhs with LAPACK gtsv into a fresh array.
 
-        gtsv factors the matrix in place, so the arrays of ``matrix`` are
-        kept (copied by the wrapper) unless this is their last use.
+        The bands are copied into the work arrays, which gtsv factors in
+        place, so ``matrix`` and ``rhs`` are left intact and ``matrix``
+        can serve any number of solves; ``last_use`` is accepted from
+        callers that mark a matrix's last solve and changes nothing.
         """
-        dl, d, du = matrix
-        self.linear_solves += 1
-        _, _, _, x, info = dgtsv(
-            dl, d, du, rhs,
-            overwrite_dl=last_use, overwrite_d=last_use, overwrite_du=last_use,
-        )
-        if info != 0:
-            raise NonFiniteState(f"step matrix is singular (LAPACK gtsv info = {info})")
-        return x
+        for work, band in zip(self._work, matrix):
+            work[...] = band
+        return self._gtsv(rhs)
 
     def step(self, F: np.ndarray, bands, dy: float) -> np.ndarray:
         """Solve (1 - dy A) F_new = F: one implicit Euler step of width dy.
 
-        A TR-BDF2 stage of width h is the same solve with dy = d h.
+        A TR-BDF2 stage of width h is the same solve with dy = d h.  Its
+        matrix is used once, so it is computed straight into the work
+        arrays, with the operations of ``stage_matrix``.
         """
-        return self.solve(self.stage_matrix(bands, dy), F)
+        lower, diag, upper = bands
+        dl, d, du = self._work
+        np.multiply(-dy, lower, out=dl)
+        np.multiply(dy, diag, out=d)
+        np.subtract(1.0, d, out=d)
+        np.multiply(-dy, upper, out=du)
+        return self._gtsv(F)
+
+    def _gtsv(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the matrix in the work arrays for rhs; the factors
+        overwrite the matrix."""
+        self.linear_solves += 1
+        if _numpy_gtsv is None:
+            _, _, _, x, info = dgtsv(
+                *self._work, rhs, overwrite_dl=True, overwrite_d=True, overwrite_du=True
+            )
+        else:
+            self._b[...] = rhs
+            _numpy_gtsv(*self._gtsv_args)
+            x, info = self._b.copy(), self._info[0]
+        if info != 0:
+            raise NonFiniteState(f"step matrix is singular (LAPACK gtsv info = {info})")
+        return x
 
 
 # TR-BDF2 with gamma = 2 - sqrt(2): both implicit stages share the
@@ -536,7 +596,7 @@ def solve_transport(
         bands = op.assemble(theta(y + dy_try))
         bdf2 = op.stage_matrix(bands, dh)
         rhs = F + (_W * dy_try) * (k1 + k2)
-        F_new = op.solve(bdf2, rhs, last_use=False)
+        F_new = op.solve(bdf2, rhs)
         k3 = (F_new - rhs) / dh
         est = op.solve(bdf2, dy_try * (_E1 * k1 + _E2 * k2 + _E3 * k3))
 
@@ -657,6 +717,4 @@ def write_run_manifest(sol: PdeSolution, path, snapshot_files: dict | None = Non
     }
     if timestamp is not None:
         data["written_at"] = timestamp
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(data, path)

@@ -9,12 +9,12 @@ drifts measure the solver against the exact invariants of the scheme.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .moments import write_json
 from .transport import PdeSolution, TemperatureFn, grid_moment
 
 __all__ = [
@@ -99,9 +99,7 @@ class VerificationReport:
         }
 
     def dump_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -516,10 +516,9 @@ def _fresh_python(probe: str, **env_vars) -> str:
 
 def test_cli_import_skips_quadrature_modules():
     # the shipped runs need no quadrature, interpolation, special functions
-    # or scipy.linalg (dgtsv is loaded on its own and its module taken out
-    # of sys.modules again), and not even the scipy package itself (found
-    # without running its __init__), so every CLI call is spared their
-    # import time; OpenBLAS starts no worker threads
+    # or scipy.linalg (dgtsv comes from numpy's OpenBLAS), and not even the
+    # scipy package itself, so every CLI call is spared their import time;
+    # OpenBLAS starts no worker threads
     probe = (
         "import os, sys, compfrac.cli; "
         "print(sorted(m for m in ('scipy', 'scipy._lib', 'scipy.integrate', "
@@ -532,11 +531,30 @@ def test_cli_import_skips_quadrature_modules():
     assert threads == "1"
 
 
-def test_scipy_linalg_importable_after_compfrac():
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc/self/maps")
+def test_cli_import_maps_one_openblas():
+    # dgtsv comes from the OpenBLAS numpy loads, so scipy's LAPACK wrapper
+    # and its second OpenBLAS stay unloaded
     probe = (
-        "import compfrac.transport as t, scipy.linalg; "
-        "print(scipy.linalg.lapack.dgtsv is t.dgtsv, "
-        "scipy.linalg._flapack.dgtsv is t.dgtsv)"
+        "import os, sys, compfrac.cli; "
+        "maps = open('/proc/self/maps').read().split(); "
+        "print(len({os.path.basename(f) for f in maps "
+        "if os.path.basename(f).startswith('libscipy_openblas')})); "
+        "print('scipy.linalg._flapack' in sys.modules)"
+    )
+    assert _fresh_python(probe).splitlines() == ["1", "False"]
+
+
+def test_scipy_linalg_importable_after_compfrac():
+    # scipy's dgtsv, loaded on its own where numpy's OpenBLAS has none,
+    # leaves a later import of scipy.linalg working and handing back the
+    # same routine
+    probe = (
+        "import compfrac.transport as t; "
+        "loaded = t._load_dgtsv(); "
+        "import scipy.linalg; "
+        "print(scipy.linalg.lapack.dgtsv is loaded, "
+        "scipy.linalg._flapack.dgtsv is loaded)"
     )
     assert _fresh_python(probe) == "True True"
 

@@ -283,10 +283,10 @@ def test_dgtsv_loader_falls_back_to_public_import(monkeypatch, breakage, hit):
     rng = np.random.default_rng(3)
     lower, upper = rng.uniform(-1, 0, 49), rng.uniform(-1, 0, 49)
     diag, rhs = rng.uniform(2.5, 3.0, 50), rng.uniform(0, 1, 50)
-    got = loaded(lower, diag, upper, rhs)
-    want = transport.dgtsv(lower, diag, upper, rhs)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    _, _, _, got, info = loaded(lower, diag, upper, rhs)
+    assert info == 0
+    op = _Operator(Grid.log_spaced(cells=50, snapshots=()), COMPTONIZATION)
+    assert np.array_equal(got, op.solve((lower, diag, upper), rhs))
 
 
 def test_dgtsv_loader_keeps_loaded_scipy_linalg(monkeypatch):
@@ -298,6 +298,47 @@ def test_dgtsv_loader_keeps_loaded_scipy_linalg(monkeypatch):
     assert _load_dgtsv() is public_dgtsv
     assert hits == []
     assert sys.modules["scipy.linalg._flapack"] is flapack
+
+
+def _stage_systems(grid, params=COMPTONIZATION):
+    """Stage matrices and right-hand sides of the kind TR-BDF2 solves."""
+    op = _Operator(grid, params)
+    F, _ = initial_cell_values(Monoenergetic(), grid, params)
+    for theta in (0.5, 1.0, 1.6):
+        bands = op.assemble(theta)
+        for dy in (1e-7, 1e-4, 0.05):
+            yield bands, dy, F
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid.log_spaced(cells=400, snapshots=()),  # the pulse scenario's grid
+        Grid.log_spaced(cells=600, x_min=1e-5, snapshots=()),  # free-free's
+    ],
+    ids=["pulse_grid", "freefree_grid"],
+)
+def test_operator_falls_back_to_scipy_dgtsv(monkeypatch, grid):
+    numpy_op = _Operator(grid, COMPTONIZATION)
+    want = []
+    for bands, dy, F in _stage_systems(grid):
+        matrix = numpy_op.stage_matrix(bands, dy)
+        want.append((numpy_op.step(F, bands, dy), numpy_op.solve(matrix, F, last_use=False)))
+    # a numpy without the symbol (MKL, a system LAPACK) solves with scipy's
+    monkeypatch.setattr(transport, "_NUMPY_DGTSV", "no_such_symbol_")
+    assert transport._find_numpy_dgtsv() is None
+    monkeypatch.setattr(transport, "_numpy_gtsv", None)
+    monkeypatch.setattr(transport, "dgtsv", _load_dgtsv())
+    op = _Operator(grid, COMPTONIZATION)
+    for (bands, dy, F), (step_want, solve_want) in zip(_stage_systems(grid), want):
+        assert np.array_equal(op.step(F, bands, dy), step_want)
+        matrix = op.stage_matrix(bands, dy)
+        assert np.array_equal(op.solve(matrix, F, last_use=False), solve_want)
+        assert np.array_equal(op.solve(matrix, F), solve_want)
+    assert op.linear_solves == 3 * len(want)
+    zero = np.zeros(grid.cells - 1)
+    with pytest.raises(NonFiniteState):
+        op.step(np.ones(grid.cells), (zero, np.ones(grid.cells), zero), 1.0)
 
 
 def test_singular_step_matrix_rejected():
