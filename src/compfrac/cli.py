@@ -31,6 +31,7 @@ from .contfrac import (
     find_defects,
     select_approximant,
     taylor_eval,
+    to_rational,
 )
 from .moments import DerivativeTable, theta_derivatives_comptonization, write_json
 from .spectra import (
@@ -349,7 +350,7 @@ def cmd_derivs(run: _Artifacts) -> int:
 
 def _cf_level_artifacts(cf: ContinuedFraction, level: int, ys: list, y_max: float):
     """Defect report and sampled curve for one truncation level."""
-    report = find_defects(cf.float_form(level), y_max)
+    report = find_defects(to_rational(cf, level), y_max)
     values = []
     for y in ys:
         try:

@@ -16,13 +16,13 @@ level instead of one per entry.
 
 Each fraction is folded into rational forms P_n/Q_n once: the first
 request for any level runs the three-term convergent recurrence over
-every level 0..N and caches the results on the instance, so selection,
-defect reports and the driving temperature all read the same fold.
-They read it as float coefficients rounded once from the integer
-polynomials; Fraction-valued RationalForms are built only when
-to_rational asks for one.
-Polynomials are evaluated by Horner's rule: _horner for float and
-Fraction coefficients, _homogeneous for integer ones at y = a/b.
+every level 0..N and caches one RationalForm per level on the instance,
+so selection, defect reports and the driving temperature all read the
+same fold.  A form holds the level's integer polynomials; its Fraction
+coefficients and its float coefficients (each rounded once from the
+integers) are built on first use.
+Polynomials are evaluated by Horner's rule: _horner for float
+coefficients, _homogeneous for integer ones at y = a/b.
 """
 
 from __future__ import annotations
@@ -83,37 +83,8 @@ class ContinuedFraction:
         return self.coefficients[n]
 
     @cached_property
-    def _integer_forms(self) -> tuple:
+    def _forms(self) -> tuple:
         return _fold(self)
-
-    @cached_property
-    def _rational_forms(self) -> tuple:
-        return tuple(
-            RationalForm(
-                tuple(Fraction(x, q[0]) for x in p), tuple(Fraction(x, q[0]) for x in q)
-            )
-            for p, q in self._integer_forms
-        )
-
-    @cached_property
-    def _float_forms(self) -> tuple:
-        # each coefficient is one correctly rounded int / int division, the
-        # same float as float() of the matching RationalForm coefficient,
-        # without building that Fraction (a gcd on thousands of digits)
-        return tuple(
-            (
-                tuple(x / q[0] for x in p),
-                tuple(x / q[0] for x in q),
-                tuple(l * x / q[0] for l, x in enumerate(q) if l) or (0.0,),
-            )
-            for p, q in self._integer_forms
-        )
-
-    def float_form(self, level: int) -> tuple:
-        """(P, Q, Q') of ``level`` as float coefficient tuples, lowest
-        order first, each equal to float() of the exact coefficient."""
-        _check_level(level, self.truncation, "fraction holds levels")
-        return self._float_forms[level]
 
     def to_json_dict(self) -> dict:
         return {
@@ -166,12 +137,9 @@ def _check_level(level: int, top: int, holds: str) -> None:
         raise ValueError(f"{holds} 0..{top}, asked for {level}")
 
 
-def _horner(coeffs: Sequence, y):
-    """sum_k coeffs[k] y^k by Horner's rule.
-
-    Exact for Fraction coefficients and y; elementwise for a numpy array
-    y.  Float callers pass coefficients already converted to float.
-    """
+def _horner(coeffs: Sequence[float], y):
+    """sum_k coeffs[k] y^k by Horner's rule for float coefficients;
+    elementwise for a numpy array y."""
     total = 0
     for c in reversed(coeffs):
         total = total * y + c
@@ -269,39 +237,45 @@ def cf_eval_exact(cf: ContinuedFraction, level: int, y: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class RationalForm:
-    """Psi_N written as P(y)/Q(y) with exact coefficients, Q(0) = 1."""
+    """Psi_N = P(y)/Q(y) as integer polynomials p, q (lowest order first)
+    over their shared denominator q[0], so that Q(0) = 1."""
 
-    numerator: tuple
-    denominator: tuple
+    p: tuple
+    q: tuple
 
-    def __post_init__(self):
-        num = tuple(Fraction(v) for v in self.numerator)
-        den = tuple(Fraction(v) for v in self.denominator)
-        if not den or den[0] == 0:
-            raise ValueError("denominator must have a nonzero constant term")
-        if den[0] != 1:
-            num = tuple(v / den[0] for v in num)
-            den = tuple(v / den[0] for v in den)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+    @cached_property
+    def numerator(self) -> tuple:
+        return tuple(Fraction(x, self.q[0]) for x in self.p)
+
+    @cached_property
+    def denominator(self) -> tuple:
+        return tuple(Fraction(x, self.q[0]) for x in self.q)
+
+    @cached_property
+    def floats(self) -> tuple:
+        """(P, Q, Q') as float coefficient tuples, each equal to float() of
+        the exact coefficient: one correctly rounded int / int division,
+        without building the Fraction (a gcd on thousands of digits)."""
+        d = self.q[0]
+        return (
+            tuple(x / d for x in self.p),
+            tuple(x / d for x in self.q),
+            tuple(l * x / d for l, x in enumerate(self.q) if l) or (0.0,),
+        )
 
     @property
     def degree_pair(self) -> tuple:
-        return (len(self.numerator) - 1, len(self.denominator) - 1)
+        return (len(self.p) - 1, len(self.q) - 1)
 
     def eval_exact(self, y) -> Fraction:
+        """P(y)/Q(y) at rational y = a/b: one integer Horner of p and of q,
+        with no Fraction built until the quotient."""
         y = Fraction(y)
-        num = _horner(self.numerator, y)
-        den = _horner(self.denominator, y)
+        a, b = y.as_integer_ratio()
+        den = _homogeneous(self.q, a, b) * b ** len(self.p)
         if den == 0:
             raise PoleHit(y, None, f"denominator root at y={y}")
-        return num / den
-
-    def eval_float(self, y):
-        y = np.asarray(y, dtype=float)
-        num = _horner([float(c) for c in self.numerator], y)
-        den = _horner([float(c) for c in self.denominator], y)
-        return num / den
+        return Fraction(_homogeneous(self.p, a, b) * b ** len(self.q), den)
 
 
 def to_rational(cf: ContinuedFraction, level: int) -> RationalForm:
@@ -312,7 +286,7 @@ def to_rational(cf: ContinuedFraction, level: int) -> RationalForm:
     once (see _fold); later calls return the same cached objects.
     """
     _check_level(level, cf.truncation, "fraction holds levels")
-    return cf._rational_forms[level]
+    return cf._forms[level]
 
 
 def _fold(cf: ContinuedFraction) -> tuple:
@@ -321,8 +295,8 @@ def _fold(cf: ContinuedFraction) -> tuple:
     P_{-1} = 0, Q_{-1} = 1, P_0 = c0, Q_0 = 1.
 
     Level n is carried as integer polynomials (p, q) over one denominator
-    d_n; since Q_n(0) = 1, that denominator is q[0].  Returns the (p, q)
-    pair of every level."""
+    d_n; since Q_n(0) = 1, that denominator is q[0].  Returns the
+    RationalForm of every level."""
     c0 = cf[0]
     prev, cur = ([0], [1]), ([c0.numerator], [c0.denominator])
     levels = [cur]
@@ -356,7 +330,7 @@ def _fold(cf: ContinuedFraction) -> tuple:
         reduced = [x for x, _ in parts]
         prev, cur = cur, (reduced[: len(p)], reduced[len(p):])
         levels.append(cur)
-    return tuple(levels)
+    return tuple(RationalForm(tuple(p), tuple(q)) for p, q in levels)
 
 
 def maclaurin_of_rational(rf: RationalForm, order: int) -> list:
@@ -418,13 +392,9 @@ _ROOT_TOL = 1e-12
 _CANCEL_TOL = 1e-8
 
 
-def find_defects(form, y_max: float) -> DefectReport:
-    """Scan (0, y_max] for real denominator roots of ``form``.
-
-    ``form`` is a RationalForm, or the float coefficients (P, Q, Q') of
-    one level of a fold as ``ContinuedFraction.float_form`` gives them,
-    which are float() of the level's RationalForm coefficients and so
-    give the same report without building it.
+def find_defects(form: RationalForm, y_max: float) -> DefectReport:
+    """Scan (0, y_max] for real denominator roots of one level's form,
+    on its float coefficients.
 
     A dense sign scan (_SCAN_PANELS intervals) catches every
     odd-multiplicity root wider than the panel spacing; bisection then
@@ -432,12 +402,7 @@ def find_defects(form, y_max: float) -> DefectReport:
     vanishes (relative residual below _CANCEL_TOL) is a removable common
     factor, not a defect, and is dropped.
     """
-    if isinstance(form, RationalForm):
-        num_f = [float(c) for c in form.numerator]
-        den_f = [float(c) for c in form.denominator]
-        dden_f = [float(c) for c in _poly_derivative(form.denominator)]
-    else:
-        num_f, den_f, dden_f = form
+    num_f, den_f, dden_f = form.floats
     if y_max <= 0:
         raise ValueError("y_max must be positive")
     ys = np.linspace(0.0, y_max, _SCAN_PANELS + 1)
@@ -487,10 +452,6 @@ def _abs_poly_scale(coeffs: Sequence[float], y: float) -> float:
         total += abs(c) * power
         power *= abs(y)
     return total if total > 0 else 1.0
-
-
-def _poly_derivative(coeffs: Sequence[Fraction]) -> tuple:
-    return tuple(l * c for l, c in enumerate(coeffs) if l > 0) or (Fraction(0),)
 
 
 @dataclass(frozen=True)
@@ -551,27 +512,16 @@ def select_approximant(
     diags: list = []
     admissible: list = []
     y_exact = Fraction(y_max)
-    y_num, y_den = y_exact.as_integer_ratio()
     score_it = theta_eq is not None and Fraction(theta_eq) > 0
     theta_exact = Fraction(theta_eq) if score_it else None
 
     for level in range(cf.truncation + 1):
-        report = (
-            DefectReport(poles=(), y_max=float(y_max), panels=_SCAN_PANELS)
-            if level == 0
-            else find_defects(cf.float_form(level), y_max)
-        )
+        form = to_rational(cf, level)
+        report = find_defects(form, y_max)
         tail = None
         score = None
         if report.is_empty():
-            # P/Q = p/q over the level's shared denominator, so the tail
-            # is one integer Horner of p and of q, with no Fraction built
-            # until the quotient
-            p, q = cf._integer_forms[level]
-            tail_den = _homogeneous(q, y_num, y_den) * y_den ** len(p)
-            if tail_den == 0:
-                raise PoleHit(y_exact, level, f"denominator root at y={y_exact}")
-            tail_exact = Fraction(_homogeneous(p, y_num, y_den) * y_den ** len(q), tail_den)
+            tail_exact = form.eval_exact(y_exact)
             tail = float(tail_exact)
             if score_it:
                 score = float(abs(tail_exact - theta_exact))

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contfrac import ContinuedFraction, _check_level, _horner
+from .contfrac import ContinuedFraction, _check_level, _horner, to_rational
 from .moments import DerivativeTable, write_json
 from .spectra import (
     COMPTONIZATION,
@@ -152,8 +152,8 @@ class Grid:
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise ValueError("grid edges must increase strictly")
         snaps = tuple(float(t) for t in self.snapshot_times)
-        if any(b < a for a, b in zip(snaps, snaps[1:])):
-            raise ValueError("snapshot times must be sorted")
+        if any(b <= a for a, b in zip(snaps, snaps[1:])):
+            raise ValueError("snapshot times must increase strictly")
         if snaps and (snaps[0] < 0 or snaps[-1] > self.y_end + 1e-12):
             raise ValueError("snapshot times must lie within [0, y_end]")
         if self.y_end <= 0:
@@ -222,7 +222,7 @@ class TemperatureFn:
 
     @classmethod
     def from_continued_fraction(cls, cf: ContinuedFraction, level: int) -> "TemperatureFn":
-        num, den, _ = cf.float_form(level)
+        num, den, _ = to_rational(cf, level).floats
 
         def fn(y: float) -> float:
             return _horner(num, y) / _horner(den, y)
@@ -251,9 +251,13 @@ class TemperatureFn:
         return cls(fn=fn, description=f"constant {v:.6g}")
 
 
-def check_temperature_positive(theta: TemperatureFn, y_end: float, samples: int = 2048):
+# points of the positivity pre-check on [0, y_end]
+_POSITIVITY_SAMPLES = 2048
+
+
+def check_temperature_positive(theta: TemperatureFn, y_end: float):
     """Dense positivity pre-check; raises naming the first bad y."""
-    ys = np.linspace(0.0, y_end, samples)
+    ys = np.linspace(0.0, y_end, _POSITIVITY_SAMPLES)
     for y in ys:
         v = theta(float(y))
         if not math.isfinite(v) or v <= 0:
@@ -461,13 +465,12 @@ class _Operator:
         lower, diag, upper = bands
         return -dy * lower, 1.0 - dy * diag, -dy * upper
 
-    def solve(self, matrix, rhs: np.ndarray, last_use: bool = True) -> np.ndarray:
+    def solve(self, matrix, rhs: np.ndarray) -> np.ndarray:
         """Solve matrix @ x = rhs with LAPACK gtsv into a fresh array.
 
         The bands are copied into the work arrays, which gtsv factors in
         place, so ``matrix`` and ``rhs`` are left intact and ``matrix``
-        can serve any number of solves; ``last_use`` is accepted from
-        callers that mark a matrix's last solve and changes nothing.
+        can serve any number of solves.
         """
         for work, band in zip(self._work, matrix):
             work[...] = band

@@ -23,7 +23,6 @@ from compfrac.contfrac import (
     cf_eval,
     cf_eval_exact,
     _fold,
-    _poly_derivative,
     find_defects,
     maclaurin_of_rational,
     select_approximant,
@@ -57,8 +56,9 @@ def test_coefficient_anchors(mono_cf, brems_cf):
     assert brems_cf.pivot_break is None
 
 
-def test_low_level_rational_forms(mono_cf):
-    # Psi_1 = 1/(1 - 2y), Psi_2 = (1 + 5y)/(1 + 3y)
+def test_low_level_forms(mono_cf):
+    # Psi_1 = 1/(1 - 2y), Psi_2 = (1 + 5y)/(1 + 3y),
+    # Psi_3 = (1 + 10y/3)/(1 + 4y/3 + 10y^2/3), held as integers over 3
     rf1 = to_rational(mono_cf, 1)
     assert rf1.numerator == (Fraction(1),)
     assert rf1.denominator == (Fraction(1), Fraction(-2))
@@ -66,6 +66,10 @@ def test_low_level_rational_forms(mono_cf):
     assert rf2.numerator == (Fraction(1), Fraction(5))
     assert rf2.denominator == (Fraction(1), Fraction(3))
     assert rf2.degree_pair == (1, 1)
+    rf3 = to_rational(mono_cf, 3)
+    assert (rf3.p, rf3.q) == ((3, 10), (3, 4, 10))
+    assert rf3.numerator == (Fraction(1), Fraction(10, 3))
+    assert rf3.denominator == (Fraction(1), Fraction(4, 3), Fraction(10, 3))
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 5, 10, 17, 24])
@@ -120,11 +124,13 @@ def test_low_level_evaluations(mono_cf):
     assert cf_eval(mono_cf, 1, 0.1) == pytest.approx(1.25, rel=1e-15)
 
 
-def test_rational_form_matches_backward_recurrence(mono_cf):
-    rng = np.random.default_rng(7)
-    rf = to_rational(mono_cf, 24)
-    for y in rng.uniform(0.0, 2.0, size=100):
-        assert abs(rf.eval_float(y) / cf_eval(mono_cf, 24, y) - 1.0) <= 1e-10
+def test_rational_form_matches_backward_recurrence(mono_cf, brems_cf):
+    # the solve's driving temperature (Horner on the form's floats) and
+    # the published cf_curves (the backward recurrence) agree to roundoff
+    for cf in (mono_cf, brems_cf):
+        theta = TemperatureFn.from_continued_fraction(cf, 24)
+        for y in np.linspace(0.0, 2.0, 2048):
+            assert abs(theta(y) / cf_eval(cf, 24, y) - 1.0) <= 1e-13
 
 
 def test_tail_values_frozen(mono_cf, brems_cf):
@@ -146,6 +152,8 @@ def test_pole_hit_on_first_convergent(mono_cf):
         cf_eval_exact(mono_cf, 1, Fraction(1, 2))
     assert exc.value.level == 0
     with pytest.raises(PoleHit):
+        to_rational(mono_cf, 1).eval_exact(Fraction(1, 2))
+    with pytest.raises(PoleHit):
         cf_eval(mono_cf, 1, 0.5)
 
 
@@ -154,8 +162,6 @@ def test_level_bounds_checked(mono_cf, mono_table):
         cf_eval(mono_cf, 25, 1.0)
     with pytest.raises(ValueError):
         to_rational(mono_cf, 25)
-    with pytest.raises(ValueError):
-        mono_cf.float_form(25)
     with pytest.raises(ValueError):
         taylor_eval(mono_table, 25, 1.0)
 
@@ -169,10 +175,9 @@ def test_level_bounds_checked(mono_cf, mono_table):
         lambda cf, table: cf_eval_exact(cf, -1, Fraction(1)),
         lambda cf, table: taylor_eval(table, -1, 1.0),
         lambda cf, table: TemperatureFn.from_table(table, -1),
-        lambda cf, table: find_defects(cf.float_form(-1), 2.0),
     ],
     ids=["to_rational", "theta_from_cf", "cf_eval", "cf_eval_exact",
-         "taylor_eval", "theta_from_table", "float_form"],
+         "taylor_eval", "theta_from_table"],
 )
 def test_negative_level_rejected(mono_cf, mono_table, call):
     with pytest.raises(ValueError, match="asked for -1"):
@@ -207,23 +212,21 @@ def test_shared_fold_every_level(deep_fraction):
         assert rf.eval_exact(2) == expected
 
 
-def test_float_forms_match_rational_forms(deep_fraction):
+def test_form_floats_match_exact_coefficients(deep_fraction):
     # selection, the emitted defect reports and the driving temperature
-    # read the float forms; they must be float() of the exact forms and
-    # give the very reports find_defects gives on the RationalForms
+    # read a form's floats, built from its integers without a Fraction;
+    # they must be float() of its exact coefficients and of Q'
     _, cf = deep_fraction
     selection = select_approximant(cf, 2.0)
     for n in range(cf.truncation + 1):
         rf = to_rational(cf, n)
-        num, den, dden = cf.float_form(n)
+        num, den, dden = rf.floats
         assert num == tuple(float(c) for c in rf.numerator)
         assert den == tuple(float(c) for c in rf.denominator)
-        assert dden == tuple(float(c) for c in _poly_derivative(rf.denominator))
-        report = find_defects(rf, 2.0)
-        assert find_defects(cf.float_form(n), 2.0) == report
-        if n:
-            locations = tuple(p.location for p in report.poles)
-            assert selection.candidates[n].pole_locations == locations
+        exact_dden = tuple(float(l * c) for l, c in enumerate(rf.denominator) if l)
+        assert dden == (exact_dden or (0.0,))
+        locations = tuple(p.location for p in find_defects(rf, 2.0).poles)
+        assert selection.candidates[n].pole_locations == locations
 
 
 def test_taylor_eval_exact_partial_sum(mono_table):
@@ -397,7 +400,7 @@ def test_fold_matches_unscaled_fold_to_order_64(spectrum):
     # form, sign included, as the unscaled products give it
     cf = cf_coefficients(theta_derivatives_comptonization(spectrum, 64))
     assert cf.truncation == 64
-    assert _fold(cf) == unscaled_fold(cf)
+    assert [(list(f.p), list(f.q)) for f in _fold(cf)] == [tuple(lv) for lv in unscaled_fold(cf)]
 
 
 fold_coefficients = st.one_of(

@@ -108,6 +108,7 @@ def test_grid_snapshot_sequence_is_sorted():
         dict(edges=(1.0, 1.0, 2.0), y_end=1.0, snapshot_times=()),
         dict(edges=(1.0, 2.0, 3.0), y_end=-1.0, snapshot_times=()),
         dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(0.2, 0.1)),
+        dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(0.0, 0.5, 0.5, 1.0)),
         dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(1.5,)),
     ],
 )
@@ -209,7 +210,7 @@ def test_step_matches_banded_solve():
             # a kept stage matrix serves a second solve unchanged
             matrix = op.stage_matrix(bands, dy)
             kept = [band.copy() for band in matrix]
-            assert np.array_equal(op.solve(matrix, F, last_use=False), want)
+            assert np.array_equal(op.solve(matrix, F), want)
             for band, copy in zip(matrix, kept):
                 assert np.array_equal(band, copy)
             assert np.array_equal(op.solve(matrix, F), want)
@@ -323,7 +324,7 @@ def test_operator_falls_back_to_scipy_dgtsv(monkeypatch, grid):
     want = []
     for bands, dy, F in _stage_systems(grid):
         matrix = numpy_op.stage_matrix(bands, dy)
-        want.append((numpy_op.step(F, bands, dy), numpy_op.solve(matrix, F, last_use=False)))
+        want.append((numpy_op.step(F, bands, dy), numpy_op.solve(matrix, F)))
     # a numpy without the symbol (MKL, a system LAPACK) solves with scipy's
     monkeypatch.setattr(transport, "_NUMPY_DGTSV", "no_such_symbol_")
     assert transport._find_numpy_dgtsv() is None
@@ -333,7 +334,8 @@ def test_operator_falls_back_to_scipy_dgtsv(monkeypatch, grid):
     for (bands, dy, F), (step_want, solve_want) in zip(_stage_systems(grid), want):
         assert np.array_equal(op.step(F, bands, dy), step_want)
         matrix = op.stage_matrix(bands, dy)
-        assert np.array_equal(op.solve(matrix, F, last_use=False), solve_want)
+        assert np.array_equal(op.solve(matrix, F), solve_want)
+        # the kept matrix serves a second solve, as the BDF2 stage's does
         assert np.array_equal(op.solve(matrix, F), solve_want)
     assert op.linear_solves == 3 * len(want)
     zero = np.zeros(grid.cells - 1)
@@ -690,6 +692,27 @@ def test_solve_bit_identical_to_plain_tr_bdf2(request, case):
         assert stats["cells_clipped"] > 0
     if case == "negative":
         assert stats["steps_rejected_negative"] > 0
+
+
+def test_solve_on_scipy_dgtsv_matches_numpy_path(monkeypatch, request):
+    # a whole run, rejected and retried attempts included, on the
+    # fallback that a numpy without the symbol (MKL, a system LAPACK) takes
+    kwargs = ORACLE_CASES["negative"](request)
+    want = solve_transport(**kwargs)
+    monkeypatch.setattr(transport, "_numpy_gtsv", None)
+    monkeypatch.setattr(transport, "dgtsv", _load_dgtsv())
+    got = solve_transport(**kwargs)
+    assert got.stats["steps_rejected_negative"] > 0
+    assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
+    for (_, a), (_, b) in zip(got.snapshots, want.snapshots):
+        assert np.array_equal(a, b)
+    for name in ("trace_y", "trace_number", "trace_energy"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def without_wall(stats):
+        return {k: v for k, v in stats.items() if k != "wall_s"}
+
+    assert without_wall(got.stats) == without_wall(want.stats)
 
 
 def test_equilibrium_fixed_point_from_large_first_step():
