@@ -17,6 +17,9 @@ with the embedded error estimate of Hosea & Shampine (1996, Appl.
 Numer. Math. 20).  The trapezoidal right-hand side is not
 positivity-preserving, so a step that leaves the positive cone is
 retried at half the width.
+theta is prescribed as a function of y or, for Comptonization, is the
+closure theta = I_4(F)/(4 I_3(F)) of the solution itself, iterated to a
+fixed point inside each implicit stage as in an index-1 DAE.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .spectra import (
     GaussianPulse,
     Monoenergetic,
     TransportParams,
+    UnsupportedParams,
     profile_function,
 )
 
@@ -154,10 +158,10 @@ class Grid:
         snaps = tuple(float(t) for t in self.snapshot_times)
         if any(b <= a for a, b in zip(snaps, snaps[1:])):
             raise ValueError("snapshot times must increase strictly")
+        if not (math.isfinite(self.y_end) and self.y_end > 0):
+            raise ValueError("y_end must be positive and finite")
         if snaps and (snaps[0] < 0 or snaps[-1] > self.y_end + 1e-12):
             raise ValueError("snapshot times must lie within [0, y_end]")
-        if self.y_end <= 0:
-            raise ValueError("y_end must be positive")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "snapshot_times", snaps)
         # derived arrays, built once; not fields, so equality, hashing and
@@ -212,9 +216,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class TemperatureFn:
-    """theta(y) as a plain callable plus a provenance description."""
+    """theta(y) as a plain callable plus a provenance description; the
+    ``selfconsistent`` kind (fn None) is the closure I_4(F)/(4 I_3(F))."""
 
-    fn: Callable[[float], float]
+    fn: Callable[[float], float] | None
     description: str
 
     def __call__(self, y: float) -> float:
@@ -249,6 +254,10 @@ class TemperatureFn:
             return v
 
         return cls(fn=fn, description=f"constant {v:.6g}")
+
+    @classmethod
+    def selfconsistent(cls) -> "TemperatureFn":
+        return cls(fn=None, description="self-consistent closure I_4/(4 I_3)")
 
 
 # points of the positivity pre-check on [0, y_end]
@@ -519,6 +528,13 @@ _W = math.sqrt(2.0) / 4.0
 _E1 = (1.0 - 4.0 * _W) / 3.0
 _E2 = 1.0 / 3.0
 _E3 = -2.0 * _D / 3.0
+# relative tolerance and solve cap of the closure iteration in a stage
+_CLOSURE_RTOL = 1e-14
+_CLOSURE_ITERATIONS = 12
+
+
+class _ClosureUnsettled(ArithmeticError):
+    """The closure iteration of a stage did not reach its fixed point."""
 
 
 def solve_transport(
@@ -545,17 +561,56 @@ def solve_transport(
     rescaled to keep its photon number.  Snapshot times are landed on
     exactly by clamping the step.  ``stats["wall_s"]`` is the time spent
     in the stepping loop.
+
+    ``TemperatureFn.selfconsistent()`` (Comptonization only) re-solves
+    each stage at theta = I_4/(4 I_3) of its last solution until theta
+    moves by under _CLOSURE_RTOL, and the converged BDF2 matrix filters
+    the estimate; an attempt with a stage unsettled after
+    _CLOSURE_ITERATIONS solves is rejected and retried at half the width.
+    A closure value that is not positive and finite raises
+    NonPositiveTemperature.
     """
-    check_temperature_positive(theta, grid.y_end)
+    closure = theta.fn is None
+    if not closure:
+        check_temperature_positive(theta, grid.y_end)
+    elif params != COMPTONIZATION:
+        raise UnsupportedParams(f"the closure needs Comptonization, not {params.describe()}")
     F, actual_spectrum = initial_cell_values(spectrum, grid, params)
     F = F.copy()
     dx = grid.widths
     op = _Operator(grid, params)
-    k1 = op.apply(op.assemble(theta(0.0)), F)
+    y = 0.0
+
+    def closure_theta(G):
+        i3 = grid_moment(grid, G, 3, params)
+        value = grid_moment(grid, G, 4, params) / (4.0 * i3) if i3 else math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise NonPositiveTemperature(
+                f"closure theta = I_4/(4 I_3) = {value!r} near y = {y:.6g}"
+            )
+        return value
+
+    def stage(rhs, dh, th, reuse):
+        """(G, th, bands, matrix) of the stage (I - dh A(th)) G = rhs; the
+        matrix is kept only if ``reuse``.  The closure re-solves at
+        th = closure_theta(G) until th is a fixed point."""
+        for _ in range(_CLOSURE_ITERATIONS):
+            bands = op.assemble(th)
+            matrix = op.stage_matrix(bands, dh) if reuse else None
+            G = op.solve(matrix, rhs) if reuse else op.step(rhs, bands, dh)
+            if not closure:
+                return G, th, bands, matrix
+            th_next = closure_theta(G)
+            if abs(th_next - th) < _CLOSURE_RTOL * th:
+                return G, th, bands, matrix
+            th = th_next
+        raise _ClosureUnsettled
+
+    th = closure_theta(F) if closure else theta(0.0)
+    k1 = op.apply(op.assemble(th), F)
 
     F_max = F.max()
     atol = 1e-3 * rtol * float(F_max) if F_max > 0 else 1e-3 * rtol
-    y = 0.0
     dy = float(initial_dy)
     min_dy = 1e-13 * max(1.0, grid.y_end)
 
@@ -592,14 +647,19 @@ def solve_transport(
             )
 
         dh = _D * dy_try
-        # trapezoidal stage to y + gamma h
-        F_tr = op.step(F + dh * k1, op.assemble(theta(y + _GAMMA * dy_try)), dh)
-        k2 = (F_tr - F) / dh - k1
-        # BDF2 stage to y + h; its matrix also filters the error estimate
-        bands = op.assemble(theta(y + dy_try))
-        bdf2 = op.stage_matrix(bands, dh)
-        rhs = F + (_W * dy_try) * (k1 + k2)
-        F_new = op.solve(bdf2, rhs)
+        try:
+            # trapezoidal stage to y + gamma h
+            th_tr = th if closure else theta(y + _GAMMA * dy_try)
+            F_tr, th_tr, _, _ = stage(F + dh * k1, dh, th_tr, reuse=False)
+            k2 = (F_tr - F) / dh - k1
+            # BDF2 stage to y + h; its matrix also filters the error estimate
+            rhs = F + (_W * dy_try) * (k1 + k2)
+            th_new = th_tr if closure else theta(y + dy_try)
+            F_new, th_new, bands, bdf2 = stage(rhs, dh, th_new, reuse=True)
+        except _ClosureUnsettled:
+            rejected += 1
+            dy = max(dy_try * 0.5, min_dy / 2)
+            continue
         k3 = (F_new - rhs) / dh
         est = op.solve(bdf2, dy_try * (_E1 * k1 + _E2 * k2 + _E3 * k3))
 
@@ -634,7 +694,7 @@ def solve_transport(
             F_new = np.where(neg, 0.0, F_new)
             F_new *= number / float((F_new * dx).sum())
             k3 = op.apply(bands, F_new)
-        F, k1 = F_new, k3
+        F, k1, th = F_new, k3, th_new
         accepted += 1
         dy_min_seen = min(dy_min_seen, dy_try)
         dy_max_seen = max(dy_max_seen, dy_try)

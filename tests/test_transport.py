@@ -30,6 +30,7 @@ from compfrac.spectra import (
     GaussianPulse,
     Monoenergetic,
     TransportParams,
+    UnsupportedParams,
     equilibrium_spectrum,
 )
 from compfrac.transport import (
@@ -110,6 +111,8 @@ def test_grid_snapshot_sequence_is_sorted():
         dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(0.2, 0.1)),
         dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(0.0, 0.5, 0.5, 1.0)),
         dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(1.5,)),
+        dict(edges=(1.0, 2.0, 3.0), y_end=math.nan, snapshot_times=()),
+        dict(edges=(1.0, 2.0, 3.0), y_end=math.inf, snapshot_times=()),
     ],
 )
 def test_grid_validation(kwargs):
@@ -521,6 +524,92 @@ def test_clipping_keeps_photon_number():
     assert conservation_report(sol).number_drift <= 1e-12
     for _, F in sol.snapshots:
         assert float(F.min()) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# self-consistent closure theta = I_4 / (4 I_3)
+
+
+def closure_curve(sol):
+    """theta_ref = I_4 / (4 I_3) of every snapshot, by the solver's cell rule."""
+    return [sol.moment(4, t) / (4.0 * sol.moment(3, t)) for t, _ in sol.snapshots]
+
+
+@pytest.fixture(scope="module")
+def closure_runs():
+    """The closure on the two shipped reproduce grids."""
+    return {
+        "pulse": solve_transport(
+            Monoenergetic(), TemperatureFn.selfconsistent(),
+            Grid.log_spaced(cells=400, x_min=1e-3, snapshots=21),
+        ),
+        "freefree": solve_transport(
+            Bremsstrahlung(), TemperatureFn.selfconsistent(),
+            Grid.log_spaced(cells=600, x_min=1e-5, snapshots=21),
+        ),
+    }
+
+
+def test_closure_keeps_wien_fixed_point():
+    # the sampled Wien spectrum at theta_eq = 4/3 reads its own temperature
+    # back; the solver must leave it there (measured: within 5.1e-11)
+    grid = Grid.log_spaced(cells=400, snapshots=21)
+    ic = equilibrium_spectrum(COMPTONIZATION, n_r=1, theta_eq=Fraction(4, 3))
+    sol = solve_transport(ic, TemperatureFn.selfconsistent(), grid)
+    assert sol.theta_description == TemperatureFn.selfconsistent().description
+    assert len(sol.snapshots) == 21
+    for value in closure_curve(sol):
+        assert abs(value - 4.0 / 3.0) <= 1e-10
+
+
+def test_closure_conserves_photon_number(closure_runs):
+    for sol in closure_runs.values():
+        assert conservation_report(sol).number_drift <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    # theta_ref(2) / theta_ref(0); rtol 1e-6 and 1e-8 agree within 6e-7
+    [("pulse", 1.331887), ("freefree", 0.148193)],
+)
+def test_closure_reference_temperature_pinned(closure_runs, case, want):
+    sol = closure_runs[case]
+    curve = closure_curve(sol)
+    assert sol.snapshots[-1][0] == 2.0
+    assert curve[-1] / curve[0] == pytest.approx(want, rel=1e-5)
+
+
+def test_closure_needs_comptonization():
+    grid = Grid.log_spaced(cells=40, snapshots=())
+    with pytest.raises(UnsupportedParams):
+        solve_transport(
+            Monoenergetic(), TemperatureFn.selfconsistent(), grid,
+            params=TransportParams(2, 1, 2, 4),
+        )
+
+
+def test_closure_of_empty_spectrum_rejected():
+    # the pulse at x = 4 underflows to zero on [20, 50]: I_3 = 0
+    grid = Grid.log_spaced(cells=40, x_min=20.0, snapshots=())
+    with pytest.raises(NonPositiveTemperature):
+        solve_transport(Monoenergetic(), TemperatureFn.selfconsistent(), grid)
+
+
+def test_unsettled_closure_stage_retried_narrower(monkeypatch):
+    grid = Grid.log_spaced(cells=80, snapshots=5)
+    settled = solve_transport(Monoenergetic(), TemperatureFn.selfconsistent(), grid)
+    # fewer solves than the stages need: attempts are rejected, never
+    # accepted, and the narrower retries reach the same temperatures
+    monkeypatch.setattr(transport, "_CLOSURE_ITERATIONS", 6)
+    capped = solve_transport(Monoenergetic(), TemperatureFn.selfconsistent(), grid)
+    assert capped.stats["steps_rejected"] > settled.stats["steps_rejected"]
+    assert capped.stats["steps_rejected_negative"] == 0
+    for a, b in zip(closure_curve(capped), closure_curve(settled)):
+        assert a == pytest.approx(b, rel=1e-5)
+    # one solve per stage never settles, so the step shrinks to its floor
+    monkeypatch.setattr(transport, "_CLOSURE_ITERATIONS", 1)
+    with pytest.raises(StepSizeUnderflow):
+        solve_transport(Monoenergetic(), TemperatureFn.selfconsistent(), grid)
 
 
 # ---------------------------------------------------------------------------
