@@ -13,9 +13,10 @@ not inherit the setting.  compfrac makes no threaded BLAS call (its one
 LAPACK routine, dgtsv, runs sequentially and is taken from numpy's
 OpenBLAS), and the worker threads OpenBLAS would otherwise start spin for
 about 0.1 s after loading, competing with the main thread on a small
-machine.  Where numpy's LAPACK exports no dgtsv, scipy's LAPACK wrapper and
-its own OpenBLAS load under the same setting.  Set the variable before
-starting Python to choose another thread count.
+machine.  Where numpy's LAPACK exports no dgtsv, transport imports it from
+scipy.linalg.lapack (about 0.3 s more), and scipy's own OpenBLAS loads under
+the same setting.  Set the variable before starting Python to choose another
+thread count.
 """
 
 import os
@@ -70,7 +71,6 @@ from .transport import (
     PositivityViolation,
     SnapshotMissing,
     TemperatureFn,
-    drift_diffusion,
     grid_moment,
     solve_transport,
 )

@@ -206,7 +206,10 @@ def _parse_spectrum(spec: str):
             raise ConfigError("spectrum", str(exc))
         if theta_eq <= 0:
             raise ConfigError("spectrum", f"wien temperature must be positive, got {arg}")
-        return equilibrium_spectrum(COMPTONIZATION, n_r=1, theta_eq=theta_eq)
+        try:
+            return equilibrium_spectrum(COMPTONIZATION, n_r=1, theta_eq=theta_eq)
+        except (ZeroDivisionError, OverflowError):
+            raise ConfigError("spectrum", f"wien temperature {arg} is out of floating-point range")
     raise ConfigError(
         "spectrum",
         f"unknown spectrum {spec!r}; expected monoenergetic, bremsstrahlung, or wien:THETA",

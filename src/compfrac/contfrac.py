@@ -18,11 +18,11 @@ Each fraction is folded into rational forms P_n/Q_n once: the first
 request for any level runs the three-term convergent recurrence over
 every level 0..N and caches one RationalForm per level on the instance,
 so selection, defect reports and the driving temperature all read the
-same fold.  A form holds the level's integer polynomials; its Fraction
-coefficients and its float coefficients (each rounded once from the
-integers) are built on first use.
-Polynomials are evaluated by Horner's rule: _horner for float
-coefficients, _homogeneous for integer ones at y = a/b.
+same fold, and so do cf_eval (float) and cf_eval_exact (exact).  A form
+holds the level's integer polynomials; its Fraction coefficients and its
+float coefficients (each rounded once from the integers) are built on
+first use.  Polynomials are evaluated by Horner's rule: _horner for
+float coefficients, _homogeneous for integer ones at y = a/b.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class ContinuedFraction:
     @property
     def truncation(self) -> int:
         return len(self.coefficients) - 1
-
-    @cached_property
-    def floats(self) -> tuple:
-        return tuple(float(c) for c in self.coefficients)
 
     def __getitem__(self, n: int) -> Fraction:
         return self.coefficients[n]
@@ -196,43 +192,30 @@ def cf_coefficients(table: DerivativeTable) -> ContinuedFraction:
     )
 
 
-# a backward-recurrence denominator below this, relative to its natural
-# scale, counts as a pole
+# a denominator |Q(y)| at most this, relative to its natural scale
+# sum_k |q_k| |y|^k, counts as a pole
 _POLE_TOL = 1e-12
 
 
 def cf_eval(cf: ContinuedFraction, level: int, y) -> float:
-    """Evaluate Psi_level(y) by backward recurrence in double precision.
-
-    Raises PoleHit when any denominator in the recurrence falls below
-    _POLE_TOL relative to its natural scale.
-    """
-    _check_level(level, cf.truncation, "fraction holds levels")
-    c = cf.floats
+    """Psi_level(y) = P(y)/Q(y) by Horner's rule on the level's floats, the
+    same floats that drive the solve; PoleHit where |Q(y)| is at most
+    _POLE_TOL relative to its natural scale."""
+    num, den, _ = to_rational(cf, level).floats
     yv = float(y)
-    t = 1.0
-    for n in range(level, 0, -1):
-        scale = max(1.0, abs(c[n] * yv))
-        if abs(t) < _POLE_TOL * scale:
-            raise PoleHit(yv, n)
-        t = 1.0 + c[n] * yv / t
-    if abs(t) < _POLE_TOL:
-        raise PoleHit(yv, 0)
-    return c[0] / t
+    q = _horner(den, yv)
+    if abs(q) <= _POLE_TOL * _abs_poly_scale(den, yv):
+        raise PoleHit(yv, level)
+    return _horner(num, yv) / q
 
 
 def cf_eval_exact(cf: ContinuedFraction, level: int, y: Fraction) -> Fraction:
-    """Exact rational evaluation of Psi_level at rational y."""
-    _check_level(level, cf.truncation, "fraction holds levels")
-    y = Fraction(y)
-    t = Fraction(1)
-    for n in range(level, 0, -1):
-        if t == 0:
-            raise PoleHit(y, n)
-        t = 1 + cf[n] * y / t
-    if t == 0:
-        raise PoleHit(y, 0)
-    return cf[0] / t
+    """Exact rational evaluation of Psi_level at rational y, on the level's
+    integer form."""
+    try:
+        return to_rational(cf, level).eval_exact(y)
+    except PoleHit as exc:
+        raise PoleHit(exc.y, level) from None
 
 
 @dataclass(frozen=True)
@@ -396,15 +379,20 @@ def find_defects(form: RationalForm, y_max: float) -> DefectReport:
     """Scan (0, y_max] for real denominator roots of one level's form,
     on its float coefficients.
 
-    A dense sign scan (_SCAN_PANELS intervals) catches every
+    A denominator with no negative integer coefficient (q[0] > 0 always)
+    has no positive root by Descartes' rule of signs, and its float Horner
+    sum on y >= 0 never falls below Q(0) = 1, so the scan is skipped.
+    Otherwise a dense sign scan (_SCAN_PANELS intervals) catches every
     odd-multiplicity root wider than the panel spacing; bisection then
     refines each bracket to _ROOT_TOL.  A root where the numerator also
     vanishes (relative residual below _CANCEL_TOL) is a removable common
     factor, not a defect, and is dropped.
     """
-    num_f, den_f, dden_f = form.floats
     if y_max <= 0:
         raise ValueError("y_max must be positive")
+    if min(form.q) >= 0:
+        return DefectReport(poles=(), y_max=float(y_max), panels=_SCAN_PANELS)
+    num_f, den_f, dden_f = form.floats
     ys = np.linspace(0.0, y_max, _SCAN_PANELS + 1)
     vals = _horner(den_f, ys)
     fa, fb = vals[:-1], vals[1:]

@@ -9,11 +9,12 @@ Both routes below advance truncated Taylor series (jets) of the moments
 through this hierarchy in exact rational arithmetic, with Cauchy
 products for I_{n+j-1}/theta and the series reciprocal of theta
 (Taylor-mode differentiation; Griewank & Walther, Evaluating
-Derivatives, 2nd ed. 2008, ch. 13).  The arithmetic inside is in
-integers: every jet shares one denominator per order, so each Cauchy
-product is an integer dot product and each order is normalised by one
-gcd; Fractions appear only at the interface (the table values).  They
-differ in how the temperature is recovered:
+Derivatives, 2nd ed. 2008, ch. 13).  The moment jets are in integers:
+every jet shares one denominator per order, so each Cauchy product is an
+integer dot product and each order is normalised by one gcd.  The series
+of theta and 1/theta stay Fractions, one per order, whose quotient terms
+(_quotient_term) take each dot product over one common denominator
+(_dot).  They differ in how the temperature is recovered:
 
 * the Comptonization route (i=j=k=2, alpha=4), where energy conservation
   closes the hierarchy: theta is the series quotient I_4/(4 I_3) over the

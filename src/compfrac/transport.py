@@ -25,11 +25,7 @@ fixed point inside each implicit stage as in an index-1 DAE.
 from __future__ import annotations
 
 import ctypes
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -49,44 +45,6 @@ from .spectra import (
     UnsupportedParams,
     profile_function,
 )
-
-
-def _load_dgtsv():
-    """LAPACK dgtsv from scipy's compiled LAPACK wrapper, without
-    importing scipy.linalg.
-
-    scipy.linalg.lapack.dgtsv is the dgtsv of the extension module
-    scipy.linalg._flapack, so loading that module alone gives the same
-    routine and bit-identical solves, while the import of scipy.linalg
-    (hundreds of modules, about 0.3 s) is skipped.  Creating the module
-    enters it in sys.modules (it is a single-phase extension module);
-    the entry is taken out again, so a later ``import scipy.linalg``
-    imports it as usual, and CPython then hands back the same routines.
-    The scipy package itself is located with find_spec, which does not
-    run scipy/__init__ and so spares its two dozen modules as well.
-    Falls back to the public import if scipy.linalg is already loaded or
-    the package or module cannot be found or loaded.
-    """
-    name = "scipy.linalg._flapack"
-    spec = None
-    if name not in sys.modules:
-        package = importlib.util.find_spec("scipy")
-        locations = package.submodule_search_locations if package is not None else None
-        if locations:
-            linalg_dirs = [os.path.join(d, "linalg") for d in locations]
-            spec = importlib.machinery.PathFinder.find_spec(name, linalg_dirs)
-    if spec is not None:
-        try:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module.dgtsv
-        except ImportError:
-            pass
-        finally:
-            sys.modules.pop(name, None)
-    from scipy.linalg.lapack import dgtsv
-
-    return dgtsv
 
 
 # dgtsv as numpy's bundled scipy-openblas64 exports it: prefix scipy_, and
@@ -112,10 +70,13 @@ def _find_numpy_dgtsv():
     return routine
 
 
-# scipy's LAPACK, with its own second OpenBLAS, is loaded only where
-# numpy's exports no dgtsv
+# scipy's LAPACK, with its own second OpenBLAS and the import of
+# scipy.linalg (about 0.3 s), is loaded only where numpy's exports no dgtsv
 _numpy_gtsv = _find_numpy_dgtsv()
-dgtsv = _load_dgtsv() if _numpy_gtsv is None else None
+if _numpy_gtsv is None:
+    from scipy.linalg.lapack import dgtsv
+else:
+    dgtsv = None
 
 
 class NonPositiveTemperature(ValueError):
@@ -136,7 +97,7 @@ class SnapshotMissing(KeyError):
 
 
 class NonFiniteState(ArithmeticError):
-    """A step produced a NaN or infinite value, or a singular step matrix."""
+    """A NaN or infinite value in the initial state or a step, or a singular step matrix."""
 
 
 @dataclass(frozen=True)
@@ -217,12 +178,18 @@ class Grid:
 @dataclass(frozen=True)
 class TemperatureFn:
     """theta(y) as a plain callable plus a provenance description; the
-    ``selfconsistent`` kind (fn None) is the closure I_4(F)/(4 I_3(F))."""
+    ``selfconsistent`` kind (fn None) is the closure I_4(F)/(4 I_3(F)).
+    ``fn`` takes a float y, and once the pre-check's numpy array of y."""
 
     fn: Callable[[float], float] | None
     description: str
 
     def __call__(self, y: float) -> float:
+        if self.fn is None:
+            raise TypeError(
+                f"the {self.description} has no value at a bare y; read "
+                "I_4/(4 I_3) of a solution's snapshot with PdeSolution.moment"
+            )
         return float(self.fn(y))
 
     @classmethod
@@ -265,15 +232,17 @@ _POSITIVITY_SAMPLES = 2048
 
 
 def check_temperature_positive(theta: TemperatureFn, y_end: float):
-    """Dense positivity pre-check; raises naming the first bad y."""
+    """Dense positivity pre-check by one call of theta.fn on every sample;
+    raises naming the first bad y."""
     ys = np.linspace(0.0, y_end, _POSITIVITY_SAMPLES)
-    for y in ys:
-        v = theta(float(y))
-        if not math.isfinite(v) or v <= 0:
-            raise NonPositiveTemperature(
-                f"theta(y) = {v!r} at y = {float(y):.6g}; the transport "
-                f"equation requires a strictly positive temperature"
-            )
+    values = np.broadcast_to(np.asarray(theta.fn(ys), dtype=float), ys.shape)
+    bad = ~(np.isfinite(values) & (values > 0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonPositiveTemperature(
+            f"theta(y) = {float(values[k])!r} at y = {float(ys[k]):.6g}; the "
+            f"transport equation requires a strictly positive temperature"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,21 +307,6 @@ def grid_moment(grid: Grid, F: np.ndarray, n, params: TransportParams) -> float:
     return float(np.sum(x ** shift * F * grid.widths))
 
 
-def drift_diffusion(params: TransportParams, theta, x):
-    """Rates of change of mean position and variance for a narrow pulse at x.
-
-    Returns (d<x>/dy, d sigma^2/dy) = ((i+k) x^(k-1) - x^j/theta, 2 x^k).
-    The drift vanishes at the balance point x = (i + k) theta when
-    j - k + 1 = 1; the spreading rate never depends on theta.  Accepts
-    scalars or arrays.
-    """
-    i = float(params.i)
-    j = float(params.j)
-    k = float(params.k)
-    drift = (i + k) * x ** (k - 1.0) - x ** j / theta
-    return drift, 2.0 * x ** k
-
-
 def initial_cell_values(
     spectrum, grid: Grid, params: TransportParams
 ) -> tuple[np.ndarray, object]:
@@ -370,8 +324,10 @@ def initial_cell_values(
     f0 = profile_function(actual)
     x = grid.centers
     F = x ** float(params.i) * f0(x)
-    if np.any(~np.isfinite(F)) or np.any(F < 0):
-        raise ValueError("initial condition must be finite and non-negative on the grid")
+    if not np.isfinite(F).all():
+        raise NonFiniteState(f"initial condition is not finite up to x_max = {grid.edges[-1]:.6g}")
+    if np.any(F < 0):
+        raise ValueError("initial condition must be non-negative on the grid")
     return F, actual
 
 

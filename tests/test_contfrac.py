@@ -23,6 +23,7 @@ from compfrac.contfrac import (
     cf_eval,
     cf_eval_exact,
     _fold,
+    _horner,
     find_defects,
     maclaurin_of_rational,
     select_approximant,
@@ -125,12 +126,12 @@ def test_low_level_evaluations(mono_cf):
 
 
 def test_rational_form_matches_backward_recurrence(mono_cf, brems_cf):
-    # the solve's driving temperature (Horner on the form's floats) and
-    # the published cf_curves (the backward recurrence) agree to roundoff
+    # the solve's driving temperature and the published cf_curves both
+    # take Horner's rule on the level's float form, so they are equal
     for cf in (mono_cf, brems_cf):
         theta = TemperatureFn.from_continued_fraction(cf, 24)
         for y in np.linspace(0.0, 2.0, 2048):
-            assert abs(theta(y) / cf_eval(cf, 24, y) - 1.0) <= 1e-13
+            assert theta(y) == cf_eval(cf, 24, y)
 
 
 def test_tail_values_frozen(mono_cf, brems_cf):
@@ -150,11 +151,12 @@ def test_pole_hit_on_first_convergent(mono_cf):
     # Psi_1 = 1/(1 - 2y) blows up at y = 1/2
     with pytest.raises(PoleHit) as exc:
         cf_eval_exact(mono_cf, 1, Fraction(1, 2))
-    assert exc.value.level == 0
+    assert exc.value.level == 1
     with pytest.raises(PoleHit):
         to_rational(mono_cf, 1).eval_exact(Fraction(1, 2))
-    with pytest.raises(PoleHit):
+    with pytest.raises(PoleHit) as exc:
         cf_eval(mono_cf, 1, 0.5)
+    assert exc.value.level == 1
 
 
 def test_level_bounds_checked(mono_cf, mono_table):
@@ -257,6 +259,39 @@ def test_defect_scan_finds_odd_level_pole(mono_cf):
     assert pole.multiplicity == 1
     assert report.y_max == 2.0
     assert not report.is_empty()
+
+
+@pytest.fixture(scope="module")
+def shipped_fractions_64():
+    return {
+        name: cf_coefficients(theta_derivatives_comptonization(spectrum, 64))
+        for name, spectrum in (("pulse", Monoenergetic()), ("freefree", Bremsstrahlung()))
+    }
+
+
+def test_descartes_certificate_skips_only_positive_denominators(
+    shipped_fractions_64, mono_cf
+):
+    # a level whose integer q has no negative coefficient skips the float
+    # scan; its float Q must then be strictly positive at every scan point
+    ys = np.linspace(0.0, 2.0, 4097)
+    skipped = {}
+    for name, cf in shipped_fractions_64.items():
+        skipped[name] = []
+        for n in range(cf.truncation + 1):
+            form = to_rational(cf, n)
+            if min(form.q) >= 0:
+                skipped[name].append(n)
+                assert (_horner(form.floats[1], ys) > 0).all()
+                assert find_defects(form, 2.0).is_empty()
+    # every free-free coefficient is positive; 19 of the 65 pulse levels
+    # have no sign change in q, and 17 of 25 at M = 24
+    assert skipped["freefree"] == list(range(65))
+    assert len(skipped["pulse"]) == 19
+    assert sum(min(to_rational(mono_cf, n).q) >= 0 for n in range(25)) == 17
+    for level in (1, 5):
+        assert min(to_rational(mono_cf, level).q) < 0
+        assert len(find_defects(to_rational(mono_cf, level), 2.0).poles) == 1
 
 
 @pytest.mark.parametrize("level", [2, 4, 12, 24])

@@ -9,11 +9,8 @@ the sampled equilibrium profile an exact stationary state, which is
 tested directly.
 """
 
-import importlib.machinery
-import importlib.util
 import json
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -41,9 +38,7 @@ from compfrac.transport import (
     StepSizeUnderflow,
     TemperatureFn,
     _lambda_minus,
-    _load_dgtsv,
     _Operator,
-    drift_diffusion,
     grid_moment,
     initial_cell_values,
     solve_transport,
@@ -219,91 +214,6 @@ def test_step_matches_banded_solve():
             assert np.array_equal(op.solve(matrix, F), want)
 
 
-def _no_flapack_spec(monkeypatch, hits):
-    real = importlib.machinery.PathFinder.find_spec
-
-    def find_spec(name, path=None, target=None):
-        if name == "scipy.linalg._flapack":
-            hits.append(name)
-            return None
-        return real(name, path, target)
-
-    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", find_spec)
-
-
-def _flapack_load_fails(monkeypatch, hits):
-    real = importlib.util.module_from_spec
-
-    def module_from_spec(spec):
-        if spec.name == "scipy.linalg._flapack":
-            hits.append(spec.name)
-            raise ImportError("simulated load failure")
-        return real(spec)
-
-    monkeypatch.setattr(importlib.util, "module_from_spec", module_from_spec)
-
-
-def _scipy_spec(monkeypatch, hits, spec):
-    real = importlib.util.find_spec
-
-    def find_spec(name, package=None):
-        if name == "scipy":
-            hits.append(name)
-            return spec
-        return real(name, package)
-
-    monkeypatch.setattr(importlib.util, "find_spec", find_spec)
-
-
-def _no_scipy_spec(monkeypatch, hits):
-    _scipy_spec(monkeypatch, hits, None)
-
-
-def _scipy_spec_without_locations(monkeypatch, hits):
-    # a plain module spec, not a package: submodule_search_locations is None
-    _scipy_spec(monkeypatch, hits, importlib.machinery.ModuleSpec("scipy", None))
-
-
-@pytest.mark.parametrize(
-    "breakage, hit",
-    [
-        (_no_flapack_spec, "scipy.linalg._flapack"),
-        (_flapack_load_fails, "scipy.linalg._flapack"),
-        (_no_scipy_spec, "scipy"),
-        (_scipy_spec_without_locations, "scipy"),
-    ],
-    ids=["spec_missing", "load_fails", "scipy_spec_missing", "scipy_no_locations"],
-)
-def test_dgtsv_loader_falls_back_to_public_import(monkeypatch, breakage, hit):
-    # scipy.linalg is loaded here, so hide its LAPACK module from the
-    # loader to reach the direct load it would try in a fresh process
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    hits = []
-    breakage(monkeypatch, hits)
-    loaded = _load_dgtsv()
-    assert hits == [hit]
-    assert "scipy.linalg._flapack" not in sys.modules
-    assert loaded is public_dgtsv
-    rng = np.random.default_rng(3)
-    lower, upper = rng.uniform(-1, 0, 49), rng.uniform(-1, 0, 49)
-    diag, rhs = rng.uniform(2.5, 3.0, 50), rng.uniform(0, 1, 50)
-    _, _, _, got, info = loaded(lower, diag, upper, rhs)
-    assert info == 0
-    op = _Operator(Grid.log_spaced(cells=50, snapshots=()), COMPTONIZATION)
-    assert np.array_equal(got, op.solve((lower, diag, upper), rhs))
-
-
-def test_dgtsv_loader_keeps_loaded_scipy_linalg(monkeypatch):
-    # with scipy.linalg already imported the loader takes the public
-    # routine and leaves its module in sys.modules
-    hits = []
-    _no_flapack_spec(monkeypatch, hits)
-    flapack = sys.modules["scipy.linalg._flapack"]
-    assert _load_dgtsv() is public_dgtsv
-    assert hits == []
-    assert sys.modules["scipy.linalg._flapack"] is flapack
-
-
 def _stage_systems(grid, params=COMPTONIZATION):
     """Stage matrices and right-hand sides of the kind TR-BDF2 solves."""
     op = _Operator(grid, params)
@@ -332,7 +242,7 @@ def test_operator_falls_back_to_scipy_dgtsv(monkeypatch, grid):
     monkeypatch.setattr(transport, "_NUMPY_DGTSV", "no_such_symbol_")
     assert transport._find_numpy_dgtsv() is None
     monkeypatch.setattr(transport, "_numpy_gtsv", None)
-    monkeypatch.setattr(transport, "dgtsv", _load_dgtsv())
+    monkeypatch.setattr(transport, "dgtsv", public_dgtsv)
     op = _Operator(grid, COMPTONIZATION)
     for (bands, dy, F), (step_want, solve_want) in zip(_stage_systems(grid), want):
         assert np.array_equal(op.step(F, bands, dy), step_want)
@@ -372,23 +282,32 @@ def test_operator_second_order_convergence():
 
 
 def test_drift_diffusion_rates():
-    drift, diff = drift_diffusion(COMPTONIZATION, 1.0, 1.0)
-    assert (drift, diff) == (3.0, 2.0)
+    # a narrow pulse at x moves at d<x>/dy = (i + k) x^(k-1) - x^j/theta and
+    # spreads at d sigma^2/dy = 2 x^k; Comptonization has i = k = 2, j = 2
+    assert (COMPTONIZATION.i, COMPTONIZATION.j, COMPTONIZATION.k) == (2, 2, 2)
+
+    def drift(theta, x):
+        return 4.0 * x - x**2 / theta
+
+    assert drift(1.0, 1.0) == 3.0
     # the drift changes sign at x = (i + k) theta
     theta = 4.0 / 3.0
-    balanced, _ = drift_diffusion(COMPTONIZATION, theta, 4.0 * theta)
-    assert balanced == pytest.approx(0.0, abs=1e-12)
-    below, _ = drift_diffusion(COMPTONIZATION, theta, 4.0 * theta - 0.5)
-    above, _ = drift_diffusion(COMPTONIZATION, theta, 4.0 * theta + 0.5)
-    assert below > 0 > above
+    assert drift(theta, 4.0 * theta) == pytest.approx(0.0, abs=1e-12)
+    assert drift(theta, 4.0 * theta - 0.5) > 0 > drift(theta, 4.0 * theta + 0.5)
 
 
 def test_diffusion_rate_ignores_temperature():
-    x = np.geomspace(1e-2, 40, 17)
-    _, d_cold = drift_diffusion(COMPTONIZATION, 0.5, x)
-    _, d_hot = drift_diffusion(COMPTONIZATION, 7.0, x)
-    assert np.array_equal(d_cold, d_hot)
-    assert np.allclose(d_cold, 2.0 * x**2, rtol=1e-15)
+    # the spreading rate 2 x^k is twice the diffusion coefficient C = x^k,
+    # which the operator holds as interface conductances x^k / gap; they
+    # are built once per grid and no assembly at any theta touches them
+    grid = Grid.log_spaced(cells=40, snapshots=())
+    op = _Operator(grid, COMPTONIZATION)
+    xe = np.asarray(grid.edges[1:-1])
+    g = op.g.copy()
+    assert np.allclose(g * np.diff(grid.centers), xe**2, rtol=1e-14)
+    op.assemble(0.5)
+    op.assemble(7.0)
+    assert np.array_equal(op.g, g)
 
 
 def test_operator_conserves_number_exactly():
@@ -473,14 +392,16 @@ def test_nonfinite_temperature_mid_run_rejected():
     calls = []
 
     def fn(y):
-        # finite through the 2,048-sample positivity pre-check, NaN after
+        # finite through the positivity pre-check, one call on all of its
+        # 2,048 samples; NaN at every scalar call of the stepping loop
         calls.append(y)
-        return 1.0 if len(calls) <= 2048 else math.nan
+        return np.ones_like(y) if len(calls) == 1 else math.nan
 
     theta = TemperatureFn(fn, "NaN after the pre-check")
     grid = Grid.log_spaced(cells=40, snapshots=())
     with pytest.raises(NonFiniteState):
         solve_transport(Bremsstrahlung(), theta, grid)
+    assert np.shape(calls[0]) == (2048,) and len(calls) > 1
 
 
 def test_step_budget_enforced():
@@ -789,7 +710,7 @@ def test_solve_on_scipy_dgtsv_matches_numpy_path(monkeypatch, request):
     kwargs = ORACLE_CASES["negative"](request)
     want = solve_transport(**kwargs)
     monkeypatch.setattr(transport, "_numpy_gtsv", None)
-    monkeypatch.setattr(transport, "dgtsv", _load_dgtsv())
+    monkeypatch.setattr(transport, "dgtsv", public_dgtsv)
     got = solve_transport(**kwargs)
     assert got.stats["steps_rejected_negative"] > 0
     assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]

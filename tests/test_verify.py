@@ -152,3 +152,11 @@ def test_conservation_report_json():
     data = rep.to_json_dict()
     assert data["schema"] == "compfrac.conservation/1"
     assert data["steps"] == 10
+
+
+def test_closure_has_no_value_at_bare_y(brems_run):
+    # the closure's theta is a moment ratio of a solution, not a curve in y
+    closure = TemperatureFn.selfconsistent()
+    for call in (lambda: closure(1.0), lambda: self_consistency(brems_run, closure)):
+        with pytest.raises(TypeError, match=r"self-consistent closure .*PdeSolution\.moment"):
+            call()
