@@ -171,8 +171,12 @@ def _validate(config: RunConfig) -> None:
     _parse_spectrum(config.spectrum)
     if not 0 <= config.M <= 64:
         raise ConfigError("M", f"order must be within 0..64, got {config.M}")
-    if not config.y_max > 0:
-        raise ConfigError("y_max", f"must be positive, got {config.y_max}")
+    if not 0 < config.y_max <= 1e6:
+        raise ConfigError(
+            "y_max",
+            f"must lie in (0, 1e6], got {config.y_max}; the solver's step floor "
+            "1e-13 y_max must stay well below its first step, 1e-5",
+        )
     if config.grid_cells < 8:
         raise ConfigError("grid_cells", f"need at least 8 cells, got {config.grid_cells}")
     if not 0 < config.grid_x_min < config.grid_x_max:
@@ -485,7 +489,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--spectrum", help="monoenergetic | bremsstrahlung | wien:THETA")
     sub.add_argument("--M", dest="M", help="derivative order (default 24)")
-    sub.add_argument("--y-max", dest="y_max", help="evolution horizon (default 2)")
+    sub.add_argument("--y-max", dest="y_max", help="evolution horizon, at most 1e6 (default 2)")
     sub.add_argument("--theta", help="cf | cf:N | taylor:N | constant:V")
     sub.add_argument("--grid-cells", dest="grid_cells")
     sub.add_argument("--grid-x-min", dest="grid_x_min")

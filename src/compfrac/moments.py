@@ -44,7 +44,6 @@ from .spectra import (
     DegenerateAlphaWarning,
     InitialSpectrum,
     TransportParams,
-    check_temperature_normalization,
     initial_moment,
 )
 
@@ -268,7 +267,8 @@ def comptonization_table_from_moments(
     ``moments`` maps integer indices 3 .. order+4 to exact rational
     I_n(0) values (ints or Fractions; anything else is rejected).  Each
     moment I_n is expanded to order min(M, M+4-n), the depth that
-    theta^(M) = M! [y^M] I_4/(4 I_3) still reads.
+    theta^(M) = M! [y^M] I_4/(4 I_3) still reads.  Moments with
+    I_4(0) != 4 I_3(0) break the closure theta(0) = 1 and are rejected.
     """
     inexact = sorted(n for n, v in moments.items() if not isinstance(v, numbers.Rational))
     if inexact:
@@ -281,15 +281,21 @@ def comptonization_table_from_moments(
     if initial[3] <= 0:
         raise NonlinearSolveImpossible("conserved energy moment I_3(0) must be positive")
 
-    terms = {n: _hierarchy_terms(COMPTONIZATION, Fraction(n)) for n in needed}
-    depth = {n: min(order, order + 4 - n) for n in needed}
-    jets = _Jets({n: initial[n] for n in needed}, terms, depth)
     theta = [initial[4] / (4 * initial[3])]
     if order and theta[0] == 0:
         raise NonlinearSolveImpossible(
             "I_4(0) = 0 makes theta(0) = 0, so 1/theta has no series; "
             "the spectrum is degenerate"
         )
+    if theta[0] != 1:
+        raise NormalizationError(
+            f"spectrum fails the closure check I_4(0) / (4 I_3(0)): "
+            f"ratio = {theta[0]}; energy conservation needs theta(0) = 1"
+        )
+
+    terms = {n: _hierarchy_terms(COMPTONIZATION, Fraction(n)) for n in needed}
+    depth = {n: min(order, order + 4 - n) for n in needed}
+    jets = _Jets({n: initial[n] for n in needed}, terms, depth)
     i3 = [initial[3]]
     recip: list = []
     for c in range(order):
@@ -298,14 +304,8 @@ def comptonization_table_from_moments(
         i3.append(jets[3, c + 1])
         theta.append(_quotient_term(jets[4, c + 1] / 4, i3, theta))
 
-    values = _derivatives(theta)
-    if values[0] != 1:
-        raise NormalizationError(
-            f"I_4(0)/(4 I_3(0)) = {values[0]}, so theta(0) != 1; "
-            "the spectrum violates energy-conservation closure"
-        )
     return DerivativeTable(
-        values=values,
+        values=_derivatives(theta),
         provenance="comptonization-route",
         params=COMPTONIZATION,
         spectrum=spectrum_label,
@@ -315,11 +315,6 @@ def comptonization_table_from_moments(
 
 def theta_derivatives_comptonization(spectrum: InitialSpectrum, order: int) -> DerivativeTable:
     """Derivative table for the standard Comptonization parameters."""
-    report = check_temperature_normalization(spectrum, COMPTONIZATION)
-    if not report.passed:
-        raise NormalizationError(
-            f"spectrum fails the closure check {report.detail}: ratio = {report.ratio}"
-        )
     moments = {n: initial_moment(spectrum, n) for n in range(3, order + 5)}
     return comptonization_table_from_moments(moments, order, spectrum.describe())
 

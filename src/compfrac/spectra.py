@@ -65,9 +65,6 @@ class TransportParams:
     def p(self) -> Fraction:
         return self.j - self.k + 1
 
-    def is_comptonization(self) -> bool:
-        return (self.i, self.j, self.k, self.alpha) == (2, 2, 2, 4)
-
     def describe(self) -> str:
         return f"params(i={self.i}, j={self.j}, k={self.k}, alpha={self.alpha})"
 
@@ -268,48 +265,7 @@ def _double_factorial_odd(l: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# normalization and equilibria
-
-
-@dataclass(frozen=True)
-class NormalizationReport:
-    """Result of the temperature-normalization check theta(0) = 1."""
-
-    ratio: Fraction
-    passed: bool
-    constrained: bool
-    detail: str
-
-
-def check_temperature_normalization(
-    spectrum: InitialSpectrum,
-    params: TransportParams = COMPTONIZATION,
-) -> NormalizationReport:
-    """Check the closure condition linking theta to the conserved moments.
-
-    For the Comptonization family (j = k, alpha = i + 2) the energy
-    moment is conserved only if I_{i+j}(0) = (i+k) I_{i+k-1}(0), which
-    for the standard parameters reads I_4(0) = 4 I_3(0).  Parameter sets
-    outside that family carry no such constraint: theta(0) = 1 holds by
-    definition and the check passes trivially.
-    """
-    if params.j == params.k and params.alpha == params.i + 2:
-        num = initial_moment(spectrum, params.i + params.j)
-        den = initial_moment(spectrum, params.i + params.k - 1)
-        factor = params.i + params.k
-        ratio = num / (factor * den)
-        return NormalizationReport(
-            ratio=ratio,
-            passed=ratio == 1,
-            constrained=True,
-            detail=f"I_{params.i + params.j}(0) / ({factor} I_{params.i + params.k - 1}(0))",
-        )
-    return NormalizationReport(
-        ratio=Fraction(1),
-        passed=True,
-        constrained=False,
-        detail="theta(0) = 1 by definition; no closure constraint for these params",
-    )
+# equilibria
 
 
 @dataclass(frozen=True)
@@ -330,7 +286,7 @@ def equilibrium_temperature(
     (number) and I_3 (energy) are conserved, pinning the asymptotic Wien
     temperature at one third of the mean photon energy.
     """
-    if not params.is_comptonization():
+    if params != COMPTONIZATION:
         raise UnsupportedParams(
             "equilibrium temperature relies on number and energy conservation, "
             "available only for i=j=k=2, alpha=4"

@@ -350,15 +350,16 @@ def _lambda_minus(w: np.ndarray) -> np.ndarray:
 
 
 class _Operator:
-    """Tridiagonal rate matrix dF/dy = A F of one grid, and its implicit step.
+    """Tridiagonal rate matrix dF/dy = A F of one grid, and its implicit solve.
 
     Every term that depends only on the grid and the parameters is
     computed once here; ``assemble`` evaluates the theta-dependent rest.
     Each floating-point expression keeps the operation order of a
-    from-scratch assembly, so the bands are bit-identical to it.  A stage
-    matrix I - dy A is built by ``stage_matrix`` and can serve several
-    ``solve`` calls: TR-BDF2 builds its BDF2-stage matrix once for the
-    stage solve and the error filter.  The counters record the work done.
+    from-scratch assembly, so the bands are bit-identical to it.  Every
+    implicit stage builds its matrix I - dy A with ``stage_matrix`` and
+    solves with ``solve``, which leaves the matrix intact: TR-BDF2 keeps
+    its BDF2-stage matrix for the filter of the error estimate.  The
+    counters record the work done.
     """
 
     def __init__(self, grid: Grid, params: TransportParams):
@@ -439,26 +440,6 @@ class _Operator:
         """
         for work, band in zip(self._work, matrix):
             work[...] = band
-        return self._gtsv(rhs)
-
-    def step(self, F: np.ndarray, bands, dy: float) -> np.ndarray:
-        """Solve (1 - dy A) F_new = F: one implicit Euler step of width dy.
-
-        A TR-BDF2 stage of width h is the same solve with dy = d h.  Its
-        matrix is used once, so it is computed straight into the work
-        arrays, with the operations of ``stage_matrix``.
-        """
-        lower, diag, upper = bands
-        dl, d, du = self._work
-        np.multiply(-dy, lower, out=dl)
-        np.multiply(dy, diag, out=d)
-        np.subtract(1.0, d, out=d)
-        np.multiply(-dy, upper, out=du)
-        return self._gtsv(F)
-
-    def _gtsv(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the matrix in the work arrays for rhs; the factors
-        overwrite the matrix."""
         self.linear_solves += 1
         if _numpy_gtsv is None:
             _, _, _, x, info = dgtsv(
@@ -505,18 +486,17 @@ def solve_transport(
     """Integrate the transport equation over [0, y_end].
 
     Each attempted step of width h takes a trapezoidal stage to
-    y + gamma h and a BDF2 stage to y + h, each one solve with
-    I - d h A; a third solve with the BDF2 matrix filters the embedded
-    error estimate h (e1 k1 + e2 k2 + e3 k3), and the step width follows
-    it with exponent -1/3.  The BDF2-stage matrix is built once and
-    serves both its solves.  The rate at the end of an accepted step is
-    the next step's k1, so an attempt costs two assemblies and three
-    solves.  An attempt whose stage or result dips below the clipping
-    tolerance is rejected and retried at half the width; smaller
-    negative values are clipped to zero and counted, and the step is
-    rescaled to keep its photon number.  Snapshot times are landed on
-    exactly by clamping the step.  ``stats["wall_s"]`` is the time spent
-    in the stepping loop.
+    y + gamma h and a BDF2 stage to y + h, each one ``solve`` with its
+    ``stage_matrix`` I - d h A; a third solve with the kept BDF2 matrix
+    filters the embedded error estimate h (e1 k1 + e2 k2 + e3 k3), and
+    the step width follows it with exponent -1/3.  The rate at the end
+    of an accepted step is the next step's k1, so an attempt costs two
+    assemblies and three solves.  An attempt whose stage or result dips
+    below the clipping tolerance is rejected and retried at half the
+    width; smaller negative values are clipped to zero and counted, and
+    the step is rescaled to keep its photon number.  Snapshot times are
+    landed on exactly by clamping the step.  ``stats["wall_s"]`` is the
+    time spent in the stepping loop.
 
     ``TemperatureFn.selfconsistent()`` (Comptonization only) re-solves
     each stage at theta = I_4/(4 I_3) of its last solution until theta
@@ -546,14 +526,14 @@ def solve_transport(
             )
         return value
 
-    def stage(rhs, dh, th, reuse):
-        """(G, th, bands, matrix) of the stage (I - dh A(th)) G = rhs; the
-        matrix is kept only if ``reuse``.  The closure re-solves at
-        th = closure_theta(G) until th is a fixed point."""
+    def stage(rhs, dh, th):
+        """(G, th, bands, matrix) of the stage (I - dh A(th)) G = rhs.  The
+        closure re-solves at th = closure_theta(G) until th is a fixed
+        point."""
         for _ in range(_CLOSURE_ITERATIONS):
             bands = op.assemble(th)
-            matrix = op.stage_matrix(bands, dh) if reuse else None
-            G = op.solve(matrix, rhs) if reuse else op.step(rhs, bands, dh)
+            matrix = op.stage_matrix(bands, dh)
+            G = op.solve(matrix, rhs)
             if not closure:
                 return G, th, bands, matrix
             th_next = closure_theta(G)
@@ -606,12 +586,12 @@ def solve_transport(
         try:
             # trapezoidal stage to y + gamma h
             th_tr = th if closure else theta(y + _GAMMA * dy_try)
-            F_tr, th_tr, _, _ = stage(F + dh * k1, dh, th_tr, reuse=False)
+            F_tr, th_tr, _, _ = stage(F + dh * k1, dh, th_tr)
             k2 = (F_tr - F) / dh - k1
             # BDF2 stage to y + h; its matrix also filters the error estimate
             rhs = F + (_W * dy_try) * (k1 + k2)
             th_new = th_tr if closure else theta(y + dy_try)
-            F_new, th_new, bands, bdf2 = stage(rhs, dh, th_new, reuse=True)
+            F_new, th_new, bands, bdf2 = stage(rhs, dh, th_new)
         except _ClosureUnsettled:
             rejected += 1
             dy = max(dy_try * 0.5, min_dy / 2)

@@ -110,6 +110,7 @@ def test_tag_prefers_label():
         ("M", "65"),
         ("M", "-1"),
         ("y_max", "0"),
+        ("y_max", "1e9"),
         ("grid_cells", "4"),
         ("grid_x_min", "60"),
         ("snapshots", "1"),
@@ -221,8 +222,9 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
         (["--spectrum", "wien:1e-300"], EXIT_CONFIG, "config error: spectrum: "),
         (["--spectrum", "wien:1e300"], EXIT_CONFIG, "config error: spectrum: "),
         (["--grid-x-max", "1e300"], EXIT_NUMERICAL, "numerical failure: initial condition"),
+        (["--y-max", "1e300"], EXIT_CONFIG, "config error: y_max"),
     ],
-    ids=["wien_tiny", "wien_huge", "x_max_huge"],
+    ids=["wien_tiny", "wien_huge", "x_max_huge", "y_max_huge"],
 )
 def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message):
     argv = ["solve", "--theta", "constant:1", "--grid-cells", "8", *flags]

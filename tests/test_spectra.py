@@ -16,7 +16,6 @@ from compfrac.spectra import (
     Monoenergetic,
     TransportParams,
     UnsupportedParams,
-    check_temperature_normalization,
     equilibrium_spectrum,
     equilibrium_temperature,
     initial_moment,
@@ -26,7 +25,7 @@ from compfrac.spectra import (
 
 def test_comptonization_params():
     assert COMPTONIZATION.p == 1
-    assert COMPTONIZATION.is_comptonization()
+    assert COMPTONIZATION == TransportParams(2, 2, 2, 4)
     assert TransportParams(2, 3, 2, 4).p == 2
 
 
@@ -136,23 +135,6 @@ def test_profile_function_rejects_raw_line():
 def test_moment_without_rational_form_rejected(spectrum, n):
     with pytest.raises(UnsupportedParams, match="no rational closed form"):
         initial_moment(spectrum, n)
-
-
-def test_normalization_check_accepts_consistent_pair():
-    report = check_temperature_normalization(Monoenergetic(), COMPTONIZATION)
-    assert report.passed
-    assert report.constrained
-    assert report.ratio == 1
-    ff = check_temperature_normalization(Bremsstrahlung(), COMPTONIZATION)
-    assert ff.passed and ff.ratio == 1
-
-
-def test_normalization_check_flags_shifted_line():
-    # a line at x0 = 3 carries I_4/(4 I_3) = 3/4, so the derivative
-    # tables would not start from theta(0) = 1
-    report = check_temperature_normalization(Monoenergetic(x0=3), COMPTONIZATION)
-    assert not report.passed
-    assert report.ratio == Fraction(3, 4)
 
 
 @settings(max_examples=30)

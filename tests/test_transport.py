@@ -204,7 +204,6 @@ def test_step_matches_banded_solve():
             ab[1, :] = 1.0 - dy * diag
             ab[2, :-1] = -dy * lower
             want = solve_banded((1, 1), ab, F)
-            assert np.array_equal(op.step(F, bands, dy), want)
             # a kept stage matrix serves a second solve unchanged
             matrix = op.stage_matrix(bands, dy)
             kept = [band.copy() for band in matrix]
@@ -236,24 +235,22 @@ def test_operator_falls_back_to_scipy_dgtsv(monkeypatch, grid):
     numpy_op = _Operator(grid, COMPTONIZATION)
     want = []
     for bands, dy, F in _stage_systems(grid):
-        matrix = numpy_op.stage_matrix(bands, dy)
-        want.append((numpy_op.step(F, bands, dy), numpy_op.solve(matrix, F)))
+        want.append(numpy_op.solve(numpy_op.stage_matrix(bands, dy), F))
     # a numpy without the symbol (MKL, a system LAPACK) solves with scipy's
     monkeypatch.setattr(transport, "_NUMPY_DGTSV", "no_such_symbol_")
     assert transport._find_numpy_dgtsv() is None
     monkeypatch.setattr(transport, "_numpy_gtsv", None)
     monkeypatch.setattr(transport, "dgtsv", public_dgtsv)
     op = _Operator(grid, COMPTONIZATION)
-    for (bands, dy, F), (step_want, solve_want) in zip(_stage_systems(grid), want):
-        assert np.array_equal(op.step(F, bands, dy), step_want)
+    for (bands, dy, F), solve_want in zip(_stage_systems(grid), want):
         matrix = op.stage_matrix(bands, dy)
         assert np.array_equal(op.solve(matrix, F), solve_want)
         # the kept matrix serves a second solve, as the BDF2 stage's does
         assert np.array_equal(op.solve(matrix, F), solve_want)
-    assert op.linear_solves == 3 * len(want)
+    assert op.linear_solves == 2 * len(want)
     zero = np.zeros(grid.cells - 1)
     with pytest.raises(NonFiniteState):
-        op.step(np.ones(grid.cells), (zero, np.ones(grid.cells), zero), 1.0)
+        op.solve(op.stage_matrix((zero, np.ones(grid.cells), zero), 1.0), np.ones(grid.cells))
 
 
 def test_singular_step_matrix_rejected():
@@ -262,7 +259,7 @@ def test_singular_step_matrix_rejected():
     zero = np.zeros(grid.cells - 1)
     # 1 - dy * diag vanishes on every row
     with pytest.raises(NonFiniteState):
-        op.step(np.ones(grid.cells), (zero, np.ones(grid.cells), zero), 1.0)
+        op.solve(op.stage_matrix((zero, np.ones(grid.cells), zero), 1.0), np.ones(grid.cells))
 
 
 def test_operator_second_order_convergence():
