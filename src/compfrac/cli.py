@@ -28,10 +28,9 @@ from .contfrac import (
     PoleHit,
     cf_coefficients,
     cf_eval,
-    find_defects,
+    find_defects,  # not called here; perfbench's tracer wraps it under this name
     select_approximant,
     taylor_eval,
-    to_rational,
 )
 from .moments import DerivativeTable, theta_derivatives_comptonization, write_json
 from .spectra import (
@@ -171,11 +170,17 @@ def _validate(config: RunConfig) -> None:
     _parse_spectrum(config.spectrum)
     if not 0 <= config.M <= 64:
         raise ConfigError("M", f"order must be within 0..64, got {config.M}")
-    if not 0 < config.y_max <= 1e6:
+    if config.snapshots < 2:
+        raise ConfigError("snapshots", f"need at least 2, got {config.snapshots}")
+    # the solver's step floor is 1e-13 max(1, y_max): the snapshot spacing
+    # must exceed it, and it must stay well below the first step, 1e-5
+    if not (config.y_max <= 1e6
+            and config.y_max / (config.snapshots - 1) > 1e-13 * max(1.0, config.y_max)):
         raise ConfigError(
             "y_max",
-            f"must lie in (0, 1e6], got {config.y_max}; the solver's step floor "
-            "1e-13 y_max must stay well below its first step, 1e-5",
+            f"must lie in ({1e-13 * (config.snapshots - 1):g}, 1e6] for {config.snapshots}"
+            f" snapshots, got {config.y_max}; the snapshot spacing must exceed the"
+            " solver's step floor 1e-13 max(1, y_max), which must stay below 1e-5",
         )
     if config.grid_cells < 8:
         raise ConfigError("grid_cells", f"need at least 8 cells, got {config.grid_cells}")
@@ -184,8 +189,6 @@ def _validate(config: RunConfig) -> None:
             "grid_x_min",
             f"need 0 < x_min < x_max, got [{config.grid_x_min}, {config.grid_x_max}]",
         )
-    if config.snapshots < 2:
-        raise ConfigError("snapshots", f"need at least 2, got {config.snapshots}")
     if not 0 < config.rtol <= 0.1:
         raise ConfigError("rtol", f"must lie in (0, 0.1], got {config.rtol}")
     if not config.tolerance > 0:
@@ -317,9 +320,8 @@ def _resolve_theta(run: _Artifacts) -> TemperatureFn:
         return TemperatureFn.constant(arg)
     if kind == "taylor":
         return TemperatureFn.from_table(run.table, arg)
-    cf = run.fraction
-    level = run.selection.level if arg is None else min(arg, cf.truncation)
-    return TemperatureFn.from_continued_fraction(cf, level)
+    level = run.selection.level if arg is None else arg
+    return TemperatureFn.from_continued_fraction(run.fraction, level)
 
 
 def _grid(config: RunConfig) -> Grid:
@@ -346,25 +348,13 @@ def _run_solve(run: _Artifacts):
 def cmd_derivs(run: _Artifacts) -> int:
     config, table = run.config, run.table
     out = _out_dir(config)
-    table.dump_json(out / f"derivs_{config.tag}.json")
+    write_json(table.to_json_dict(), out / f"derivs_{config.tag}.json")
     with open(out / f"derivs_{config.tag}.csv", "w", encoding="utf-8") as fh:
         fh.write("n,theta_deriv\n")
         for n, value in enumerate(table.values):
             fh.write(f"{n},{float(value):.6g}\n")
     print(f"wrote derivative table (order {table.order}) to {out}")
     return EXIT_OK
-
-
-def _cf_level_artifacts(cf: ContinuedFraction, level: int, ys: list, y_max: float):
-    """Defect report and sampled curve for one truncation level."""
-    report = find_defects(to_rational(cf, level), y_max)
-    values = []
-    for y in ys:
-        try:
-            values.append(cf_eval(cf, level, y))
-        except PoleHit:
-            values.append(float("nan"))
-    return level, report, values
 
 
 def cmd_cf(run: _Artifacts) -> int:
@@ -379,20 +369,25 @@ def cmd_cf(run: _Artifacts) -> int:
     write_json(selection.to_json_dict(), out / f"selection_{config.tag}.json")
 
     ys = [float(v) for v in np.linspace(0.0, config.y_max, config.samples)]
-    cf_levels = _parse_levels(config.cf_n, cf.truncation, "cf_n") or (selection.level,)
-    results = [_cf_level_artifacts(cf, level, ys, config.y_max) for level in sorted(cf_levels)]
+    cf_levels = sorted(_parse_levels(config.cf_n, cf.truncation, "cf_n") or (selection.level,))
+    # the selection has scanned every level once; its reports are reused
+    reports = {level: selection.candidates[level].report for level in cf_levels}
 
     write_json(
         {
             "schema": "compfrac.defect-sweep/1",
-            "levels": {str(lv): report.to_json_dict() for lv, report, _ in results},
+            "levels": {str(lv): report.to_json_dict() for lv, report in reports.items()},
         },
         out / f"defects_{config.tag}.json",
     )
     with open(out / f"cf_curves_{config.tag}.csv", "w", encoding="utf-8") as fh:
         fh.write("y,value,N\n")
-        for level, _, values in results:
-            for y, v in zip(ys, values):
+        for level in cf_levels:
+            for y in ys:
+                try:
+                    v = cf_eval(cf, level, y)
+                except PoleHit:  # sampled on a pole
+                    v = float("nan")
                 fh.write(f"{y:.6g},{v:.6g},{level}\n")
 
     taylor_levels = _parse_levels(config.taylor_n, table.order, "taylor_n")
@@ -403,7 +398,7 @@ def cmd_cf(run: _Artifacts) -> int:
                 for y in ys:
                     fh.write(f"{y:.6g},{taylor_eval(table, level, y):.6g},{level}\n")
 
-    defect_total = sum(len(report.poles) for _, report, _ in results)
+    defect_total = sum(len(report.poles) for report in reports.values())
     print(
         f"wrote continued-fraction data to {out}: selected level {selection.level}"
         f" ({selection.note}); {defect_total} defect(s) across emitted levels"
@@ -435,7 +430,7 @@ def _write_verification(config: RunConfig, sol, theta_fn) -> int:
     """Self-consistency report of one solve against its driving temperature."""
     report = self_consistency(sol, theta_fn, tolerance=config.tolerance)
     out = _out_dir(config)
-    report.dump_json(out / f"verify_{config.tag}.json")
+    write_json(report.to_json_dict(), out / f"verify_{config.tag}.json")
     report.write_csv(out / f"verify_{config.tag}.csv")
     verdict = "pass" if report.passed else "FAIL"
     print(

@@ -165,27 +165,23 @@ def cf_coefficients(table: DerivativeTable) -> ContinuedFraction:
     coeffs = [Fraction(series[0], common)]
     pivot_break = None
 
-    if series[0] == 0:
-        # degenerate table with theta(0) = 0; nothing below c0 is defined
-        pivot_break = 0
-    else:
-        # rows are integer vectors known up to a scale: the recursion reads
-        # only the ratios row[m+1]/row[0], so each row is divided by the gcd
-        # of its entries and a coefficient keeps its denominator apart; the
-        # row above row zero is 1, 0, 0, ..., whose ratios all vanish
-        prev2, prev = [1] + [0] * (top + 1), series
-        for n in range(1, top + 1):
-            p0, q0 = prev[0], prev2[0]
-            row = [prev2[m + 1] * p0 - prev[m + 1] * q0 for m in range(top - n + 1)]
-            row_den = q0 * p0
-            if row[0] == 0:
-                # zero pivot: the fraction terminates at level n - 1 and
-                # the coefficients so far represent the series exactly
-                pivot_break = n
-                break
-            coeffs.append(Fraction(row[0], row_den))
-            g = math.gcd(*row)
-            prev2, prev = prev, [v // g for v in row]
+    # rows are integer vectors known up to a scale: the recursion reads
+    # only the ratios row[m+1]/row[0], so each row is divided by the gcd of
+    # its entries and a coefficient keeps its denominator apart; the row
+    # above row zero is 1, 0, 0, ..., whose ratios all vanish.  Row zero's
+    # pivot is theta(0) = 1, which DerivativeTable enforces
+    prev2, prev = [1] + [0] * (top + 1), series
+    for n in range(1, top + 1):
+        p0, q0 = prev[0], prev2[0]
+        row = [prev2[m + 1] * p0 - prev[m + 1] * q0 for m in range(top - n + 1)]
+        if row[0] == 0:
+            # zero pivot: the fraction terminates at level n - 1 and the
+            # coefficients so far represent the series exactly
+            pivot_break = n
+            break
+        coeffs.append(Fraction(row[0], q0 * p0))
+        g = math.gcd(*row)
+        prev2, prev = prev, [v // g for v in row]
 
     return ContinuedFraction(
         coefficients=tuple(coeffs), source=table.spectrum, pivot_break=pivot_break
@@ -245,10 +241,6 @@ class RationalForm:
             tuple(x / d for x in self.q),
             tuple(l * x / d for l, x in enumerate(self.q) if l) or (0.0,),
         )
-
-    @property
-    def degree_pair(self) -> tuple:
-        return (len(self.p) - 1, len(self.q) - 1)
 
     def eval_exact(self, y) -> Fraction:
         """P(y)/Q(y) at rational y = a/b: one integer Horner of p and of q,
@@ -444,9 +436,11 @@ def _abs_poly_scale(coeffs: Sequence[float], y: float) -> float:
 
 @dataclass(frozen=True)
 class CandidateDiagnostics:
+    """One level's defect report, and its tail value and score when the
+    level is admissible."""
+
     level: int
-    defect_count: int
-    pole_locations: tuple
+    report: DefectReport
     tail_value: float | None
     score: float | None
 
@@ -467,8 +461,8 @@ class SelectionResult:
             "candidates": [
                 {
                     "level": c.level,
-                    "defect_count": c.defect_count,
-                    "pole_locations": list(c.pole_locations),
+                    "defect_count": len(c.report.poles),
+                    "pole_locations": [p.location for p in c.report.poles],
                     "tail_value": c.tail_value,
                     "score": c.score,
                 }
@@ -484,7 +478,8 @@ def select_approximant(
 ) -> SelectionResult:
     """Pick the working truncation level.
 
-    Levels with defects (positive-real poles) on (0, y_max] are excluded;
+    Levels with defects (positive-real poles) on (0, y_max] are excluded,
+    and so is a level whose exact tail Psi_N(y_max) has a zero denominator;
     the highest surviving level wins.  The even levels of a fraction
     built from sign-regular data converge while odd ones can stray, and
     the highest admissible order carries the most series information, so
@@ -506,32 +501,19 @@ def select_approximant(
     for level in range(cf.truncation + 1):
         form = to_rational(cf, level)
         report = find_defects(form, y_max)
-        tail = None
-        score = None
-        if report.is_empty():
-            tail_exact = form.eval_exact(y_exact)
+        tail = score = None
+        try:
+            tail_exact = form.eval_exact(y_exact) if report.is_empty() else None
+        except PoleHit:  # Q(y_max) = 0 at a root the scan dropped as removable or missed
+            tail_exact = None
+        if tail_exact is not None:
             tail = float(tail_exact)
             if score_it:
                 score = float(abs(tail_exact - theta_exact))
             admissible.append((level, tail_exact))
-        diags.append(
-            CandidateDiagnostics(
-                level=level,
-                defect_count=len(report.poles),
-                pole_locations=tuple(p.location for p in report.poles),
-                tail_value=tail,
-                score=score,
-            )
-        )
+        diags.append(CandidateDiagnostics(level, report, tail, score))
 
-    if not admissible:
-        # cannot happen via cf_coefficients (level 0 is always pole-free),
-        # but keep the contract explicit
-        return SelectionResult(
-            level=0, fallback=True, note="no admissible level; constant fallback",
-            candidates=tuple(diags),
-        )
-
+    # level 0 is the constant c0 over Q = 1, so admissible is never empty
     chosen = max(lv for lv, _ in admissible)
     note = "highest defect-free level"
     if score_it and len(admissible) > 1:

@@ -84,10 +84,6 @@ class DerivativeTable:
     def order(self) -> int:
         return len(self.values) - 1
 
-    @property
-    def floats(self) -> tuple:
-        return tuple(float(v) for v in self.values)
-
     @cached_property
     def maclaurin(self) -> tuple:
         """Series coefficients theta^(n)(0)/n! as (integer numerators, one
@@ -151,9 +147,6 @@ class DerivativeTable:
             spectrum=data.get("spectrum", ""),
             moment_indices=tuple(Fraction(s) for s in data.get("moment_indices", [])),
         )
-
-    def dump_json(self, path) -> None:
-        write_json(self.to_json_dict(), path)
 
     @classmethod
     def load_json(cls, path) -> "DerivativeTable":

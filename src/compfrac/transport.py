@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -125,15 +126,6 @@ class Grid:
             raise ValueError("snapshot times must lie within [0, y_end]")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "snapshot_times", snaps)
-        # derived arrays, built once; not fields, so equality, hashing and
-        # the JSON form still see only the edges tuple
-        e = np.asarray(edges)
-        centers = np.sqrt(e[:-1] * e[1:])
-        widths = e[1:] - e[:-1]
-        centers.flags.writeable = False
-        widths.flags.writeable = False
-        object.__setattr__(self, "_centers", centers)
-        object.__setattr__(self, "_widths", widths)
 
     @classmethod
     def log_spaced(
@@ -155,15 +147,22 @@ class Grid:
     def cells(self) -> int:
         return len(self.edges) - 1
 
-    @property
+    # derived arrays, built on first use; not fields, so equality, hashing
+    # and the JSON form still see only the edges tuple
+    @cached_property
     def centers(self) -> np.ndarray:
         """Geometric cell centers (read-only)."""
-        return self._centers
+        e = np.asarray(self.edges)
+        centers = np.sqrt(e[:-1] * e[1:])
+        centers.flags.writeable = False
+        return centers
 
-    @property
+    @cached_property
     def widths(self) -> np.ndarray:
         """Cell widths (read-only)."""
-        return self._widths
+        widths = np.diff(self.edges)
+        widths.flags.writeable = False
+        return widths
 
     def to_json_dict(self) -> dict:
         return {
@@ -465,6 +464,7 @@ _W = math.sqrt(2.0) / 4.0
 _E1 = (1.0 - 4.0 * _W) / 3.0
 _E2 = 1.0 / 3.0
 _E3 = -2.0 * _D / 3.0
+_END_TOL = 1e-14  # the run ends once y is within this of y_end
 # relative tolerance and solve cap of the closure iteration in a stage
 _CLOSURE_RTOL = 1e-14
 _CLOSURE_ITERATIONS = 12
@@ -506,6 +506,8 @@ def solve_transport(
     A closure value that is not positive and finite raises
     NonPositiveTemperature.
     """
+    if not grid.y_end > _END_TOL:
+        raise ValueError(f"y_end = {grid.y_end!r} is within {_END_TOL:g} of y = 0: no step to take")
     closure = theta.fn is None
     if not closure:
         check_temperature_positive(theta, grid.y_end)
@@ -553,8 +555,7 @@ def solve_transport(
     pending = [t for t in grid.snapshot_times]
     snaps: list = []
     if pending and abs(pending[0] - 0.0) <= 1e-12:
-        snaps.append((0.0, F.copy()))
-        pending.pop(0)
+        snaps.append((pending.pop(0), F.copy()))
 
     trace_y = [0.0]
     trace_number = [float((F * dx).sum())]
@@ -564,9 +565,7 @@ def solve_transport(
     rejected = 0
     rejected_negative = 0
     clipped = 0
-    dy_min_seen = math.inf
-    dy_max_seen = 0.0
-    dy_decades: dict = {}
+    step_widths: list = []  # of the accepted steps
 
     def below_clip(G, low):
         # low is G.min(); max |G| is needed only when it is negative, and a
@@ -574,7 +573,7 @@ def solve_transport(
         return low < 0.0 and low < -1e-6 * float(np.abs(G).max())
 
     started = perf_counter()
-    while y < grid.y_end - 1e-14:
+    while y < grid.y_end - _END_TOL:
         target = pending[0] if pending else grid.y_end
         dy_try = min(dy, target - y, grid.y_end - y)
         if dy_try < min_dy:
@@ -632,10 +631,7 @@ def solve_transport(
             k3 = op.apply(bands, F_new)
         F, k1, th = F_new, k3, th_new
         accepted += 1
-        dy_min_seen = min(dy_min_seen, dy_try)
-        dy_max_seen = max(dy_max_seen, dy_try)
-        decade = math.floor(math.log10(dy_try))
-        dy_decades[decade] = dy_decades.get(decade, 0) + 1
+        step_widths.append(dy_try)
 
         trace_y.append(y)
         trace_number.append(float((F * dx).sum()))
@@ -658,6 +654,7 @@ def solve_transport(
         if pending:
             raise SnapshotMissing(f"unreached snapshot times: {pending}")
 
+    decades = Counter(math.floor(math.log10(h)) for h in step_widths)
     stats = {
         "method": "tr-bdf2",
         "steps_accepted": accepted,
@@ -666,10 +663,10 @@ def solve_transport(
         "cells_clipped": clipped,
         "assemblies": op.assemblies,
         "linear_solves": op.linear_solves,
-        "dy_min": dy_min_seen if accepted else 0.0,
-        "dy_max": dy_max_seen,
+        "dy_min": min(step_widths, default=0.0),
+        "dy_max": max(step_widths, default=0.0),
         # [10^e, accepted steps with 10^e <= dy < 10^(e+1)], ascending
-        "dy_histogram": [[float(f"1e{e}"), n] for e, n in sorted(dy_decades.items())],
+        "dy_histogram": [[float(f"1e{e}"), n] for e, n in sorted(decades.items())],
         "rtol": rtol,
         "spectrum": actual_spectrum.describe(),
         # seconds in the stepping loop; reaches the run manifest only

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import write_json
 from .transport import PdeSolution, TemperatureFn, grid_moment
 
 __all__ = [
@@ -30,16 +29,13 @@ def output_temperature(sol: PdeSolution) -> tuple:
     """Temperature curve recovered from the solution itself.
 
     theta_out(y) = I_alpha(y) / I_alpha(0), with the moment taken by the
-    same cell rule that backs the solver's conservation traces.  Raises
-    SnapshotMissing if a requested snapshot was not stored.
+    same cell rule that backs the solver's conservation traces, at every
+    stored snapshot.
     """
     alpha = sol.params.alpha
-    base = grid_moment(sol.grid, sol.snapshot(sol.grid.snapshot_times[0]), alpha, sol.params)
-    curve = []
-    for t in sol.grid.snapshot_times:
-        val = grid_moment(sol.grid, sol.snapshot(t), alpha, sol.params)
-        curve.append((float(t), val / base))
-    return tuple(curve)
+    moments = [(y, grid_moment(sol.grid, F, alpha, sol.params)) for y, F in sol.snapshots]
+    base = moments[0][1]
+    return tuple((float(y), val / base) for y, val in moments)
 
 
 @dataclass(frozen=True)
@@ -49,14 +45,6 @@ class ConservationReport:
     number_drift: float
     energy_drift: float
     steps: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "compfrac.conservation/1",
-            "number_drift": self.number_drift,
-            "energy_drift": self.energy_drift,
-            "steps": self.steps,
-        }
 
 
 def conservation_report(sol: PdeSolution) -> ConservationReport:
@@ -97,9 +85,6 @@ class VerificationReport:
             "number_drift": self.number_drift,
             "energy_drift": self.energy_drift,
         }
-
-    def dump_json(self, path) -> None:
-        write_json(self.to_json_dict(), path)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -37,8 +37,8 @@ from compfrac.cli import (
     load_config_file,
     main,
 )
-from compfrac.contfrac import ContinuedFraction
-from compfrac.moments import DerivativeTable
+from compfrac.contfrac import ContinuedFraction, cf_coefficients, find_defects, to_rational
+from compfrac.moments import DerivativeTable, theta_derivatives_comptonization
 from compfrac.spectra import Bremsstrahlung, EquilibriumSpectrum, Monoenergetic
 from compfrac.transport import NonFiniteState
 
@@ -223,8 +223,11 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
         (["--spectrum", "wien:1e300"], EXIT_CONFIG, "config error: spectrum: "),
         (["--grid-x-max", "1e300"], EXIT_NUMERICAL, "numerical failure: initial condition"),
         (["--y-max", "1e300"], EXIT_CONFIG, "config error: y_max"),
+        # snapshot spacing at or below the solver's step floor
+        (["--y-max", "1e-12"], EXIT_CONFIG, "config error: y_max"),
+        (["--y-max", "1e-300"], EXIT_CONFIG, "config error: y_max"),
     ],
-    ids=["wien_tiny", "wien_huge", "x_max_huge", "y_max_huge"],
+    ids=["wien_tiny", "wien_huge", "x_max_huge", "y_max_huge", "y_max_tiny", "y_max_subnormal"],
 )
 def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message):
     argv = ["solve", "--theta", "constant:1", "--grid-cells", "8", *flags]
@@ -301,7 +304,7 @@ def test_derivs_full_depth(tmp_path):
 
 def test_cf_outputs(tmp_path):
     code = main(
-        ["cf", "--M", "12", "--cf-N", "4,12", "--taylor-N", "4",
+        ["cf", "--M", "12", "--cf-N", "1,4,5,12", "--taylor-N", "4",
          "--samples", "9", "--out-dir", str(tmp_path)]
     )
     assert code == EXIT_OK
@@ -309,11 +312,17 @@ def test_cf_outputs(tmp_path):
     assert sel["schema"] == "compfrac.selection/1"
     assert sel["level"] == 12
     defects = json.loads((tmp_path / "defects_monoenergetic.json").read_text())
-    assert set(defects["levels"]) == {"4", "12"}
-    assert defects["levels"]["4"]["poles"] == []
+    assert set(defects["levels"]) == {"1", "4", "5", "12"}
+    # the written reports are the selection's; each must equal a fresh
+    # scan of a freshly built fraction, poles included
+    cf = cf_coefficients(theta_derivatives_comptonization(Monoenergetic(), 12))
+    for n in (1, 4, 5, 12):
+        fresh = find_defects(to_rational(cf, n), 2.0).to_json_dict()
+        assert defects["levels"][str(n)] == fresh
+    assert [len(defects["levels"][n]["poles"]) for n in ("1", "4", "5", "12")] == [1, 0, 1, 0]
     curves = (tmp_path / "cf_curves_monoenergetic.csv").read_text().splitlines()
     assert curves[0] == "y,value,N"
-    assert len(curves) == 1 + 2 * 9
+    assert len(curves) == 1 + 4 * 9
     taylor = (tmp_path / "taylor_curves_monoenergetic.csv").read_text().splitlines()
     assert len(taylor) == 1 + 9
     cf_csv = (tmp_path / "cf_monoenergetic.csv").read_text().splitlines()
@@ -398,9 +407,11 @@ def test_reproduce_chains_all_stages(tmp_path, monkeypatch, capsys):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("solve_transport", "theta_derivatives_comptonization", "select_approximant"):
+    for name in ("solve_transport", "theta_derivatives_comptonization", "select_approximant",
+                 "find_defects"):
         counted(cli, name)
     counted(contfrac, "_fold")
+    counted(contfrac, "find_defects")
     config = tmp_path / "tiny.cfg"
     config.write_text(
         "spectrum = monoenergetic\n"
@@ -432,12 +443,14 @@ def test_reproduce_chains_all_stages(tmp_path, monkeypatch, capsys):
         assert (out / name).exists(), name
     assert (out / "snapshot_monoenergetic_04.csv").exists()
     # every stage shares one table, one level selection, one fold of the
-    # fraction into rational forms and one solve
+    # fraction into rational forms and one solve; the selection scans each
+    # of the 13 fraction levels once, and cf reuses its reports
     assert calls == {
         "solve_transport": 1,
         "theta_derivatives_comptonization": 1,
         "select_approximant": 1,
         "_fold": 1,
+        "find_defects": 13,
     }
     stdout = capsys.readouterr().out
     assert "solved to y = 2" in stdout

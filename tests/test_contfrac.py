@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from compfrac.contfrac import (
@@ -66,7 +66,6 @@ def test_low_level_forms(mono_cf):
     rf2 = to_rational(mono_cf, 2)
     assert rf2.numerator == (Fraction(1), Fraction(5))
     assert rf2.denominator == (Fraction(1), Fraction(3))
-    assert rf2.degree_pair == (1, 1)
     rf3 = to_rational(mono_cf, 3)
     assert (rf3.p, rf3.q) == ((3, 10), (3, 4, 10))
     assert rf3.numerator == (Fraction(1), Fraction(10, 3))
@@ -205,7 +204,7 @@ def test_shared_fold_every_level(deep_fraction):
     for n in range(41):
         rf = to_rational(cf, n)
         assert to_rational(cf, n) is rf
-        assert rf.degree_pair == (n // 2, (n + 1) // 2)
+        assert (len(rf.p) - 1, len(rf.q) - 1) == (n // 2, (n + 1) // 2)
         assert maclaurin_of_rational(rf, n) == series[: n + 1]
         try:
             expected = cf_eval_exact(cf, n, Fraction(2))
@@ -227,8 +226,7 @@ def test_form_floats_match_exact_coefficients(deep_fraction):
         assert den == tuple(float(c) for c in rf.denominator)
         exact_dden = tuple(float(l * c) for l, c in enumerate(rf.denominator) if l)
         assert dden == (exact_dden or (0.0,))
-        locations = tuple(p.location for p in find_defects(rf, 2.0).poles)
-        assert selection.candidates[n].pole_locations == locations
+        assert selection.candidates[n].report == find_defects(rf, 2.0)
 
 
 def test_taylor_eval_exact_partial_sum(mono_table):
@@ -321,8 +319,8 @@ def test_selection_picks_deepest_clean_level(mono_selection, brems_selection):
     assert "level 12 lands nearer" in mono_selection.note
     by_level = {c.level: c for c in mono_selection.candidates}
     assert len(by_level) == 25
-    assert by_level[5].defect_count == 1
-    assert by_level[24].defect_count == 0
+    assert len(by_level[5].report.poles) == 1
+    assert by_level[24].report.is_empty()
     assert by_level[24].score is not None
 
 
@@ -465,3 +463,32 @@ def test_taylor_eval_rounds_exact_sum_once(mono_table, y, level):
     series = [mono_table[n] / _fact(n) for n in range(level + 1)]
     exact = sum(c * Fraction(y) ** n for n, c in enumerate(series))
     assert taylor_eval(mono_table, level, y) == float(exact)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=st.lists(fold_coefficients, min_size=1, max_size=8),
+    y_max=st.floats(min_value=0.01, max_value=10.0),
+)
+@example(coeffs=[Fraction(0), Fraction(-1)], y_max=1.0)
+def test_level_zero_always_admissible(coeffs, y_max):
+    # level 0 is c0 over Q = 1, which has no root, so every selection has
+    # an admissible level whatever the deeper coefficients are
+    cf = ContinuedFraction(coefficients=tuple(coeffs))
+    level0 = select_approximant(cf, y_max).candidates[0]
+    assert level0.report.is_empty()
+    assert level0.tail_value == float(coeffs[0])
+
+
+@pytest.mark.parametrize(
+    "coeffs, y_max",
+    [((0, -1), 1.0), ((1, Fraction(-16, 49)), 3.0625), ((1, 0, Fraction(-1, 2)), 2.0)],
+    ids=["zero_numerator", "endpoint_root_missed", "common_factor"],
+)
+def test_undefined_tail_not_admissible(coeffs, y_max):
+    # Q(y_max) = 0 exactly at the deepest level, at a root the float scan
+    # drops as a common factor of P and Q or misses at the end of its
+    # range: that level has no tail value, and the one above it is chosen
+    sel = select_approximant(ContinuedFraction(coefficients=coeffs), y_max)
+    assert sel.candidates[-1].tail_value is None
+    assert sel.level == len(coeffs) - 2

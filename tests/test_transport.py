@@ -401,6 +401,14 @@ def test_nonfinite_temperature_mid_run_rejected():
     assert np.shape(calls[0]) == (2048,) and len(calls) > 1
 
 
+@pytest.mark.parametrize("y_end", [1e-300, 1e-14])
+def test_span_within_end_tolerance_rejected(y_end):
+    # no step would be taken, and every snapshot would be the initial state
+    grid = Grid.log_spaced(cells=8, y_end=y_end, snapshots=2)
+    with pytest.raises(ValueError, match="no step to take"):
+        solve_transport(Monoenergetic(), TemperatureFn.constant(1.0), grid)
+
+
 def test_step_budget_enforced():
     grid = Grid.log_spaced(cells=40, snapshots=())
     theta = TemperatureFn.constant(1.0)

@@ -14,9 +14,9 @@ import math
 import numpy as np
 import pytest
 
+from compfrac.moments import write_json
 from compfrac.transport import TemperatureFn
 from compfrac.verify import (
-    ConservationReport,
     conservation_report,
     output_temperature,
     self_consistency,
@@ -131,7 +131,7 @@ def test_trace_and_snapshot_quadrature_agree(mono_run):
 def test_report_serialization(tmp_path, mono_run, mono_theta):
     report = self_consistency(mono_run, mono_theta)
     jpath = tmp_path / "verify.json"
-    report.dump_json(jpath)
+    write_json(report.to_json_dict(), jpath)
     data = json.loads(jpath.read_text())
     assert data["schema"] == "compfrac.verification/1"
     assert data["passed"] is True
@@ -145,13 +145,6 @@ def test_report_serialization(tmp_path, mono_run, mono_theta):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[2]) == 1.0
-
-
-def test_conservation_report_json():
-    rep = ConservationReport(number_drift=1e-15, energy_drift=2e-3, steps=10)
-    data = rep.to_json_dict()
-    assert data["schema"] == "compfrac.conservation/1"
-    assert data["steps"] == 10
 
 
 def test_closure_has_no_value_at_bare_y(brems_run):
