@@ -33,9 +33,9 @@ finally:
 from .contfrac import (
     ContinuedFraction,
     DefectReport,
-    Pole,
     PoleHit,
     RationalForm,
+    Root,
     SelectionResult,
     cf_coefficients,
     cf_eval,

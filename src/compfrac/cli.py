@@ -398,7 +398,7 @@ def cmd_cf(run: _Artifacts) -> int:
                 for y in ys:
                     fh.write(f"{y:.6g},{taylor_eval(table, level, y):.6g},{level}\n")
 
-    defect_total = sum(len(report.poles) for report in reports.values())
+    defect_total = sum(len(r.poles) + len(r.zeros) for r in reports.values())
     print(
         f"wrote continued-fraction data to {out}: selected level {selection.level}"
         f" ({selection.note}); {defect_total} defect(s) across emitted levels"

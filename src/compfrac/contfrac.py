@@ -21,8 +21,9 @@ so selection, defect reports and the driving temperature all read the
 same fold, and so do cf_eval (float) and cf_eval_exact (exact).  A form
 holds the level's integer polynomials; its Fraction coefficients and its
 float coefficients (each rounded once from the integers) are built on
-first use.  Polynomials are evaluated by Horner's rule: _horner for
-float coefficients, _homogeneous for integer ones at y = a/b.
+first use.  find_defects counts the real roots of those integers on
+(0, y_max] exactly, so a level is selected only when its Psi_N is proved
+finite and positive there.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from .moments import DerivativeTable
 
@@ -188,19 +187,13 @@ def cf_coefficients(table: DerivativeTable) -> ContinuedFraction:
     )
 
 
-# a denominator |Q(y)| at most this, relative to its natural scale
-# sum_k |q_k| |y|^k, counts as a pole
-_POLE_TOL = 1e-12
-
-
 def cf_eval(cf: ContinuedFraction, level: int, y) -> float:
     """Psi_level(y) = P(y)/Q(y) by Horner's rule on the level's floats, the
-    same floats that drive the solve; PoleHit where |Q(y)| is at most
-    _POLE_TOL relative to its natural scale."""
-    num, den, _ = to_rational(cf, level).floats
+    same floats that drive the solve; PoleHit where the float Q(y) is 0."""
+    num, den = to_rational(cf, level).floats
     yv = float(y)
     q = _horner(den, yv)
-    if abs(q) <= _POLE_TOL * _abs_poly_scale(den, yv):
+    if q == 0.0:
         raise PoleHit(yv, level)
     return _horner(num, yv) / q
 
@@ -232,15 +225,11 @@ class RationalForm:
 
     @cached_property
     def floats(self) -> tuple:
-        """(P, Q, Q') as float coefficient tuples, each equal to float() of
-        the exact coefficient: one correctly rounded int / int division,
-        without building the Fraction (a gcd on thousands of digits)."""
+        """(P, Q) as float coefficient tuples, each equal to float() of the
+        exact coefficient: one correctly rounded int / int division, without
+        building the Fraction (a gcd on thousands of digits)."""
         d = self.q[0]
-        return (
-            tuple(x / d for x in self.p),
-            tuple(x / d for x in self.q),
-            tuple(l * x / d for l, x in enumerate(self.q) if l) or (0.0,),
-        )
+        return tuple(x / d for x in self.p), tuple(x / d for x in self.q)
 
     def eval_exact(self, y) -> Fraction:
         """P(y)/Q(y) at rational y = a/b: one integer Horner of p and of q,
@@ -326,112 +315,126 @@ def maclaurin_of_rational(rf: RationalForm, order: int) -> list:
 # defect detection and level selection
 
 
-@dataclass(frozen=True)
-class Pole:
+class Root(NamedTuple):
+    """A real root on (0, y_max]: the float nearest it, and its multiplicity."""
+
     location: float
     multiplicity: int
-    residual: float
 
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Positive-real denominator roots found by scan plus bisection."""
+    """The roots of one level's Q (poles) and P (zeros) on (0, y_max]."""
 
     poles: tuple
+    zeros: tuple
     y_max: float
-    panels: int
 
     def is_empty(self) -> bool:
-        return not self.poles
+        return not (self.poles or self.zeros)
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "compfrac.defect-report/1",
+            "schema": "compfrac.defect-report/2",
             "y_max": self.y_max,
-            "panels": self.panels,
-            "poles": [
-                {
-                    "location": p.location,
-                    "multiplicity": p.multiplicity,
-                    "residual": p.residual,
-                }
-                for p in self.poles
-            ],
+            "poles": [r._asdict() for r in self.poles],
+            "zeros": [r._asdict() for r in self.zeros],
         }
 
 
-# sign-scan panels on (0, y_max], bisection width of a bracketed root, and
-# the numerator residual below which a root counts as a common factor
-_SCAN_PANELS = 4096
-_ROOT_TOL = 1e-12
-_CANCEL_TOL = 1e-8
-
-
 def find_defects(form: RationalForm, y_max: float) -> DefectReport:
-    """Scan (0, y_max] for real denominator roots of one level's form,
-    on its float coefficients.
+    """Poles and zeros of one level's form on (0, y_max], counted exactly
+    on its integer polynomials.
 
-    A denominator with no negative integer coefficient (q[0] > 0 always)
-    has no positive root by Descartes' rule of signs, and its float Horner
-    sum on y >= 0 never falls below Q(0) = 1, so the scan is skipped.
-    Otherwise a dense sign scan (_SCAN_PANELS intervals) catches every
-    odd-multiplicity root wider than the panel spacing; bisection then
-    refines each bracket to _ROOT_TOL.  A root where the numerator also
-    vanishes (relative residual below _CANCEL_TOL) is a removable common
-    factor, not a defect, and is dropped.
+    With c0..cN all nonzero, as cf_coefficients makes them, P and Q share
+    no factor (P_n Q_{n-1} - P_{n-1} Q_n = +-c0...cn y^n, Q(0) = 1), so
+    every root of q is a pole.  An empty report with c0 > 0 proves Psi_N
+    finite and positive on [0, y_max].
     """
     if y_max <= 0:
         raise ValueError("y_max must be positive")
-    if min(form.q) >= 0:
-        return DefectReport(poles=(), y_max=float(y_max), panels=_SCAN_PANELS)
-    num_f, den_f, dden_f = form.floats
-    ys = np.linspace(0.0, y_max, _SCAN_PANELS + 1)
-    vals = _horner(den_f, ys)
-    fa, fb = vals[:-1], vals[1:]
-    # panels that end on a root, or change sign between two nonzero ends;
-    # a panel starting on a zero holds either y = 0 (where Q = 1, so only
-    # roundoff) or a root already recorded when it closed the previous panel
-    bracketing = (fb == 0.0) | ((fa != 0.0) & ((fa < 0) != (fb < 0)))
+    return DefectReport(
+        poles=_roots(form.q, y_max), zeros=_roots(form.p, y_max), y_max=float(y_max)
+    )
 
-    poles: list = []
-    for idx in np.flatnonzero(bracketing):
-        a, b = float(ys[idx]), float(ys[idx + 1])
-        if fb[idx] == 0.0:
-            root = b
-        else:
-            lo, hi, flo = a, b, float(fa[idx])
-            while hi - lo > _ROOT_TOL:
-                mid = 0.5 * (lo + hi)
-                fm = _horner(den_f, mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm < 0) == (flo < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            root = 0.5 * (lo + hi)
-        if root <= 0:
+
+def _roots(f: Sequence[int], y_max: float) -> tuple:
+    """The real roots of the integer polynomial f (lowest order first) on
+    (0, y_max], in increasing order, as (float nearest, multiplicity).
+
+    With y = y_max x, f is carried on pieces (c/2^k, (c+1)/2^k) of x in
+    (0, 1) by its Bernstein coefficients there, whose sign changes are
+    those of (1+t)^d f(1/(1+t)) mapped to the piece (Descartes' rule of
+    signs): none proves the piece has no root, one proves one simple
+    root, which is bisected to the float; other pieces are halved.  A root
+    on a cut or at y_max takes its multiplicity from the coefficients that
+    vanish there; a piece whose ends round to one float while it still
+    counts m >= 2 sign changes is one root of multiplicity m (an upper
+    bound).
+    """
+    if _sign_changes(f) == 0:  # Descartes: no positive root at all
+        return ()
+    a, b = float(y_max).as_integer_ratio()
+    e, d = b.bit_length() - 1, len(f) - 1  # b = 2^e
+    # g(x) = 2^(e d) f(a x / 2^e) has Bernstein coefficients on (0, 1)
+    # sum_k C(j, k) g_k / C(d, k), here scaled by the lcm of the C(d, k)
+    scale = math.lcm(*(math.comb(d, k) for k in range(d + 1)))
+    bern = [(c * a**k << e * (d - k)) * (scale // math.comb(d, k)) for k, c in enumerate(f)]
+    for i in range(d):
+        for j in range(d, i, -1):
+            bern[j] += bern[j - 1]
+    at_end = next(i for i, x in enumerate(reversed(bern)) if x)
+    roots = [Root(float(y_max), at_end)] if at_end else []
+    # (k, c, bern) for the piece x in (c/2^k, (c+1)/2^k)
+    pieces = [(0, 0, bern)]
+    while pieces:
+        k, c, bern = pieces.pop()
+        count = _sign_changes(bern)
+        if count == 0:
             continue
+        lo, hi = a * c / (b << k), a * (c + 1) / (b << k)
+        if lo == hi:
+            roots.append(Root(lo, count))
+        elif count == 1:
+            # the first nonzero coefficient has f's sign just right of c/2^k
+            rising = next(x for x in bern if x) < 0
+            roots.append(Root(_bisect(f, a * c, a * (c + 1), e + k, rising), 1))
+        else:
+            # de Casteljau: the halves' Bernstein coefficients, scaled by 2^deg
+            deg, row, left, right = len(bern) - 1, bern, [], []
+            for i in range(deg + 1):
+                left.append(row[0] << deg - i)
+                right.insert(0, row[-1] << deg - i)
+                row = [x + y for x, y in zip(row, row[1:])]
+            at_cut = next(i for i, x in enumerate(right) if x)
+            if at_cut:
+                roots.append(Root(a * (2 * c + 1) / (b << k + 1), at_cut))
+            pieces += [(k + 1, 2 * c + 1, right), (k + 1, 2 * c, left)]
+    return tuple(sorted(roots))
 
-        residual = abs(_horner(den_f, root)) / _abs_poly_scale(den_f, root)
-        num_res = abs(_horner(num_f, root)) / _abs_poly_scale(num_f, root)
-        if num_res < _CANCEL_TOL:
-            continue  # common factor cancels; no actual pole
-        slope = abs(_horner(dden_f, root)) / _abs_poly_scale(dden_f, root)
-        multiplicity = 1 if slope > 1e-6 else 2
-        poles.append(Pole(location=root, multiplicity=multiplicity, residual=residual))
 
-    return DefectReport(poles=tuple(poles), y_max=float(y_max), panels=_SCAN_PANELS)
+def _bisect(f: Sequence[int], lo: int, hi: int, s: int, rising: bool) -> float:
+    """The float nearest the one root of f in (lo/2^s, hi/2^s), by exact
+    bisection until both ends round to the same float; ``rising`` says
+    whether f < 0 between lo/2^s and the root."""
+    while lo / (1 << s) != hi / (1 << s):
+        lo, hi, s = 2 * lo, 2 * hi, s + 1
+        mid = lo + hi >> 1
+        value = 0  # 2^(s deg) f(mid/2^s) by Horner's rule, scaling by shifts
+        for j, c in enumerate(reversed(f)):
+            value = value * mid + (c << s * j)
+        if value == 0:
+            return mid / (1 << s)
+        if (value < 0) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return lo / (1 << s)
 
 
-def _abs_poly_scale(coeffs: Sequence[float], y: float) -> float:
-    total = 0.0
-    power = 1.0
-    for c in coeffs:
-        total += abs(c) * power
-        power *= abs(y)
-    return total if total > 0 else 1.0
+def _sign_changes(coeffs: Sequence[int]) -> int:
+    signs = [x > 0 for x in coeffs if x]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 @dataclass(frozen=True)
@@ -478,9 +481,8 @@ def select_approximant(
 ) -> SelectionResult:
     """Pick the working truncation level.
 
-    Levels with defects (positive-real poles) on (0, y_max] are excluded,
-    and so is a level whose exact tail Psi_N(y_max) has a zero denominator;
-    the highest surviving level wins.  The even levels of a fraction
+    Levels with a pole or a zero on (0, y_max] are excluded, and the
+    highest surviving level wins.  The even levels of a fraction
     built from sign-regular data converge while odd ones can stray, and
     the highest admissible order carries the most series information, so
     depth rather than tail scoring is the primary rule.  When a positive
@@ -502,11 +504,8 @@ def select_approximant(
         form = to_rational(cf, level)
         report = find_defects(form, y_max)
         tail = score = None
-        try:
-            tail_exact = form.eval_exact(y_exact) if report.is_empty() else None
-        except PoleHit:  # Q(y_max) = 0 at a root the scan dropped as removable or missed
-            tail_exact = None
-        if tail_exact is not None:
+        if report.is_empty():
+            tail_exact = form.eval_exact(y_exact)
             tail = float(tail_exact)
             if score_it:
                 score = float(abs(tail_exact - theta_exact))

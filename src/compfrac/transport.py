@@ -193,7 +193,7 @@ class TemperatureFn:
 
     @classmethod
     def from_continued_fraction(cls, cf: ContinuedFraction, level: int) -> "TemperatureFn":
-        num, den, _ = to_rational(cf, level).floats
+        num, den = to_rational(cf, level).floats
 
         def fn(y: float) -> float:
             return _horner(num, y) / _horner(den, y)

@@ -395,6 +395,19 @@ def test_solve_taylor_theta(tmp_path):
     assert manifest["theta"] == "Taylor partial sum, level 4 (monoenergetic(x0=4, n0=1))"
 
 
+@pytest.mark.parametrize("order, level", [(37, 36), (48, 47), (49, 47)])
+def test_solve_deep_order_skips_defective_levels(tmp_path, order, level):
+    # level 37 has a pole near y = 0.051, level 48 one near 0.110 and level
+    # 49 a zero near 1.188, so theta would blow up or go negative on (0, 2]
+    code = main(
+        ["solve", "--M", str(order), "--grid-cells", "32", "--rtol", "1e-3",
+         "--snapshots", "2", "--out-dir", str(tmp_path)]
+    )
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "run_monoenergetic.json").read_text())
+    assert manifest["theta"] == f"continued fraction, level {level} (monoenergetic(x0=4, n0=1))"
+
+
 def test_reproduce_chains_all_stages(tmp_path, monkeypatch, capsys):
     calls = {}
 
@@ -481,8 +494,8 @@ SHIPPED_DIGESTS = {
         "derivs_monoenergetic.csv": "aed0ee754b82ce2309131ef1fa16daa2740a709e7d03bd8d60497e48ee483ac0",
         "cf_monoenergetic.json": "d5720a42635c24b0f80c63c2ff11bb2ce16263fc6fbf9abdf3bcfdc85a6c1a52",
         "cf_monoenergetic.csv": "00bcecec4c7f010056de0eb0a2bbbbb3e112ccdc0099907ecde9586e6c86f1a7",
-        "selection_monoenergetic.json": "3cfe83c48e8d4fa3af1d8d193a28e49edd96aecbb49eb988acaf9b4baea29096",
-        "defects_monoenergetic.json": "ae325a230a48234acc9382f10c3eb7e6f0dd4d61b955498e7d49aca018da30eb",
+        "selection_monoenergetic.json": "d4575f6e00a180aba7ab6c3c64add8e83cb15d687875255daa49e306e02b69db",
+        "defects_monoenergetic.json": "7eefeedc062a7e64c82d32ddba9176befcd5dd4adcf03eb83566cb3b6488a906",
         "cf_curves_monoenergetic.csv": "39a3d09b4ff4758bd79be2dc4c193f00f5ee895549c7b07bd0eaa4d9c5d8acfa",
         "taylor_curves_monoenergetic.csv": "0e01e0c0396774dbe5dbd50bed6a11b4bcf6929ba989b15bb61ddbeb9f7f5735",
     },
@@ -492,7 +505,7 @@ SHIPPED_DIGESTS = {
         "cf_bremsstrahlung.json": "f3c66ee6a4835458afc386936c37dffd18145bad63b0bf0333df2efbd98cb9fd",
         "cf_bremsstrahlung.csv": "75ff028075e11ed6a8d0f8b1408a31aa022b07062dd55908056c8be76d9a10b2",
         "selection_bremsstrahlung.json": "ed50c569483c84521ee53fbc20a353f4525828723b6ff68fa23cbaaae60d07a9",
-        "defects_bremsstrahlung.json": "ae325a230a48234acc9382f10c3eb7e6f0dd4d61b955498e7d49aca018da30eb",
+        "defects_bremsstrahlung.json": "7eefeedc062a7e64c82d32ddba9176befcd5dd4adcf03eb83566cb3b6488a906",
         "cf_curves_bremsstrahlung.csv": "1d58dd38809670d39194d712e03c374b410bc6c4dd3f33a2e6c621d38f3f0432",
         "taylor_curves_bremsstrahlung.csv": "44fb9a8ab50cd102ec76513d7e6c59a1f17967cb73d1c3b12a444bbc2ac350f5",
     },

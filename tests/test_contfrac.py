@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from compfrac.contfrac import (
     ContinuedFraction,
     PoleHit,
+    RationalForm,
     cf_coefficients,
     cf_eval,
     cf_eval_exact,
@@ -214,18 +215,16 @@ def test_shared_fold_every_level(deep_fraction):
 
 
 def test_form_floats_match_exact_coefficients(deep_fraction):
-    # selection, the emitted defect reports and the driving temperature
-    # read a form's floats, built from its integers without a Fraction;
-    # they must be float() of its exact coefficients and of Q'
+    # cf_eval and the driving temperature read a form's floats, built from
+    # its integers without a Fraction; they must be float() of its exact
+    # coefficients.  The selection's reports are the ones find_defects gives
     _, cf = deep_fraction
     selection = select_approximant(cf, 2.0)
     for n in range(cf.truncation + 1):
         rf = to_rational(cf, n)
-        num, den, dden = rf.floats
+        num, den = rf.floats
         assert num == tuple(float(c) for c in rf.numerator)
         assert den == tuple(float(c) for c in rf.denominator)
-        exact_dden = tuple(float(l * c) for l, c in enumerate(rf.denominator) if l)
-        assert dden == (exact_dden or (0.0,))
         assert selection.candidates[n].report == find_defects(rf, 2.0)
 
 
@@ -270,8 +269,9 @@ def shipped_fractions_64():
 def test_descartes_certificate_skips_only_positive_denominators(
     shipped_fractions_64, mono_cf
 ):
-    # a level whose integer q has no negative coefficient skips the float
-    # scan; its float Q must then be strictly positive at every scan point
+    # a level whose integer q has no negative coefficient has no pole on
+    # y > 0 (Descartes), and its float Q, which cf_eval reads, must be
+    # strictly positive there too
     ys = np.linspace(0.0, 2.0, 4097)
     skipped = {}
     for name, cf in shipped_fractions_64.items():
@@ -290,6 +290,77 @@ def test_descartes_certificate_skips_only_positive_denominators(
     for level in (1, 5):
         assert min(to_rational(mono_cf, level).q) < 0
         assert len(find_defects(to_rational(mono_cf, level), 2.0).poles) == 1
+
+
+def test_deep_pulse_defects_exact(shipped_fractions_64):
+    # the poles of levels 37, 48, 52-54, 57, 58 and 62 each lie within 3e-8
+    # relative of a zero of P, yet P and Q share no factor, so each is a
+    # pole; levels 31, 35 and 49 have a zero and no pole, where theta < 0
+    cf = shipped_fractions_64["pulse"]
+    reports = [find_defects(to_rational(cf, n), 2.0) for n in range(65)]
+    with_poles = [n for n, r in enumerate(reports) if r.poles]
+    with_zeros = [n for n, r in enumerate(reports) if r.zeros]
+    assert with_poles == [1, 5, 29, 33, 37, 40, 44, 48, 52, 53, 54, 56, 57, 58, 62]
+    assert with_zeros == [31, 35, 37, 40, 44, 48, 49, 52, 53, 54, 56, 57, 58, 62]
+    assert len(reports[54].poles) == 2
+    assert 0.11 < reports[48].poles[0].location < 0.1101
+    # each root is simple and rounds to its reported float: the exact
+    # polynomial changes sign between the midpoints to the neighbouring floats
+    for n, report in enumerate(reports):
+        form = to_rational(cf, n)
+        for poly, roots in ((form.q, report.poles), (form.p, report.zeros)):
+            for location, multiplicity in roots:
+                assert multiplicity == 1
+                x = Fraction(location)
+                below = (x + Fraction(math.nextafter(location, 0))) / 2
+                above = (x + Fraction(math.nextafter(location, 3))) / 2
+                values = [sum(c * y**k for k, c in enumerate(poly)) for y in (below, above)]
+                assert values[0] * values[1] < 0
+
+
+def _times(poly, factor):
+    out = [0] * (len(poly) + len(factor) - 1)
+    for i, a in enumerate(poly):
+        for j, b in enumerate(factor):
+            out[i + j] += a * b
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    top=st.integers(min_value=1, max_value=40),
+    inside=st.lists(
+        st.tuples(
+            st.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda r: 0 < r < 1),
+            st.integers(min_value=1, max_value=3),
+        ),
+        max_size=3,
+        unique_by=lambda root: root[0],
+    ),
+    at_end=st.integers(min_value=0, max_value=2),
+    positive=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), max_size=2),
+)
+def test_root_count_matches_planted_roots(top, inside, at_end, positive):
+    # (b y - a)^m at a/b inside (0, y_max) and at y_max = top/8, times
+    # factors with positive coefficients (no root on y > 0) and roots just
+    # outside: at 0, at -2^-40 and at y_max + 2^-43
+    y_max = Fraction(top, 8)
+    poly = [0, 1]
+    for factor in ([1, 2**40], [-(top * 2**40 + 1), 8 * 2**40]):
+        poly = _times(poly, factor)
+    for s, t in positive:
+        poly = _times(poly, [t, s, 1])
+    expected = []
+    for r, m in inside + [(Fraction(1), at_end)]:
+        root = r * y_max
+        for _ in range(m):
+            poly = _times(poly, [-root.numerator, root.denominator])
+        if m:
+            expected.append((float(root), m))
+    for sign in (1, -1):
+        report = find_defects(RationalForm(p=tuple(sign * c for c in poly), q=(1,)), float(y_max))
+        assert report.poles == ()
+        assert report.zeros == tuple(sorted(expected))
 
 
 @pytest.mark.parametrize("level", [2, 4, 12, 24])
@@ -322,6 +393,15 @@ def test_selection_picks_deepest_clean_level(mono_selection, brems_selection):
     assert len(by_level[5].report.poles) == 1
     assert by_level[24].report.is_empty()
     assert by_level[24].score is not None
+
+
+def test_even_multiplicity_pole_found():
+    # level 3 has Q = (1 - y/2)^2, a double pole that no sign scan brackets
+    cf = ContinuedFraction(coefficients=(1, Fraction(1, 2), -2, Fraction(1, 2)))
+    sel = select_approximant(cf, 3.0)
+    assert sel.candidates[3].report.poles == ((2.0, 2),)
+    assert sel.candidates[2].report.poles == ((2 / 3, 1),)
+    assert sel.level == 1
 
 
 def test_selection_of_constant_fraction():
@@ -486,9 +566,10 @@ def test_level_zero_always_admissible(coeffs, y_max):
     ids=["zero_numerator", "endpoint_root_missed", "common_factor"],
 )
 def test_undefined_tail_not_admissible(coeffs, y_max):
-    # Q(y_max) = 0 exactly at the deepest level, at a root the float scan
-    # drops as a common factor of P and Q or misses at the end of its
-    # range: that level has no tail value, and the one above it is chosen
+    # Q(y_max) = 0 exactly at the deepest level, where P may vanish too (the
+    # last case, with a zero c1) or be identically zero (the first): the
+    # count reports that pole, so the level has no tail value, and the one
+    # above it is chosen
     sel = select_approximant(ContinuedFraction(coefficients=coeffs), y_max)
     assert sel.candidates[-1].tail_value is None
     assert sel.level == len(coeffs) - 2
