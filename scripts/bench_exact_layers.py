@@ -6,7 +6,7 @@
 
 ``--before`` is the root of another checkout (for instance the parent
 commit, extracted with ``git archive``); "after" is the checkout holding
-this script.  For each side, order M in {24, 40, 64} and spectrum, a fresh
+this script.  For each side, order M in {24, 30, 40, 64} and spectrum, a fresh
 interpreter importing that side's ``src/`` times, as the median of
 ``REPS`` repetitions on fresh objects:
 
@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ORDERS = (24, 40, 64)
+ORDERS = (24, 30, 40, 64)
 SPECTRA = ("monoenergetic", "bremsstrahlung")
 REPS = 3
 PAIRS = 10

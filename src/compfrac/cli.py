@@ -28,9 +28,10 @@ from .contfrac import (
     PoleHit,
     cf_coefficients,
     cf_eval,
-    find_defects,  # not called here; perfbench's tracer wraps it under this name
+    find_defects,
     select_approximant,
     taylor_eval,
+    to_rational,
 )
 from .moments import DerivativeTable, theta_derivatives_comptonization, write_json
 from .spectra import (
@@ -237,16 +238,12 @@ def _table_spectrum(config: RunConfig):
 
 def _parse_theta_spec(spec: str, order: int) -> tuple:
     kind, _, arg = spec.partition(":")
-    if kind == "cf":
-        if not arg:
+    if kind in ("cf", "taylor"):
+        if kind == "cf" and not arg:
             return ("cf", None)
         if arg.isdigit() and 0 <= int(arg) <= order:
-            return ("cf", int(arg))
-        raise ConfigError("theta", f"cf level must lie in 0..{order}, got {arg!r}")
-    if kind == "taylor":
-        if arg.isdigit() and 0 <= int(arg) <= order:
-            return ("taylor", int(arg))
-        raise ConfigError("theta", f"taylor level must lie in 0..{order}, got {arg!r}")
+            return (kind, int(arg))
+        raise ConfigError("theta", f"{kind} level must lie in 0..{order}, got {arg!r}")
     if kind == "constant":
         try:
             value = _parse_number(arg)
@@ -320,8 +317,14 @@ def _resolve_theta(run: _Artifacts) -> TemperatureFn:
         return TemperatureFn.constant(arg)
     if kind == "taylor":
         return TemperatureFn.from_table(run.table, arg)
-    level = run.selection.level if arg is None else arg
-    return TemperatureFn.from_continued_fraction(run.fraction, level)
+    if arg is None:
+        return TemperatureFn.from_continued_fraction(run.fraction, run.selection.level)
+    report = find_defects(to_rational(run.fraction, arg), run.config.y_max)
+    if not report.is_empty():  # an explicit level must be as clean as a selected one
+        (y, mult), defect = (report.poles[0], "pole") if report.poles else (report.zeros[0], "zero")
+        message = f"fraction level {arg} has a {defect} of multiplicity {mult} at y = {y!r}"
+        raise PoleHit(y, arg, message) if report.poles else NonPositiveTemperature(message)
+    return TemperatureFn.from_continued_fraction(run.fraction, arg)
 
 
 def _grid(config: RunConfig) -> Grid:

@@ -23,7 +23,8 @@ holds the level's integer polynomials; its Fraction coefficients and its
 float coefficients (each rounded once from the integers) are built on
 first use.  find_defects counts the real roots of those integers on
 (0, y_max] exactly, so a level is selected only when its Psi_N is proved
-finite and positive there.
+finite and positive there.  Selection ranks tails in integers too: one
+correctly rounded int / int per float, cross-multiplied comparisons.
 """
 
 from __future__ import annotations
@@ -231,15 +232,18 @@ class RationalForm:
         d = self.q[0]
         return tuple(x / d for x in self.p), tuple(x / d for x in self.q)
 
+    def ratio_at(self, a: int, b: int) -> tuple:
+        """(n, d) with P(a/b)/Q(a/b) = n/d for b > 0; d = 0 at a pole."""
+        num = _homogeneous(self.p, a, b) * b ** len(self.q)
+        return num, _homogeneous(self.q, a, b) * b ** len(self.p)
+
     def eval_exact(self, y) -> Fraction:
-        """P(y)/Q(y) at rational y = a/b: one integer Horner of p and of q,
-        with no Fraction built until the quotient."""
+        """P(y)/Q(y) at rational y, with no Fraction built until the quotient."""
         y = Fraction(y)
-        a, b = y.as_integer_ratio()
-        den = _homogeneous(self.q, a, b) * b ** len(self.p)
+        num, den = self.ratio_at(*y.as_integer_ratio())
         if den == 0:
             raise PoleHit(y, None, f"denominator root at y={y}")
-        return Fraction(_homogeneous(self.p, a, b) * b ** len(self.q), den)
+        return Fraction(num, den)
 
 
 def to_rational(cf: ContinuedFraction, level: int) -> RationalForm:
@@ -495,35 +499,35 @@ def select_approximant(
     and is not a stable selector.
     """
     diags: list = []
-    admissible: list = []
-    y_exact = Fraction(y_max)
+    admissible: list = []  # (level, |tail - theta_eq| as numerator, denominator)
+    a, b = Fraction(y_max).as_integer_ratio()
     score_it = theta_eq is not None and Fraction(theta_eq) > 0
-    theta_exact = Fraction(theta_eq) if score_it else None
+    eq_num, eq_den = Fraction(theta_eq).as_integer_ratio() if score_it else (0, 1)
 
     for level in range(cf.truncation + 1):
         form = to_rational(cf, level)
         report = find_defects(form, y_max)
         tail = score = None
         if report.is_empty():
-            tail_exact = form.eval_exact(y_exact)
-            tail = float(tail_exact)
-            if score_it:
-                score = float(abs(tail_exact - theta_exact))
-            admissible.append((level, tail_exact))
+            num, den = form.ratio_at(a, b)  # den > 0: Q(0) = 1 and no root on (0, y_max]
+            gap, scale = abs(num * eq_den - eq_num * den), den * eq_den
+            tail, score = num / den, gap / scale if score_it else None
+            admissible.append((level, gap, scale))
         diags.append(CandidateDiagnostics(level, report, tail, score))
 
     # level 0 is the constant c0 over Q = 1, so admissible is never empty
-    chosen = max(lv for lv, _ in admissible)
+    chosen = admissible[-1][0]
     note = "highest defect-free level"
     if score_it and len(admissible) > 1:
-        best = min(
-            admissible,
-            key=lambda it: (abs(it[1] - theta_exact), it[0] % 2, -it[0]),
-        )
+        best = admissible[0]
+        for level, gap, scale in admissible[1:]:
+            ahead = gap * best[2] - best[1] * scale  # the sign of the score difference
+            if ahead < 0 or ahead == 0 and (level % 2, -level) < (best[0] % 2, -best[0]):
+                best = level, gap, scale
         if best[0] != chosen:
             note += (
                 f"; level {best[0]} lands nearer theta_eq="
-                f"{float(theta_exact):.6g} at y={y_max} (see candidate scores)"
+                f"{eq_num / eq_den:.6g} at y={y_max} (see candidate scores)"
             )
 
     fallback = chosen == 0 and cf.truncation > 0

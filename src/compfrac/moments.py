@@ -9,12 +9,11 @@ Both routes below advance truncated Taylor series (jets) of the moments
 through this hierarchy in exact rational arithmetic, with Cauchy
 products for I_{n+j-1}/theta and the series reciprocal of theta
 (Taylor-mode differentiation; Griewank & Walther, Evaluating
-Derivatives, 2nd ed. 2008, ch. 13).  The moment jets are in integers:
-every jet shares one denominator per order, so each Cauchy product is an
-integer dot product and each order is normalised by one gcd.  The series
-of theta and 1/theta stay Fractions, one per order, whose quotient terms
-(_quotient_term) take each dot product over one common denominator
-(_dot).  They differ in how the temperature is recovered:
+Derivatives, 2nd ed. 2008, ch. 13), all in integers: every moment jet
+shares one denominator per order, the series of theta and 1/theta keep
+one per coefficient, and each new coefficient is one integer sum over
+one lcm, reduced by one gcd.  Fractions appear only at the interface,
+DerivativeTable.values.  The routes differ in how theta is recovered:
 
 * the Comptonization route (i=j=k=2, alpha=4), where energy conservation
   closes the hierarchy: theta is the series quotient I_4/(4 I_3) over the
@@ -158,31 +157,13 @@ class DerivativeTable:
 # Taylor jets: list c holds the coefficient of y^c
 
 
-def _dot(xs: list, ys) -> Fraction:
-    """sum_r xs[r] ys[r] for Fractions, accumulated over one common
-    denominator and normalised once."""
-    dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
-    common = math.lcm(*dens)
-    return Fraction(
-        sum(x.numerator * y.numerator * (common // d) for x, y, d in zip(xs, ys, dens)),
-        common,
-    )
-
-
-def _quotient_term(num_c: Fraction, den: list, q: list) -> Fraction:
-    """Next coefficient of q = num/den, from num's coefficient and q so far."""
-    c = len(q)
-    return (num_c - _dot(q, den[c:0:-1])) / den[0]
-
-
 def _hierarchy_terms(params: TransportParams, n: Fraction) -> tuple:
     """dI_n/dy as (coefficient, index, divided by theta) terms; zero terms
-    are dropped, so at n = i the moment is constant and nothing is read."""
-    pre = n - params.i
-    terms = (
-        (pre * (n + params.k - 1), n + params.k - 2, False),
-        (-pre, n + params.j - 1, True),
-    )
+    are dropped, so at n = i the moment is constant and nothing is read;
+    integral parameters act as ints, so an int n costs no Fraction."""
+    i, j, k = (x.numerator if x.denominator == 1 else x for x in (params.i, params.j, params.k))
+    pre = n - i
+    terms = ((pre * (n + k - 1), n + k - 2, False), (-pre, n + j - 1, True))
     return tuple(t for t in terms if t[0] != 0)
 
 
@@ -215,18 +196,15 @@ class _Jets:
             for n in grows
         ]
 
-    def __getitem__(self, key: tuple) -> Fraction:
-        n, c = key
-        return Fraction(self.jets[n][c], self.dens[c])
-
-    def advance(self, recip: list, c: int) -> None:
+    def advance(self, recip: tuple, c: int) -> None:
         """Append coefficient c+1 to every jet expanded beyond c; recip
-        holds the coefficients 0..c of 1/theta."""
+        holds 1/theta's coefficients 0..c as (numerators, denominators)."""
         dens = self.dens
         # Cauchy weights of 1/theta * I_m over one denominator for all m
-        prods = [r.denominator * dens[c - k] for k, r in enumerate(recip)]
+        nums, rdens = recip
+        prods = [d * dens[c - k] for k, d in enumerate(rdens)]
         common = math.lcm(*prods)
-        weights = [r.numerator * (common // p) for r, p in zip(recip, prods)]
+        weights = [n * (common // p) for n, p in zip(nums, prods)]
         lift = common // dens[c]  # exact: the r = 0 weight holds dens[c]
         rates = [
             (jet, sum(
@@ -243,9 +221,28 @@ class _Jets:
             jet.append(rate // g)
 
 
-def _derivatives(theta: list) -> tuple:
+def _push(series: tuple, num: int, den: int) -> None:
+    """Append num/den to (numerators, positive denominators), reduced."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    series[0].append(num // g)
+    series[1].append(den // g)
+
+
+def _quotient_coefficient(q: tuple, top: int, top_den: int, den: tuple) -> tuple:
+    """Coefficient c = len(q) of q = num/den, from num's coefficient
+    top/top_den: (top/top_den - sum_{r<c} q_r den_{c-r}) / den_0 as
+    (numerator, denominator), one integer sum over one lcm."""
+    (dn, dd), (qn, qd) = den, q
+    c = len(qn)
+    prods = [d * dd[c - r] for r, d in enumerate(qd)]
+    common = math.lcm(top_den, *prods)
+    rest = sum(n * dn[c - r] * (common // p) for r, (n, p) in enumerate(zip(qn, prods)))
+    return (top * (common // top_den) - rest) * dd[0], common * dn[0]
+
+
+def _derivatives(theta: tuple) -> tuple:
     """theta^(m)(0) = m! [y^m] theta."""
-    return tuple(math.factorial(m) * t for m, t in enumerate(theta))
+    return tuple(Fraction(math.factorial(m) * n, d) for m, (n, d) in enumerate(zip(*theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +271,28 @@ def comptonization_table_from_moments(
     if initial[3] <= 0:
         raise NonlinearSolveImpossible("conserved energy moment I_3(0) must be positive")
 
-    theta = [initial[4] / (4 * initial[3])]
-    if order and theta[0] == 0:
+    theta0 = initial[4] / (4 * initial[3])
+    if order and theta0 == 0:
         raise NonlinearSolveImpossible(
             "I_4(0) = 0 makes theta(0) = 0, so 1/theta has no series; "
             "the spectrum is degenerate"
         )
-    if theta[0] != 1:
+    if theta0 != 1:
         raise NormalizationError(
             f"spectrum fails the closure check I_4(0) / (4 I_3(0)): "
-            f"ratio = {theta[0]}; energy conservation needs theta(0) = 1"
+            f"ratio = {theta0}; energy conservation needs theta(0) = 1"
         )
 
-    terms = {n: _hierarchy_terms(COMPTONIZATION, Fraction(n)) for n in needed}
+    terms = {n: _hierarchy_terms(COMPTONIZATION, n) for n in needed}
     depth = {n: min(order, order + 4 - n) for n in needed}
     jets = _Jets({n: initial[n] for n in needed}, terms, depth)
-    i3 = [initial[3]]
-    recip: list = []
+    i3, i4, dens = jets.jets[3], jets.jets[4], jets.dens
+    theta, recip = ([1], [1]), ([1], [1])
     for c in range(order):
-        recip.append(_quotient_term(Fraction(c == 0), theta, recip))
+        if c:
+            _push(recip, *_quotient_coefficient(recip, 0, 1, theta))
         jets.advance(recip, c)
-        i3.append(jets[3, c + 1])
-        theta.append(_quotient_term(jets[4, c + 1] / 4, i3, theta))
+        _push(theta, *_quotient_coefficient(theta, i4[c + 1], 4 * dens[c + 1], (i3, dens)))
 
     return DerivativeTable(
         values=_derivatives(theta),
@@ -362,13 +359,14 @@ def theta_derivatives_general(
             f"I_alpha(0) = 0 at alpha = {params.alpha}; theta is undefined"
         )
     jets = _Jets(initial, terms, {ix: order - s for ix, s in steps.items()})
+    head, dens = jets.jets[params.alpha], jets.dens
 
-    theta = [Fraction(1)]
-    recip: list = []
+    theta, recip = ([1], [1]), ([1], [1])
     for c in range(order):
-        recip.append(_quotient_term(Fraction(c == 0), theta, recip))
+        if c:
+            _push(recip, *_quotient_coefficient(recip, 0, 1, theta))
         jets.advance(recip, c)
-        theta.append(jets[params.alpha, c + 1] / norm)
+        _push(theta, head[c + 1] * norm.denominator, dens[c + 1] * norm.numerator)
 
     return DerivativeTable(
         values=_derivatives(theta),

@@ -206,6 +206,34 @@ def test_numerical_failure_exit(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        # a pole next to a zero of P near y = 0.110: a near doublet that the
+        # dense positivity samples step over
+        (48, "fraction level 48 has a pole of multiplicity 1 at y = 0.11000465"),
+        (49, "fraction level 49 has a zero of multiplicity 1 at y = 1.18845027"),
+    ],
+)
+def test_explicit_level_with_defect_refused(tmp_path, capsys, level, message):
+    code = main(
+        ["solve", "--M", str(level), "--theta", f"cf:{level}", "--grid-cells", "32",
+         "--rtol", "1e-3", "--snapshots", "2", "--out-dir", str(tmp_path)]
+    )
+    assert code == EXIT_NUMERICAL
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # refused before any solve
+
+
+def test_explicit_clean_level_solves(tmp_path):
+    code = main(
+        ["solve", "--M", "8", "--theta", "cf:4", "--grid-cells", "16",
+         "--rtol", "1e-3", "--snapshots", "2", "--out-dir", str(tmp_path)]
+    )
+    assert code == EXIT_OK
+    assert (tmp_path / "run_monoenergetic.json").is_file()
+
+
 def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
     def failing_solve(*args, **kwargs):
         raise NonFiniteState("step error norm is nan at y = 0.5")

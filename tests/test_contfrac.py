@@ -17,9 +17,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from compfrac.contfrac import (
+    CandidateDiagnostics,
     ContinuedFraction,
     PoleHit,
     RationalForm,
+    SelectionResult,
     cf_coefficients,
     cf_eval,
     cf_eval_exact,
@@ -573,3 +575,97 @@ def test_undefined_tail_not_admissible(coeffs, y_max):
     sel = select_approximant(ContinuedFraction(coefficients=coeffs), y_max)
     assert sel.candidates[-1].tail_value is None
     assert sel.level == len(coeffs) - 2
+
+
+def fraction_selection(cf, y_max, theta_eq=None):
+    """select_approximant with every tail and score a Fraction, ranked by
+    min over Fraction keys: the reference for the integer ranking."""
+    diags: list = []
+    admissible: list = []
+    y_exact = Fraction(y_max)
+    score_it = theta_eq is not None and Fraction(theta_eq) > 0
+    theta_exact = Fraction(theta_eq) if score_it else None
+
+    for level in range(cf.truncation + 1):
+        form = to_rational(cf, level)
+        report = find_defects(form, y_max)
+        tail = score = None
+        if report.is_empty():
+            tail_exact = form.eval_exact(y_exact)
+            tail = float(tail_exact)
+            if score_it:
+                score = float(abs(tail_exact - theta_exact))
+            admissible.append((level, tail_exact))
+        diags.append(CandidateDiagnostics(level, report, tail, score))
+
+    chosen = max(lv for lv, _ in admissible)
+    note = "highest defect-free level"
+    if score_it and len(admissible) > 1:
+        best = min(
+            admissible,
+            key=lambda it: (abs(it[1] - theta_exact), it[0] % 2, -it[0]),
+        )
+        if best[0] != chosen:
+            note += (
+                f"; level {best[0]} lands nearer theta_eq="
+                f"{float(theta_exact):.6g} at y={y_max} (see candidate scores)"
+            )
+
+    fallback = chosen == 0 and cf.truncation > 0
+    if fallback:
+        note = "every level >= 1 has defects; constant fallback"
+    return SelectionResult(
+        level=chosen, fallback=fallback, note=note, candidates=tuple(diags)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=st.lists(fold_coefficients, min_size=1, max_size=8),
+    y_max=st.floats(min_value=0.01, max_value=10.0),
+    theta_eq=st.one_of(
+        st.none(),
+        st.just(Fraction(0)),
+        st.fractions(min_value=Fraction(1, 50), max_value=20, max_denominator=50),
+    ),
+)
+@example(coeffs=[Fraction(1), Fraction(3), Fraction(-1, 2)], y_max=2.0, theta_eq=Fraction(1, 2))
+def test_integer_ranking_matches_fraction_selection(coeffs, y_max, theta_eq):
+    # negative tails and scores measured across zero included
+    cf = ContinuedFraction(coefficients=tuple(coeffs))
+    got = select_approximant(cf, y_max, theta_eq=theta_eq)
+    assert got == fraction_selection(cf, y_max, theta_eq)
+
+
+@pytest.mark.parametrize(
+    "coeffs, theta_eq, best",
+    [
+        # tails 1 and 1/2 at y = 1 lie 1/4 either side of 3/4: the even
+        # level wins the tie though the odd one is deeper
+        ((1, 1), Fraction(3, 4), 0),
+        # tails 1, 1/2, 2/3, 3/5: levels 0 and 2 both lie 1/6 from 5/6, and
+        # the deeper even level wins
+        ((1, 1, 1, 1), Fraction(5, 6), 2),
+    ],
+    ids=["odd_against_even", "two_even"],
+)
+def test_equal_distance_ties_ranked_even_then_deeper(coeffs, theta_eq, best):
+    cf = ContinuedFraction(coefficients=coeffs)
+    sel = select_approximant(cf, 1.0, theta_eq=theta_eq)
+    scores = [c.score for c in sel.candidates]
+    assert scores.count(min(scores)) == 2
+    assert sel.level == len(coeffs) - 1
+    assert f"level {best} lands nearer theta_eq" in sel.note
+    assert sel == fraction_selection(cf, 1.0, theta_eq)
+
+
+@pytest.mark.parametrize("order", [24, 30, 64])
+def test_selection_json_matches_fraction_selection(order, shipped_fractions_64):
+    for spectrum, theta_eq in ((Monoenergetic(), Fraction(4, 3)), (Bremsstrahlung(), Fraction(0))):
+        name = "pulse" if isinstance(spectrum, Monoenergetic) else "freefree"
+        if order == 64:
+            cf = shipped_fractions_64[name]
+        else:
+            cf = cf_coefficients(theta_derivatives_comptonization(spectrum, order))
+        got = select_approximant(cf, 2.0, theta_eq=theta_eq).to_json_dict()
+        assert got == fraction_selection(cf, 2.0, theta_eq).to_json_dict()

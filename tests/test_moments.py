@@ -9,6 +9,7 @@ production routes must reproduce those jets exactly, to order 64.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from compfrac.moments import (
     DerivativeTable,
+    _Jets,
     NonlinearSolveImpossible,
     NormalizationError,
     comptonization_table_from_moments,
@@ -269,10 +271,81 @@ def test_random_rational_moments_match_oracle(i3, rest, order):
     assert table.values == hierarchy_jets(moments.__getitem__, order)
 
 
+# The Fraction recurrence the integer theta and 1/theta series replaced,
+# kept as a plain oracle for them.
+
+
+def _dot(xs: list, ys) -> Fraction:
+    """sum_r xs[r] ys[r] for Fractions, accumulated over one common
+    denominator and normalised once."""
+    dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+    common = math.lcm(*dens)
+    return Fraction(
+        sum(x.numerator * y.numerator * (common // d) for x, y, d in zip(xs, ys, dens)),
+        common,
+    )
+
+
+def _quotient_term(num_c: Fraction, den: list, q: list) -> Fraction:
+    """Next coefficient of q = num/den, from num's coefficient and q so far."""
+    c = len(q)
+    return (num_c - _dot(q, den[c:0:-1])) / den[0]
+
+
+def fraction_series(moments, order):
+    """theta and 1/theta of the closed hierarchy as Fractions: per-entry
+    moment jets, theta = I_4/(4 I_3) and 1/theta by _quotient_term."""
+    top = order + 5
+    jets = {n: [Fraction(moments[n])] for n in range(3, top)}
+    theta, recip = [jets[4][0] / (4 * jets[3][0])], []
+    for c in range(order):
+        recip.append(_quotient_term(Fraction(c == 0), theta, recip))
+        for n in range(3, top - c - 1):
+            flux = _dot(recip, jets[n + 1][c::-1])
+            jets[n].append(Fraction(n - 2, c + 1) * ((n + 1) * jets[n][c] - flux))
+        theta.append(_quotient_term(jets[4][c + 1] / 4, jets[3], theta))
+    return theta, recip
+
+
+def build_recording_reciprocal(build):
+    """(build(), the 1/theta coefficients each _Jets.advance call was fed,
+    as Fractions), checking that every coefficient arrives in lowest terms
+    over a positive denominator."""
+    fed = []
+    advance = _Jets.advance
+
+    def recording(self, recip, c):
+        assert all(d > 0 and math.gcd(n, d) == 1 for n, d in zip(*recip))
+        fed.append([Fraction(n, d) for n, d in zip(*recip)])
+        advance(self, recip, c)
+
+    with mock.patch.object(_Jets, "advance", recording):
+        return build(), fed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    i3=st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=60),
+    rest=st.lists(rational_moments, min_size=13, max_size=13),
+    order=st.integers(min_value=0, max_value=12),
+)
+def test_integer_series_match_fraction_recurrence(i3, rest, order):
+    moments = {3: i3, 4: 4 * i3, **{n: v for n, v in enumerate(rest, start=5)}}
+    table, fed = build_recording_reciprocal(
+        lambda: comptonization_table_from_moments(
+            {n: moments[n] for n in range(3, order + 5)}, order
+        )
+    )
+    theta, recip = fraction_series(moments, order)
+    assert [v / math.factorial(m) for m, v in enumerate(table.values)] == theta
+    assert fed == [recip[: c + 1] for c in range(order)]
+
+
 def plain_general_route(params, spectrum, order):
     """The general route as plain Fraction sums, each product and sum
     normalised as it goes: per-entry Cauchy products over the index
-    lattice, with theta = I_alpha/I_alpha(0) and 1/theta by long division."""
+    lattice, with theta = I_alpha/I_alpha(0) and 1/theta by _quotient_term.
+    Returns theta^(m)(0) and the coefficients of 1/theta."""
     steps, frontier = {params.alpha: 0}, [params.alpha]
     rules = {}
     for s in range(1, order + 1):
@@ -296,9 +369,7 @@ def plain_general_route(params, spectrum, order):
     norm = jets[params.alpha][0]
     theta, recip = [Fraction(1)], []
     for c in range(order):
-        recip.append(
-            (Fraction(c == 0) - sum(recip[r] * theta[c - r] for r in range(c))) / theta[0]
-        )
+        recip.append(_quotient_term(Fraction(c == 0), theta, recip))
         for n, s in steps.items():
             if order - s > c:
                 rate = sum(
@@ -310,13 +381,13 @@ def plain_general_route(params, spectrum, order):
                 )
                 jets[n].append(Fraction(rate, c + 1))
         theta.append(jets[params.alpha][c + 1] / norm)
-    return tuple(math.factorial(m) * t for m, t in enumerate(theta))
+    return tuple(math.factorial(m) * t for m, t in enumerate(theta)), recip
 
 
 @pytest.mark.parametrize(
     "ijka",
-    [(2, 2, 2, 4), (2, 3, 3, 5), (Fraction(5, 2), 2, 3, 4)],
-    ids=["comptonization", "2-3-3-5", "5/2-2-3-4"],
+    [(2, 2, 2, 4), (2, 3, 3, 5), (Fraction(5, 2), 2, 3, 4), (Fraction(7, 3), 3, 3, 5)],
+    ids=["comptonization", "2-3-3-5", "5/2-2-3-4", "7/3-3-3-5"],
 )
 def test_general_route_on_rational_pulse_moments(ijka):
     # I_4 = 113/50 for this pulse; the fractional i gives the hierarchy
@@ -324,5 +395,7 @@ def test_general_route_on_rational_pulse_moments(ijka):
     pulse = GaussianPulse(mean=Fraction(3, 2), variance=Fraction(1, 100))
     assert initial_moment(pulse, 4) == Fraction(113, 50)
     params = TransportParams(*(Fraction(v) for v in ijka))
-    table = theta_derivatives_general(params, pulse, 12)
-    assert table.values == plain_general_route(params, pulse, 12)
+    table, fed = build_recording_reciprocal(lambda: theta_derivatives_general(params, pulse, 12))
+    values, recip = plain_general_route(params, pulse, 12)
+    assert table.values == values
+    assert fed == [recip[: c + 1] for c in range(12)]
