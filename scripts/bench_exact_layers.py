@@ -6,9 +6,10 @@
 
 ``--before`` is the root of another checkout (for instance the parent
 commit, extracted with ``git archive``); "after" is the checkout holding
-this script.  For each side, order M in {24, 30, 40, 64} and spectrum, a fresh
-interpreter importing that side's ``src/`` times, as the median of
-``REPS`` repetitions on fresh objects:
+this script.  For each order M in {24, 30, 40, 64} and spectrum, a fresh
+interpreter per side (the sides alternating which goes first) imports
+that side's ``src/`` and times, as the median of ``REPS`` repetitions on
+fresh objects:
 
 * ``table_comptonization`` and ``table_general``: the derivative table by
   both routes;
@@ -27,6 +28,7 @@ quartiles and the number of pairs the after side wins.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -79,14 +81,21 @@ def time_layers(order: int, spectrum_name: str) -> dict:
     return {name: statistics.median(vals) for name, vals in samples.items()}
 
 
-def layers_of(root: Path) -> dict:
-    out: dict = {}
+def layers_of(root: Path, order: int, spectrum: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
-    for order in ORDERS:
-        for spectrum in SPECTRA:
-            cmd = [sys.executable, __file__, "--child", spectrum, str(order)]
-            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-            out[f"{spectrum}/M={order}"] = json.loads(proc.stdout)
+    cmd = [sys.executable, __file__, "--child", spectrum, str(order)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def layers(sides: dict) -> dict:
+    """Per-layer medians of every order and spectrum on both sides; the
+    sides alternate which goes first, so a drift in the machine's load
+    does not fall on one side."""
+    out: dict = {side: {} for side in sides}
+    for k, (order, spectrum) in enumerate(itertools.product(ORDERS, SPECTRA)):
+        for side in ("before", "after") if k % 2 == 0 else ("after", "before"):
+            out[side][f"{spectrum}/M={order}"] = layers_of(sides[side], order, spectrum)
     return out
 
 
@@ -133,7 +142,7 @@ def main(argv=None) -> int:
         },
         "reps": REPS,
         "unit": "s",
-        "layers": {side: layers_of(root) for side, root in sides.items()},
+        "layers": layers(sides),
     }
     walls: dict = {"before": [], "after": []}
     for pair in range(PAIRS):
