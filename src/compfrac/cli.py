@@ -31,7 +31,6 @@ from .contfrac import (
     find_defects,
     select_approximant,
     taylor_eval,
-    to_rational,
 )
 from .moments import DerivativeTable, theta_derivatives_comptonization, write_json
 from .spectra import (
@@ -241,7 +240,7 @@ def _parse_theta_spec(spec: str, order: int) -> tuple:
     if kind in ("cf", "taylor"):
         if kind == "cf" and not arg:
             return ("cf", None)
-        if arg.isdigit() and 0 <= int(arg) <= order:
+        if arg.isdecimal() and 0 <= int(arg) <= order:
             return (kind, int(arg))
         raise ConfigError("theta", f"{kind} level must lie in 0..{order}, got {arg!r}")
     if kind == "constant":
@@ -264,7 +263,7 @@ def _parse_levels(text: str, order: int, field_name: str) -> tuple:
     levels = []
     for part in text.split(","):
         part = part.strip()
-        if not part.isdigit() or not 0 <= int(part) <= order:
+        if not part.isdecimal() or not 0 <= int(part) <= order:
             raise ConfigError(field_name, f"levels must be integers in 0..{order}, got {part!r}")
         levels.append(int(part))
     return tuple(dict.fromkeys(levels))
@@ -315,16 +314,18 @@ def _resolve_theta(run: _Artifacts) -> TemperatureFn:
     kind, arg = _parse_theta_spec(run.config.theta, run.config.M)
     if kind == "constant":
         return TemperatureFn.constant(arg)
-    if kind == "taylor":
-        return TemperatureFn.from_table(run.table, arg)
     if arg is None:
         return TemperatureFn.from_continued_fraction(run.fraction, run.selection.level)
-    report = find_defects(to_rational(run.fraction, arg), run.config.y_max)
+    if kind == "cf":
+        theta, name = TemperatureFn.from_continued_fraction(run.fraction, arg), "fraction"
+    else:
+        theta, name = TemperatureFn.from_table(run.table, arg), "Taylor"
+    report = find_defects(theta.fn, run.config.y_max)
     if not report.is_empty():  # an explicit level must be as clean as a selected one
         (y, mult), defect = (report.poles[0], "pole") if report.poles else (report.zeros[0], "zero")
-        message = f"fraction level {arg} has a {defect} of multiplicity {mult} at y = {y!r}"
+        message = f"{name} level {arg} has a {defect} of multiplicity {mult} at y = {y!r}"
         raise PoleHit(y, arg, message) if report.poles else NonPositiveTemperature(message)
-    return TemperatureFn.from_continued_fraction(run.fraction, arg)
+    return theta
 
 
 def _grid(config: RunConfig) -> Grid:

@@ -19,12 +19,13 @@ request for any level runs the three-term convergent recurrence over
 every level 0..N and caches one RationalForm per level on the instance,
 so selection, defect reports and the driving temperature all read the
 same fold, and so do cf_eval (float) and cf_eval_exact (exact).  A form
-holds the level's integer polynomials; its Fraction coefficients and its
-float coefficients (each rounded once from the integers) are built on
-first use.  find_defects counts the real roots of those integers on
-(0, y_max] exactly, so a level is selected only when its Psi_N is proved
-finite and positive there.  Selection ranks tails in integers too: one
-correctly rounded int / int per float, cross-multiplied comparisons.
+holds integer polynomials, a Taylor partial sum being the [N/0] form
+(taylor_form); its Fraction and float coefficients (each rounded once
+from the integers) are built on first use, and calling it is the one
+float evaluation.  find_defects counts the real roots of those integers
+on (0, y_max] exactly; a level is selected, or drives a solve, only when
+proved finite and positive there.  Selection ranks tails in integers
+too: one correctly rounded int / int per float, cross-multiplied comparisons.
 """
 
 from __future__ import annotations
@@ -115,19 +116,6 @@ class ContinuedFraction:
         )
 
 
-def taylor_eval(table: DerivativeTable, level: int, y) -> float:
-    """Taylor partial sum of theta(y) through the given order.
-
-    The sum runs in exact integer arithmetic (y lifted to an exact binary
-    fraction a/b) and is rounded exactly once, by one correctly rounded
-    integer division.
-    """
-    _check_level(level, table.order, "table holds orders")
-    series, common = table.maclaurin
-    a, b = Fraction(y).as_integer_ratio()
-    return _homogeneous(series[: level + 1], a, b) / (common * b**level)
-
-
 def _check_level(level: int, top: int, holds: str) -> None:
     if not 0 <= level <= top:
         raise ValueError(f"{holds} 0..{top}, asked for {level}")
@@ -189,14 +177,12 @@ def cf_coefficients(table: DerivativeTable) -> ContinuedFraction:
 
 
 def cf_eval(cf: ContinuedFraction, level: int, y) -> float:
-    """Psi_level(y) = P(y)/Q(y) by Horner's rule on the level's floats, the
-    same floats that drive the solve; PoleHit where the float Q(y) is 0."""
-    num, den = to_rational(cf, level).floats
+    """Psi_level(y) by the level's form at float y; PoleHit where Q(y) is 0."""
     yv = float(y)
-    q = _horner(den, yv)
-    if q == 0.0:
-        raise PoleHit(yv, level)
-    return _horner(num, yv) / q
+    try:
+        return to_rational(cf, level)(yv)
+    except ZeroDivisionError:
+        raise PoleHit(yv, level) from None
 
 
 def cf_eval_exact(cf: ContinuedFraction, level: int, y: Fraction) -> Fraction:
@@ -232,6 +218,11 @@ class RationalForm:
         d = self.q[0]
         return tuple(x / d for x in self.p), tuple(x / d for x in self.q)
 
+    def __call__(self, y):
+        """P(y)/Q(y) by Horner's rule on ``floats``, for a float or numpy array y."""
+        num, den = self.floats
+        return _horner(num, y) / _horner(den, y)
+
     def ratio_at(self, a: int, b: int) -> tuple:
         """(n, d) with P(a/b)/Q(a/b) = n/d for b > 0; d = 0 at a pole."""
         num = _homogeneous(self.p, a, b) * b ** len(self.q)
@@ -255,6 +246,20 @@ def to_rational(cf: ContinuedFraction, level: int) -> RationalForm:
     """
     _check_level(level, cf.truncation, "fraction holds levels")
     return cf._forms[level]
+
+
+def taylor_form(table: DerivativeTable, level: int) -> RationalForm:
+    """The Taylor partial sum through ``level`` as the [level/0] Pade form."""
+    _check_level(level, table.order, "table holds orders")
+    series, common = table.maclaurin
+    return RationalForm(series[: level + 1], (common,))
+
+
+def taylor_eval(table: DerivativeTable, level: int, y) -> float:
+    """Taylor partial sum of theta(y) through the given order, summed exactly
+    on taylor_form's integers and rounded once, by one int / int division."""
+    num, den = taylor_form(table, level).ratio_at(*Fraction(y).as_integer_ratio())
+    return num / den
 
 
 def _fold(cf: ContinuedFraction) -> tuple:
@@ -352,8 +357,8 @@ def find_defects(form: RationalForm, y_max: float) -> DefectReport:
 
     With c0..cN all nonzero, as cf_coefficients makes them, P and Q share
     no factor (P_n Q_{n-1} - P_{n-1} Q_n = +-c0...cn y^n, Q(0) = 1), so
-    every root of q is a pole.  An empty report with c0 > 0 proves Psi_N
-    finite and positive on [0, y_max].
+    every root of q is a pole (a Taylor form's q is constant).  An empty
+    report with P(0) > 0 proves the form finite and positive on [0, y_max].
     """
     if y_max <= 0:
         raise ValueError("y_max must be positive")
@@ -461,15 +466,16 @@ class SelectionResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "compfrac.selection/1",
+            "schema": "compfrac.selection/2",
             "level": self.level,
             "fallback": self.fallback,
             "note": self.note,
             "candidates": [
                 {
                     "level": c.level,
-                    "defect_count": len(c.report.poles),
+                    "defect_count": len(c.report.poles) + len(c.report.zeros),
                     "pole_locations": [p.location for p in c.report.poles],
+                    "zero_locations": [z.location for z in c.report.zeros],
                     "tail_value": c.tail_value,
                     "score": c.score,
                 }

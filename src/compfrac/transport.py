@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contfrac import ContinuedFraction, _check_level, _horner, to_rational
+from .contfrac import ContinuedFraction, taylor_form, to_rational
 from .moments import DerivativeTable, write_json
 from .spectra import (
     COMPTONIZATION,
@@ -178,7 +178,9 @@ class Grid:
 class TemperatureFn:
     """theta(y) as a plain callable plus a provenance description; the
     ``selfconsistent`` kind (fn None) is the closure I_4(F)/(4 I_3(F)).
-    ``fn`` takes a float y, and once the pre-check's numpy array of y."""
+    ``fn`` takes a float y, and once the pre-check's numpy array of y.  A
+    fraction or Taylor level's ``fn`` is its contfrac.RationalForm, whose
+    integers are what find_defects certifies."""
 
     fn: Callable[[float], float] | None
     description: str
@@ -193,24 +195,12 @@ class TemperatureFn:
 
     @classmethod
     def from_continued_fraction(cls, cf: ContinuedFraction, level: int) -> "TemperatureFn":
-        num, den = to_rational(cf, level).floats
-
-        def fn(y: float) -> float:
-            return _horner(num, y) / _horner(den, y)
-
-        return cls(fn=fn, description=f"continued fraction, level {level} ({cf.source})")
+        return cls(to_rational(cf, level), f"continued fraction, level {level} ({cf.source})")
 
     @classmethod
     def from_table(cls, table: DerivativeTable, level: int) -> "TemperatureFn":
-        _check_level(level, table.order, "table holds orders")
-        coeffs = tuple(
-            float(table[n]) / math.factorial(n) for n in range(level + 1)
-        )
-
-        def fn(y: float) -> float:
-            return _horner(coeffs, y)
-
-        return cls(fn=fn, description=f"Taylor partial sum, level {level} ({table.spectrum})")
+        description = f"Taylor partial sum, level {level} ({table.spectrum})"
+        return cls(taylor_form(table, level), description)
 
     @classmethod
     def constant(cls, value) -> "TemperatureFn":
@@ -232,7 +222,9 @@ _POSITIVITY_SAMPLES = 2048
 
 def check_temperature_positive(theta: TemperatureFn, y_end: float):
     """Dense positivity pre-check by one call of theta.fn on every sample;
-    raises naming the first bad y."""
+    raises naming the first bad y.  The guard for any callable handed to
+    solve_transport, uncertified levels included; the CLI certifies its
+    drivers exactly first, so for them it is redundant (~0.09 ms, 2 CPUs)."""
     ys = np.linspace(0.0, y_end, _POSITIVITY_SAMPLES)
     values = np.broadcast_to(np.asarray(theta.fn(ys), dtype=float), ys.shape)
     bad = ~(np.isfinite(values) & (values > 0))

@@ -7,6 +7,7 @@ run manifest (which carries a timestamp) must be byte-identical across
 repeat runs.
 """
 
+import dataclasses
 import filecmp
 import hashlib
 import json
@@ -144,7 +145,8 @@ def test_parse_theta_spec():
     kind, value = _parse_theta_spec("constant:4/3", 24)
     assert kind == "constant"
     assert value == pytest.approx(4.0 / 3.0)
-    for bad in ("cf:30", "taylor:abc", "constant:-2", "spline"):
+    # "²" is a digit to str.isdigit but not a decimal that int() reads
+    for bad in ("cf:30", "taylor:abc", "cf:²", "taylor:²", "constant:-2", "spline"):
         with pytest.raises(ConfigError):
             _parse_theta_spec(bad, 24)
 
@@ -153,7 +155,7 @@ def test_parse_levels():
     assert _parse_levels("", 24, "cf_n") == ()
     assert _parse_levels("4, 8,12", 24, "cf_n") == (4, 8, 12)
     assert _parse_levels("4,4,8", 24, "cf_n") == (4, 8)
-    for bad in ("25", "x", "-3"):
+    for bad in ("25", "x", "-3", "²"):
         with pytest.raises(ConfigError):
             _parse_levels(bad, 24, "cf_n")
 
@@ -225,6 +227,32 @@ def test_explicit_level_with_defect_refused(tmp_path, capsys, level, message):
     assert not list(tmp_path.iterdir())  # refused before any solve
 
 
+def test_explicit_taylor_level_with_zero_refused(tmp_path, capsys):
+    # 1 + 2y - 6y^2 vanishes at (1 + sqrt 7)/6: the Taylor form is
+    # certified by the same exact root count as a fraction level
+    code = main(
+        ["solve", "--theta", "taylor:2", "--grid-cells", "32", "--rtol", "1e-3",
+         "--snapshots", "2", "--out-dir", str(tmp_path)]
+    )
+    assert code == EXIT_NUMERICAL
+    assert ("Taylor level 2 has a zero of multiplicity 1 at y = 0.6076252185107651"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_selection_counts_zeros(tmp_path):
+    # level 49 at M = 49 has a zero of P near y = 1.188 and no pole
+    code = main(["cf", "--M", "49", "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    sel = json.loads((tmp_path / "selection_monoenergetic.json").read_text())
+    level = sel["candidates"][49]
+    assert level["level"] == 49
+    assert level["defect_count"] == 1
+    assert level["pole_locations"] == []
+    assert level["zero_locations"] == [pytest.approx(1.18845, abs=1e-5)]
+    assert level["tail_value"] is None
+
+
 def test_explicit_clean_level_solves(tmp_path):
     code = main(
         ["solve", "--M", "8", "--theta", "cf:4", "--grid-cells", "16",
@@ -254,8 +282,10 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
         # snapshot spacing at or below the solver's step floor
         (["--y-max", "1e-12"], EXIT_CONFIG, "config error: y_max"),
         (["--y-max", "1e-300"], EXIT_CONFIG, "config error: y_max"),
+        (["--cf-N", "²"], EXIT_CONFIG, "config error: cf_n"),
     ],
-    ids=["wien_tiny", "wien_huge", "x_max_huge", "y_max_huge", "y_max_tiny", "y_max_subnormal"],
+    ids=["wien_tiny", "wien_huge", "x_max_huge", "y_max_huge", "y_max_tiny", "y_max_subnormal",
+         "cf_n_superscript"],
 )
 def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message):
     argv = ["solve", "--theta", "constant:1", "--grid-cells", "8", *flags]
@@ -337,7 +367,7 @@ def test_cf_outputs(tmp_path):
     )
     assert code == EXIT_OK
     sel = json.loads((tmp_path / "selection_monoenergetic.json").read_text())
-    assert sel["schema"] == "compfrac.selection/1"
+    assert sel["schema"] == "compfrac.selection/2"
     assert sel["level"] == 12
     defects = json.loads((tmp_path / "defects_monoenergetic.json").read_text())
     assert set(defects["levels"]) == {"1", "4", "5", "12"}
@@ -522,7 +552,7 @@ SHIPPED_DIGESTS = {
         "derivs_monoenergetic.csv": "aed0ee754b82ce2309131ef1fa16daa2740a709e7d03bd8d60497e48ee483ac0",
         "cf_monoenergetic.json": "d5720a42635c24b0f80c63c2ff11bb2ce16263fc6fbf9abdf3bcfdc85a6c1a52",
         "cf_monoenergetic.csv": "00bcecec4c7f010056de0eb0a2bbbbb3e112ccdc0099907ecde9586e6c86f1a7",
-        "selection_monoenergetic.json": "d4575f6e00a180aba7ab6c3c64add8e83cb15d687875255daa49e306e02b69db",
+        "selection_monoenergetic.json": "2953bea9e45cb18b88f24aa7923a5f5da4e3fb304567deebe7335c0b49b2bfd6",
         "defects_monoenergetic.json": "7eefeedc062a7e64c82d32ddba9176befcd5dd4adcf03eb83566cb3b6488a906",
         "cf_curves_monoenergetic.csv": "39a3d09b4ff4758bd79be2dc4c193f00f5ee895549c7b07bd0eaa4d9c5d8acfa",
         "taylor_curves_monoenergetic.csv": "0e01e0c0396774dbe5dbd50bed6a11b4bcf6929ba989b15bb61ddbeb9f7f5735",
@@ -532,7 +562,7 @@ SHIPPED_DIGESTS = {
         "derivs_bremsstrahlung.csv": "2ef65d2c822cb667b8e5ff8111b33b7145d452b5b5296dad02fd91de8e1a5e29",
         "cf_bremsstrahlung.json": "f3c66ee6a4835458afc386936c37dffd18145bad63b0bf0333df2efbd98cb9fd",
         "cf_bremsstrahlung.csv": "75ff028075e11ed6a8d0f8b1408a31aa022b07062dd55908056c8be76d9a10b2",
-        "selection_bremsstrahlung.json": "ed50c569483c84521ee53fbc20a353f4525828723b6ff68fa23cbaaae60d07a9",
+        "selection_bremsstrahlung.json": "05b5cf3bf5598a6200778967cdf760f6a238c1a764b028cf341f1b06e6b2f6e5",
         "defects_bremsstrahlung.json": "7eefeedc062a7e64c82d32ddba9176befcd5dd4adcf03eb83566cb3b6488a906",
         "cf_curves_bremsstrahlung.csv": "1d58dd38809670d39194d712e03c374b410bc6c4dd3f33a2e6c621d38f3f0432",
         "taylor_curves_bremsstrahlung.csv": "44fb9a8ab50cd102ec76513d7e6c59a1f17967cb73d1c3b12a444bbc2ac350f5",
@@ -555,7 +585,8 @@ def test_shipped_exact_artifacts_pinned(tmp_path, scenario):
 
 def test_benchmark_wrapped_names_bound():
     # the benchmark's tracer wraps these names where the pipeline looks
-    # them up; a refactor that drops one breaks the traced run
+    # them up, and its checks read outputs back through the others; a
+    # refactor that drops one breaks the traced run or its checks
     on_cli = ["main", "write_snapshot_csv", "write_run_manifest",
               "theta_derivatives_comptonization", "cf_coefficients",
               "select_approximant", "find_defects", "cf_eval", "taylor_eval",
@@ -565,8 +596,18 @@ def test_benchmark_wrapped_names_bound():
     for module, name in [(moments, "theta_derivatives_comptonization"),
                          (contfrac, "cf_coefficients"),
                          (contfrac, "select_approximant"),
-                         (contfrac, "find_defects")]:
+                         (contfrac, "find_defects"),
+                         (contfrac, "maclaurin_of_rational"),
+                         (moments.DerivativeTable, "load_json"),
+                         (ContinuedFraction, "from_json_dict")]:
         assert callable(getattr(module, name)), name
+    # the benchmark's exact check perturbs a table with dataclasses.replace;
+    # the fraction must follow the new values, not a series cached elsewhere
+    table = moments.theta_derivatives_comptonization(Monoenergetic(), 6)
+    values = list(table.values)
+    values[3] += Fraction(1, 10**30)
+    perturbed = dataclasses.replace(table, values=tuple(values))
+    assert cf_coefficients(perturbed).coefficients != cf_coefficients(table).coefficients
 
 
 def test_readme_quick_start_parses():

@@ -31,6 +31,7 @@ from compfrac.contfrac import (
     maclaurin_of_rational,
     select_approximant,
     taylor_eval,
+    taylor_form,
     to_rational,
 )
 from compfrac.moments import DerivativeTable, theta_derivatives_comptonization
@@ -127,13 +128,20 @@ def test_low_level_evaluations(mono_cf):
     assert cf_eval(mono_cf, 1, 0.1) == pytest.approx(1.25, rel=1e-15)
 
 
-def test_rational_form_matches_backward_recurrence(mono_cf, brems_cf):
+def test_rational_form_matches_backward_recurrence(mono_cf, brems_cf, mono_table, brems_table):
     # the solve's driving temperature and the published cf_curves both
-    # take Horner's rule on the level's float form, so they are equal
-    for cf in (mono_cf, brems_cf):
+    # take Horner's rule on the level's float form, so they are equal; a
+    # Taylor driver is Horner's rule on float() of each exact theta^(n)(0)/n!
+    for cf, table in ((mono_cf, mono_table), (brems_cf, brems_table)):
         theta = TemperatureFn.from_continued_fraction(cf, 24)
+        taylor = TemperatureFn.from_table(table, 24)
+        coeffs = [float(table[n] / _fact(n)) for n in range(25)]
         for y in np.linspace(0.0, 2.0, 2048):
             assert theta(y) == cf_eval(cf, 24, y)
+            expected = 0.0
+            for c in reversed(coeffs):
+                expected = expected * y + c
+            assert taylor(y) == expected
 
 
 def test_tail_values_frozen(mono_cf, brems_cf):
@@ -179,9 +187,10 @@ def test_level_bounds_checked(mono_cf, mono_table):
         lambda cf, table: cf_eval_exact(cf, -1, Fraction(1)),
         lambda cf, table: taylor_eval(table, -1, 1.0),
         lambda cf, table: TemperatureFn.from_table(table, -1),
+        lambda cf, table: taylor_form(table, -1),
     ],
     ids=["to_rational", "theta_from_cf", "cf_eval", "cf_eval_exact",
-         "taylor_eval", "theta_from_table"],
+         "taylor_eval", "theta_from_table", "taylor_form"],
 )
 def test_negative_level_rejected(mono_cf, mono_table, call):
     with pytest.raises(ValueError, match="asked for -1"):
@@ -220,7 +229,7 @@ def test_form_floats_match_exact_coefficients(deep_fraction):
     # cf_eval and the driving temperature read a form's floats, built from
     # its integers without a Fraction; they must be float() of its exact
     # coefficients.  The selection's reports are the ones find_defects gives
-    _, cf = deep_fraction
+    table, cf = deep_fraction
     selection = select_approximant(cf, 2.0)
     for n in range(cf.truncation + 1):
         rf = to_rational(cf, n)
@@ -228,6 +237,13 @@ def test_form_floats_match_exact_coefficients(deep_fraction):
         assert num == tuple(float(c) for c in rf.numerator)
         assert den == tuple(float(c) for c in rf.denominator)
         assert selection.candidates[n].report == find_defects(rf, 2.0)
+    # a Taylor driver is the [n/0] form: its floats are each exact
+    # theta^(n)(0)/n! rounded once, not float(theta^(n)(0)) / n!
+    series = [table[m] / _fact(m) for m in range(table.order + 1)]
+    for n in range(table.order + 1):
+        rf = TemperatureFn.from_table(table, n).fn
+        assert (rf.numerator, rf.denominator) == (tuple(series[: n + 1]), (1,))
+        assert rf.floats == (tuple(float(c) for c in series[: n + 1]), (1.0,))
 
 
 def test_taylor_eval_exact_partial_sum(mono_table):
@@ -430,10 +446,11 @@ def test_json_round_trip(brems_cf):
 
 def test_selection_json_shape(mono_selection):
     data = mono_selection.to_json_dict()
-    assert data["schema"] == "compfrac.selection/1"
+    assert data["schema"] == "compfrac.selection/2"
     assert data["level"] == 24
     assert len(data["candidates"]) == 25
-    assert {"level", "defect_count", "pole_locations", "tail_value", "score"} <= set(
+    assert {"level", "defect_count", "pole_locations", "zero_locations", "tail_value",
+            "score"} <= set(
         data["candidates"][0]
     )
 
