@@ -6,10 +6,10 @@
 
 ``--before`` is the root of another checkout (for instance the parent
 commit, extracted with ``git archive``); "after" is the checkout holding
-this script.  For each order M in {24, 30, 40, 64} and spectrum, a fresh
-interpreter per side (the sides alternating which goes first) imports
-that side's ``src/`` and times, as the median of ``REPS`` repetitions on
-fresh objects:
+this script.  For each order M in {24, 30, 40, 64} and spectrum,
+``CHILDREN`` fresh interpreters per side (the sides alternating which
+goes first) each import that side's ``src/`` and time ``REPS``
+repetitions on fresh objects of:
 
 * ``table_comptonization`` and ``table_general``: the derivative table by
   both routes;
@@ -18,6 +18,10 @@ fresh objects:
   folds every level 0..M;
 * ``select``: ``select_approximant`` (y_max = 2, theta_eq from
   ``equilibrium_temperature``) on a fresh fraction, fold included.
+
+Each layer's row holds the median and quartiles of all its
+``CHILDREN * REPS`` samples on a side, with the samples; one child alone
+cannot tell a change of a quarter from noise.
 
 It then runs the benchmark's ``deep_series`` workload
 (``perfbench/run.py --trace 0``) ``PAIRS`` times on each side, alternating
@@ -41,12 +45,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = (24, 30, 40, 64)
 SPECTRA = ("monoenergetic", "bremsstrahlung")
+CHILDREN = 5
 REPS = 3
 PAIRS = 10
 
 
 def time_layers(order: int, spectrum_name: str) -> dict:
-    """Median seconds per layer for one order and spectrum, in this process."""
+    """Seconds of each repetition per layer for one order and spectrum, in
+    this process."""
     from fractions import Fraction
 
     from compfrac import contfrac, moments, spectra
@@ -78,7 +84,7 @@ def time_layers(order: int, spectrum_name: str) -> dict:
         timed("fold", lambda: contfrac.to_rational(fresh, 0))
         fresh = contfrac.ContinuedFraction(cf.coefficients)
         timed("select", lambda: contfrac.select_approximant(fresh, 2.0, theta_eq=theta_eq))
-    return {name: statistics.median(vals) for name, vals in samples.items()}
+    return samples
 
 
 def layers_of(root: Path, order: int, spectrum: str) -> dict:
@@ -89,13 +95,19 @@ def layers_of(root: Path, order: int, spectrum: str) -> dict:
 
 
 def layers(sides: dict) -> dict:
-    """Per-layer medians of every order and spectrum on both sides; the
-    sides alternate which goes first, so a drift in the machine's load
-    does not fall on one side."""
+    """Per-layer summaries of every order and spectrum on both sides, from
+    ``CHILDREN`` children per side; the sides alternate which goes first,
+    so a drift in the machine's load does not fall on one side."""
     out: dict = {side: {} for side in sides}
-    for k, (order, spectrum) in enumerate(itertools.product(ORDERS, SPECTRA)):
-        for side in ("before", "after") if k % 2 == 0 else ("after", "before"):
-            out[side][f"{spectrum}/M={order}"] = layers_of(sides[side], order, spectrum)
+    for order, spectrum in itertools.product(ORDERS, SPECTRA):
+        samples: dict = {side: {} for side in sides}
+        for child in range(CHILDREN):
+            for side in ("before", "after") if child % 2 == 0 else ("after", "before"):
+                for name, vals in layers_of(sides[side], order, spectrum).items():
+                    samples[side].setdefault(name, []).extend(vals)
+        for side, by_layer in samples.items():
+            key = f"{spectrum}/M={order}"
+            out[side][key] = {name: summary(vals) for name, vals in by_layer.items()}
     return out
 
 
@@ -133,13 +145,14 @@ def main(argv=None) -> int:
     import scipy
 
     report = {
-        "schema": "compfrac.bench-exact-layers/1",
+        "schema": "compfrac.bench-exact-layers/2",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
         },
+        "children": CHILDREN,
         "reps": REPS,
         "unit": "s",
         "layers": layers(sides),

@@ -13,6 +13,8 @@ fixed config; the run manifest carries the only timestamp.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -32,7 +34,7 @@ from .contfrac import (
     select_approximant,
     taylor_eval,
 )
-from .moments import DerivativeTable, theta_derivatives_comptonization, write_json
+from .moments import DerivativeTable, theta_derivatives_comptonization
 from .spectra import (
     COMPTONIZATION,
     Bremsstrahlung,
@@ -45,13 +47,12 @@ from .transport import (
     Grid,
     NonFiniteState,
     NonPositiveTemperature,
+    PdeSolution,
     PositivityViolation,
     SnapshotMissing,
     StepSizeUnderflow,
     TemperatureFn,
     solve_transport,
-    write_run_manifest,
-    write_snapshot_csv,
 )
 from .verify import self_consistency
 
@@ -195,6 +196,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("tolerance", f"must be positive, got {config.tolerance}")
     if config.samples < 2:
         raise ConfigError("samples", f"need at least 2, got {config.samples}")
+    if config.label in (".", "..") or "/" in config.label or os.sep in config.label:
+        raise ConfigError("label", f"must be a plain file name, got {config.label!r}")
     _parse_theta_spec(config.theta, config.M)
     _parse_levels(config.taylor_n, config.M, "taylor_n")
     _parse_levels(config.cf_n, config.M, "cf_n")
@@ -267,6 +270,37 @@ def _parse_levels(text: str, order: int, field_name: str) -> tuple:
             raise ConfigError(field_name, f"levels must be integers in 0..{order}, got {part!r}")
         levels.append(int(part))
     return tuple(dict.fromkeys(levels))
+
+
+# ---------------------------------------------------------------------------
+# artifact writers: the only code that writes files
+
+
+def write_json(data, path) -> None:
+    """Write an artifact as sorted, indented JSON and a final newline.
+    Streamed: one json.dumps string holds every encoded piece of the run
+    manifest at once, and that set the peak memory of a whole run."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_table(path, header: str, rows) -> None:
+    """Write a CSV table: the header line, then one line per row with every
+    cell as format(v, ".6g") (integers up to 6 digits print as written)."""
+    lines = [header, *(",".join(format(v, ".6g") for v in row) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_snapshot_csv(sol: PdeSolution, y: float, path) -> None:
+    Path(path).write_text("x,F,f,G\n" + sol.snapshot_rows(y), encoding="utf-8")
+
+
+def write_run_manifest(sol: PdeSolution, path, snapshot_files, timestamp=None) -> None:
+    data = {**sol.to_json_dict(), "snapshot_files": snapshot_files}
+    if timestamp is not None:
+        data["written_at"] = timestamp
+    write_json(data, path)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +387,8 @@ def cmd_derivs(run: _Artifacts) -> int:
     config, table = run.config, run.table
     out = _out_dir(config)
     write_json(table.to_json_dict(), out / f"derivs_{config.tag}.json")
-    with open(out / f"derivs_{config.tag}.csv", "w", encoding="utf-8") as fh:
-        fh.write("n,theta_deriv\n")
-        for n, value in enumerate(table.values):
-            fh.write(f"{n},{float(value):.6g}\n")
+    write_table(out / f"derivs_{config.tag}.csv", "n,theta_deriv",
+                [(n, float(value)) for n, value in enumerate(table.values)])
     print(f"wrote derivative table (order {table.order}) to {out}")
     return EXIT_OK
 
@@ -366,10 +398,8 @@ def cmd_cf(run: _Artifacts) -> int:
     out = _out_dir(config)
 
     write_json(cf.to_json_dict(), out / f"cf_{config.tag}.json")
-    with open(out / f"cf_{config.tag}.csv", "w", encoding="utf-8") as fh:
-        fh.write("n,c\n")
-        for n, c in enumerate(cf.coefficients):
-            fh.write(f"{n},{float(c):.6g}\n")
+    write_table(out / f"cf_{config.tag}.csv", "n,c",
+                [(n, float(c)) for n, c in enumerate(cf.coefficients)])
     write_json(selection.to_json_dict(), out / f"selection_{config.tag}.json")
 
     ys = [float(v) for v in np.linspace(0.0, config.y_max, config.samples)]
@@ -384,23 +414,21 @@ def cmd_cf(run: _Artifacts) -> int:
         },
         out / f"defects_{config.tag}.json",
     )
-    with open(out / f"cf_curves_{config.tag}.csv", "w", encoding="utf-8") as fh:
-        fh.write("y,value,N\n")
-        for level in cf_levels:
-            for y in ys:
-                try:
-                    v = cf_eval(cf, level, y)
-                except PoleHit:  # sampled on a pole
-                    v = float("nan")
-                fh.write(f"{y:.6g},{v:.6g},{level}\n")
+    curve = []
+    for level in cf_levels:
+        for y in ys:
+            try:
+                v = cf_eval(cf, level, y)
+            except PoleHit:  # sampled on a pole
+                v = float("nan")
+            curve.append((y, v, level))
+    write_table(out / f"cf_curves_{config.tag}.csv", "y,value,N", curve)
 
     taylor_levels = _parse_levels(config.taylor_n, table.order, "taylor_n")
     if taylor_levels:
-        with open(out / f"taylor_curves_{config.tag}.csv", "w", encoding="utf-8") as fh:
-            fh.write("y,value,N\n")
-            for level in sorted(taylor_levels):
-                for y in ys:
-                    fh.write(f"{y:.6g},{taylor_eval(table, level, y):.6g},{level}\n")
+        write_table(out / f"taylor_curves_{config.tag}.csv", "y,value,N",
+                    [(y, taylor_eval(table, level, y), level)
+                     for level in sorted(taylor_levels) for y in ys])
 
     defect_total = sum(len(r.poles) + len(r.zeros) for r in reports.values())
     print(
@@ -418,12 +446,8 @@ def _write_solution(config: RunConfig, sol) -> None:
         name = f"snapshot_{config.tag}_{k:02d}.csv"
         write_snapshot_csv(sol, y, out / name)
         snapshot_files[f"{y:.6g}"] = name
-    write_run_manifest(
-        sol,
-        out / f"run_{config.tag}.json",
-        snapshot_files=snapshot_files,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+    write_run_manifest(sol, out / f"run_{config.tag}.json", snapshot_files,
+                       datetime.now(timezone.utc).isoformat())
     print(
         f"solved to y = {config.y_max:g} in {sol.stats['steps_accepted']} steps"
         f" ({sol.stats['steps_rejected']} rejected); outputs in {out}"
@@ -435,7 +459,7 @@ def _write_verification(config: RunConfig, sol, theta_fn) -> int:
     report = self_consistency(sol, theta_fn, tolerance=config.tolerance)
     out = _out_dir(config)
     write_json(report.to_json_dict(), out / f"verify_{config.tag}.json")
-    report.write_csv(out / f"verify_{config.tag}.csv")
+    write_table(out / f"verify_{config.tag}.csv", "y,theta_in,theta_out,rel_dev", report.rows)
     verdict = "pass" if report.passed else "FAIL"
     print(
         f"self-consistency {verdict}: max |theta_out - theta_in| / theta_in"
@@ -500,7 +524,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cf-N", dest="cf_n", help="comma list of fraction levels")
     sub.add_argument("--samples", help="curve sampling density in y")
     sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--label", help="output filename tag (default: spectrum name)")
+    sub.add_argument("--label", help="output filename tag, no path (default: spectrum name)")
 
 
 def _build_parser() -> _Parser:

@@ -47,13 +47,6 @@ from .spectra import (
 )
 
 
-def write_json(data, path) -> None:
-    """Write an artifact as sorted, indented JSON and a final newline, in
-    one write call (json.dump with indent streams thousands of small ones)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 class NonlinearSolveImpossible(ArithmeticError):
     """The data leave the temperature or its reciprocal undefined."""
 

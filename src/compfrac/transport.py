@@ -12,11 +12,11 @@ point samples of the exponential equilibrium an exact discrete steady
 state and, with zero-flux boundaries, conserves the photon number
 integral to machine precision.  Stepping is TR-BDF2 (Bank et al. 1985,
 IEEE Trans. Electron Devices 32): a trapezoidal stage to y + gamma h and
-a BDF2 stage to y + h, both solving with the same M-matrix I - d h A,
-with the embedded error estimate of Hosea & Shampine (1996, Appl.
-Numer. Math. 20).  The trapezoidal right-hand side is not
-positivity-preserving, so a step that leaves the positive cone is
-retried at half the width.
+a BDF2 stage to y + h, each solving with an M-matrix I - d h A whose A
+is assembled at that stage's own theta, with the embedded error
+estimate of Hosea & Shampine (1996, Appl. Numer. Math. 20).  The
+trapezoidal right-hand side is not positivity-preserving, so a step
+that leaves the positive cone is retried at half the width.
 theta is prescribed as a function of y or, for Comptonization, is the
 closure theta = I_4(F)/(4 I_3(F)) of the solution itself, iterated to a
 fixed point inside each implicit stage as in an index-1 DAE.
@@ -36,8 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contfrac import ContinuedFraction, taylor_form, to_rational
-from .moments import DerivativeTable, write_json
+from .contfrac import ContinuedFraction, RationalForm, taylor_form, to_rational
+from .moments import DerivativeTable
 from .spectra import (
     COMPTONIZATION,
     GaussianPulse,
@@ -179,8 +179,8 @@ class TemperatureFn:
     """theta(y) as a plain callable plus a provenance description; the
     ``selfconsistent`` kind (fn None) is the closure I_4(F)/(4 I_3(F)).
     ``fn`` takes a float y, and once the pre-check's numpy array of y.  A
-    fraction or Taylor level's ``fn`` is its contfrac.RationalForm, whose
-    integers are what find_defects certifies."""
+    fraction level's, Taylor level's or constant's ``fn`` is a
+    contfrac.RationalForm, whose integers are what find_defects certifies."""
 
     fn: Callable[[float], float] | None
     description: str
@@ -204,12 +204,10 @@ class TemperatureFn:
 
     @classmethod
     def constant(cls, value) -> "TemperatureFn":
+        """The [0/0] form n/d of float(value): (0 y + n/d) / 1.0 is the value."""
         v = float(value)
-
-        def fn(y: float) -> float:
-            return v
-
-        return cls(fn=fn, description=f"constant {v:.6g}")
+        n, d = v.as_integer_ratio()
+        return cls(RationalForm((n,), (d,)), f"constant {v:.6g}")
 
     @classmethod
     def selfconsistent(cls) -> "TemperatureFn":
@@ -282,8 +280,29 @@ class PdeSolution:
         row = "%.12e,%%.12e,%%.12e,%%.12e\n"
         return (row * self.grid.cells) % tuple(self.grid.centers.tolist())
 
+    def snapshot_rows(self, y: float) -> str:
+        """The snapshot's CSV rows x,F,f,G at %.12e, the x column formatted once per solution."""
+        rows = np.column_stack((self.snapshot(y), self.photon_spectrum(y), self.energy_spectrum(y)))
+        return self._csv_template % tuple(rows.ravel().tolist())
+
     def moment(self, n, y: float) -> float:
         return grid_moment(self.grid, self.snapshot(y), n, self.params)
+
+    def to_json_dict(self) -> dict:
+        """The run manifest, less the snapshot file names and write time."""
+        return {
+            "schema": "compfrac.run-manifest/1",
+            "grid": self.grid.to_json_dict(),
+            "params": self.params.describe(),
+            "theta": self.theta_description,
+            "stats": self.stats,
+            "snapshots": [t for t, _ in self.snapshots],
+            "conservation": {
+                "y": [float(v) for v in self.trace_y],
+                "number": [float(v) for v in self.trace_number],
+                "energy": [float(v) for v in self.trace_energy],
+            },
+        }
 
 
 def grid_moment(grid: Grid, F: np.ndarray, n, params: TransportParams) -> float:
@@ -674,35 +693,3 @@ def solve_transport(
         trace_energy=np.asarray(trace_energy),
         stats=stats,
     )
-
-
-# ---------------------------------------------------------------------------
-# file output
-
-
-def write_snapshot_csv(sol: PdeSolution, y: float, path) -> None:
-    F = sol.snapshot(y)
-    x_i, x_3mi = sol._center_powers
-    rows = np.column_stack((F, F / x_i, F * x_3mi))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,F,f,G\n" + sol._csv_template % tuple(rows.ravel().tolist()))
-
-
-def write_run_manifest(sol: PdeSolution, path, snapshot_files: dict | None = None, timestamp: str | None = None) -> None:
-    data = {
-        "schema": "compfrac.run-manifest/1",
-        "grid": sol.grid.to_json_dict(),
-        "params": sol.params.describe(),
-        "theta": sol.theta_description,
-        "stats": sol.stats,
-        "snapshots": [t for t, _ in sol.snapshots],
-        "snapshot_files": snapshot_files or {},
-        "conservation": {
-            "y": [float(v) for v in sol.trace_y],
-            "number": [float(v) for v in sol.trace_number],
-            "energy": [float(v) for v in sol.trace_energy],
-        },
-    }
-    if timestamp is not None:
-        data["written_at"] = timestamp
-    write_json(data, path)

@@ -86,12 +86,6 @@ class VerificationReport:
             "energy_drift": self.energy_drift,
         }
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("y,theta_in,theta_out,rel_dev\n")
-            for y, t_in, t_out, dev in self.rows:
-                fh.write(f"{y:.6g},{t_in:.6g},{t_out:.6g},{dev:.6g}\n")
-
 
 def self_consistency(
     sol: PdeSolution, theta_fn: TemperatureFn, tolerance: float = 0.02

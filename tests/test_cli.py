@@ -41,7 +41,8 @@ from compfrac.cli import (
 from compfrac.contfrac import ContinuedFraction, cf_coefficients, find_defects, to_rational
 from compfrac.moments import DerivativeTable, theta_derivatives_comptonization
 from compfrac.spectra import Bremsstrahlung, EquilibriumSpectrum, Monoenergetic
-from compfrac.transport import NonFiniteState
+from compfrac.transport import Grid, NonFiniteState, TemperatureFn, solve_transport
+from compfrac.verify import self_consistency
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +179,14 @@ def test_shipped_configs_are_valid():
 def test_config_error_exit(tmp_path, capsys):
     assert main(["solve", "--M", "abc", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["a/b", "..", "."])
+def test_label_must_be_a_file_name(tmp_path, capsys, label):
+    code = main(["derivs", "--M", "1", "--label", label, "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "config error: label:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_spectrum_exit(tmp_path, capsys):
@@ -451,6 +460,32 @@ def test_solve_taylor_theta(tmp_path):
     assert code == EXIT_OK
     manifest = json.loads((tmp_path / "run_monoenergetic.json").read_text())
     assert manifest["theta"] == "Taylor partial sum, level 4 (monoenergetic(x0=4, n0=1))"
+
+
+def test_solver_side_files_bytes(tmp_path):
+    # snapshot and verify files equal a rendering built here from the
+    # solution's public arrays, so a change of writer cannot move a byte
+    flags = ["--M", "4", "--theta", "taylor:4", "--grid-cells", "32", "--rtol", "1e-3",
+             "--snapshots", "3", "--out-dir", str(tmp_path)]
+    assert main(["solve", *flags]) == EXIT_OK
+    assert main(["verify", *flags]) in (EXIT_OK, EXIT_VERIFICATION)
+    theta = TemperatureFn.from_table(theta_derivatives_comptonization(Monoenergetic(), 4), 4)
+    grid = Grid.log_spaced(cells=32, x_min=1e-3, x_max=50.0, y_end=2.0, snapshots=3)
+    sol = solve_transport(Monoenergetic(), theta, grid, rtol=1e-3)
+    manifest = json.loads((tmp_path / "run_monoenergetic.json").read_text())
+    assert len(manifest["snapshot_files"]) == len(sol.snapshots) == 3
+    for y, _ in sol.snapshots:
+        columns = (grid.centers, sol.snapshot(y), sol.photon_spectrum(y), sol.energy_spectrum(y))
+        expected = "x,F,f,G\n" + "".join(
+            f"{x:.12e},{F:.12e},{f:.12e},{G:.12e}\n" for x, F, f, G in zip(*columns)
+        )
+        name = manifest["snapshot_files"][f"{y:.6g}"]
+        assert (tmp_path / name).read_bytes() == expected.encode()
+    report = self_consistency(sol, theta)
+    expected = "y,theta_in,theta_out,rel_dev\n" + "".join(
+        f"{y:.6g},{t_in:.6g},{t_out:.6g},{dev:.6g}\n" for y, t_in, t_out, dev in report.rows
+    )
+    assert (tmp_path / "verify_monoenergetic.csv").read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("order, level", [(37, 36), (48, 47), (49, 47)])

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compfrac.cli import write_json
 from compfrac.moments import (
     DerivativeTable,
     _Jets,
@@ -23,7 +24,6 @@ from compfrac.moments import (
     comptonization_table_from_moments,
     theta_derivatives_comptonization,
     theta_derivatives_general,
-    write_json,
 )
 from compfrac.spectra import (
     COMPTONIZATION,

@@ -21,6 +21,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv as public_dgtsv
 
 from compfrac import transport
+from compfrac.cli import write_run_manifest, write_snapshot_csv
 from compfrac.spectra import (
     COMPTONIZATION,
     Bremsstrahlung,
@@ -42,8 +43,6 @@ from compfrac.transport import (
     grid_moment,
     initial_cell_values,
     solve_transport,
-    write_run_manifest,
-    write_snapshot_csv,
 )
 from compfrac.verify import conservation_report, output_temperature
 

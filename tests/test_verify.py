@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from compfrac.moments import write_json
+from compfrac.cli import write_json, write_table
 from compfrac.transport import TemperatureFn
 from compfrac.verify import (
     conservation_report,
@@ -138,7 +138,7 @@ def test_report_serialization(tmp_path, mono_run, mono_theta):
     assert len(data["rows"]) == len(report.rows)
 
     cpath = tmp_path / "verify.csv"
-    report.write_csv(cpath)
+    write_table(cpath, "y,theta_in,theta_out,rel_dev", report.rows)
     lines = cpath.read_text().splitlines()
     assert lines[0] == "y,theta_in,theta_out,rel_dev"
     assert len(lines) == 1 + len(report.rows)
