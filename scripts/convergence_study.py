@@ -14,9 +14,9 @@ toward x = 0 and truncating the reservoir starves the late-time flux.
 import argparse
 import time
 
-from compfrac.contfrac import cf_coefficients
+from compfrac.contfrac import cf_coefficients, select_approximant
 from compfrac.moments import theta_derivatives_comptonization
-from compfrac.spectra import Bremsstrahlung, Monoenergetic
+from compfrac.spectra import Bremsstrahlung, Monoenergetic, equilibrium_temperature
 from compfrac.transport import Grid, TemperatureFn, solve_transport
 from compfrac.verify import conservation_report, self_consistency
 
@@ -50,8 +50,10 @@ def main() -> None:
 
     for name, (spectrum, sweeps) in CASES.items():
         cf = cf_coefficients(theta_derivatives_comptonization(spectrum, args.order))
-        theta_fn = TemperatureFn.from_continued_fraction(cf, cf.truncation)
-        print(f"--- {name}: level-{cf.truncation} fraction as driving temperature ---")
+        # the level `compfrac solve --theta cf` drives with on [0, 2]
+        level = select_approximant(cf, 2.0, equilibrium_temperature(spectrum).value).level
+        theta_fn = TemperatureFn.from_continued_fraction(cf, level)
+        print(f"--- {name}: level-{level} fraction as driving temperature ---")
         print(f"{'cells':>6} {'x_min':>8} {'rtol':>8} {'selfcons':>10} {'I3 drift':>10} {'steps':>7}")
         for cells, x_min, rtol in sweeps:
             t0 = time.time()

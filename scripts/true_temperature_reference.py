@@ -22,9 +22,9 @@ profile, answers for the infinite-reservoir problem.
 import argparse
 import time
 
-from compfrac.contfrac import cf_coefficients
+from compfrac.contfrac import cf_coefficients, select_approximant
 from compfrac.moments import theta_derivatives_comptonization
-from compfrac.spectra import Bremsstrahlung, Monoenergetic
+from compfrac.spectra import Bremsstrahlung, Monoenergetic, equilibrium_temperature
 from compfrac.transport import Grid, TemperatureFn, solve_transport
 from compfrac.verify import conservation_report
 
@@ -57,7 +57,9 @@ def main() -> None:
     }
     for spectrum, cutoffs in runs.items():
         cf = cf_coefficients(theta_derivatives_comptonization(spectrum, args.order))
-        theta_fn = TemperatureFn.from_continued_fraction(cf, cf.truncation)
+        # the level `compfrac solve --theta cf` drives with on [0, 2]
+        level = select_approximant(cf, 2.0, equilibrium_temperature(spectrum).value).level
+        theta_fn = TemperatureFn.from_continued_fraction(cf, level)
         for x_min, cells in cutoffs:
             grid = Grid.log_spaced(cells=cells, x_min=x_min, snapshots=[0.0, 0.5, 1.0, 1.5, 2.0])
             name = f"{type(spectrum).__name__.lower()} [{x_min:.0e}, 50]"

