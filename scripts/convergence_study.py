@@ -14,53 +14,38 @@ toward x = 0 and truncating the reservoir starves the late-time flux.
 import argparse
 import time
 
-from compfrac.contfrac import cf_coefficients, select_approximant
-from compfrac.moments import theta_derivatives_comptonization
-from compfrac.spectra import Bremsstrahlung, Monoenergetic, equilibrium_temperature
-from compfrac.transport import Grid, TemperatureFn, solve_transport
+from compfrac.cli import Run, build_config
 from compfrac.verify import conservation_report, self_consistency
 
+# (cells, x_min, rtol) per case
 CASES = {
-    "monoenergetic": (
-        Monoenergetic(),
-        # (cells, x_min, rtol): the pulse has no soft tail, so only
-        # mesh and step tolerance are worth sweeping
-        [(200, 1e-3, 1e-6), (400, 1e-3, 1e-6), (800, 1e-3, 1e-6), (400, 1e-3, 1e-7)],
-    ),
-    "bremsstrahlung": (
-        Bremsstrahlung(),
-        [(400, 1e-3, 1e-6), (800, 1e-3, 1e-6), (400, 1e-3, 1e-7),
-         (500, 1e-4, 1e-6), (600, 1e-5, 1e-6), (700, 1e-6, 1e-6)],
-    ),
+    # the pulse has no soft tail, so only mesh and step tolerance are worth sweeping
+    "monoenergetic": [(200, 1e-3, 1e-6), (400, 1e-3, 1e-6), (800, 1e-3, 1e-6), (400, 1e-3, 1e-7)],
+    "bremsstrahlung": [(400, 1e-3, 1e-6), (800, 1e-3, 1e-6), (400, 1e-3, 1e-7),
+                       (500, 1e-4, 1e-6), (600, 1e-5, 1e-6), (700, 1e-6, 1e-6)],
 }
-
-
-def run_case(spectrum, theta_fn, cells, x_min, rtol):
-    grid = Grid.log_spaced(cells=cells, x_min=x_min, snapshots=21)
-    sol = solve_transport(spectrum, theta_fn, grid, rtol=rtol)
-    dev = self_consistency(sol, theta_fn).max_rel_dev
-    drift = conservation_report(sol).energy_drift
-    return dev, drift, sol.stats["steps_accepted"]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--order", type=int, default=24)
+    parser.add_argument("--order", type=int, default=24, help="derivative order M, 0..64")
     args = parser.parse_args()
 
-    for name, (spectrum, sweeps) in CASES.items():
-        cf = cf_coefficients(theta_derivatives_comptonization(spectrum, args.order))
-        # the level `compfrac solve --theta cf` drives with on [0, 2]
-        level = select_approximant(cf, 2.0, equilibrium_temperature(spectrum).value).level
-        theta_fn = TemperatureFn.from_continued_fraction(cf, level)
-        print(f"--- {name}: level-{level} fraction as driving temperature ---")
+    for name, sweeps in CASES.items():
+        # each case drives with the level `compfrac solve --theta cf` picks on [0, 2]
+        runs = [Run(build_config({"spectrum": name, "M": args.order, "grid_cells": cells,
+                                  "grid_x_min": x_min, "rtol": rtol}))
+                for cells, x_min, rtol in sweeps]
+        print(f"--- {name}: level-{runs[0].selection.level} fraction as driving temperature ---")
         print(f"{'cells':>6} {'x_min':>8} {'rtol':>8} {'selfcons':>10} {'I3 drift':>10} {'steps':>7}")
-        for cells, x_min, rtol in sweeps:
+        for run in runs:
             t0 = time.time()
-            dev, drift, steps = run_case(spectrum, theta_fn, cells, x_min, rtol)
+            sol, config = run.solution, run.config
+            dev = self_consistency(sol, run.theta).max_rel_dev
+            drift = conservation_report(sol).energy_drift
             print(
-                f"{cells:>6} {x_min:>8.0e} {rtol:>8.0e} {dev:>10.3%} {drift:>10.3%}"
-                f" {steps:>7}  ({time.time() - t0:.1f}s)"
+                f"{config.grid_cells:>6} {config.grid_x_min:>8.0e} {config.rtol:>8.0e} {dev:>10.3%}"
+                f" {drift:>10.3%} {sol.stats['steps_accepted']:>7}  ({time.time() - t0:.1f}s)"
             )
         print()
 

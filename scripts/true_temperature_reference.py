@@ -22,9 +22,7 @@ profile, answers for the infinite-reservoir problem.
 import argparse
 import time
 
-from compfrac.contfrac import cf_coefficients, select_approximant
-from compfrac.moments import theta_derivatives_comptonization
-from compfrac.spectra import Bremsstrahlung, Monoenergetic, equilibrium_temperature
+from compfrac.cli import Run, build_config
 from compfrac.transport import Grid, TemperatureFn, solve_transport
 from compfrac.verify import conservation_report
 
@@ -47,23 +45,20 @@ def compare(name, spectrum, grid, theta_fn, rtol):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--order", type=int, default=24)
+    parser.add_argument("--order", type=int, default=24, help="derivative order M, 0..64")
     parser.add_argument("--rtol", type=float, default=1e-6)
     args = parser.parse_args()
     # (soft cutoff x_min, cells) per spectrum
-    runs = {
-        Monoenergetic(): [(1e-3, 400)],
-        Bremsstrahlung(): [(1e-3, 400), (1e-4, 500), (1e-5, 600), (1e-6, 700)],
+    cutoffs = {
+        "monoenergetic": [(1e-3, 400)],
+        "bremsstrahlung": [(1e-3, 400), (1e-4, 500), (1e-5, 600), (1e-6, 700)],
     }
-    for spectrum, cutoffs in runs.items():
-        cf = cf_coefficients(theta_derivatives_comptonization(spectrum, args.order))
-        # the level `compfrac solve --theta cf` drives with on [0, 2]
-        level = select_approximant(cf, 2.0, equilibrium_temperature(spectrum).value).level
-        theta_fn = TemperatureFn.from_continued_fraction(cf, level)
-        for x_min, cells in cutoffs:
+    for name, cases in cutoffs.items():
+        # the approximant is the driver `compfrac solve --theta cf` picks on [0, 2]
+        run = Run(build_config({"spectrum": name, "M": args.order}))
+        for x_min, cells in cases:
             grid = Grid.log_spaced(cells=cells, x_min=x_min, snapshots=[0.0, 0.5, 1.0, 1.5, 2.0])
-            name = f"{type(spectrum).__name__.lower()} [{x_min:.0e}, 50]"
-            compare(name, spectrum, grid, theta_fn, args.rtol)
+            compare(f"{name} [{x_min:.0e}, 50]", run.spectrum, grid, run.theta, args.rtol)
         print()
 
 

@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages: ``derivs`` builds the exact
 derivative table, ``cf`` turns it into continued-fraction data and
 sampled curves, ``solve`` runs the transport solve driven by a chosen
 temperature, ``verify`` closes the loop, and ``reproduce`` chains all
-four from a shipped scenario config.
+four from a shipped scenario config.  Each subcommand writes from one
+``Run``, which builds every artifact of a config once, the solve included.
 
 Every output file is schema-versioned and byte-deterministic for a
 fixed config; the run manifest carries the only timestamp.
@@ -56,7 +57,7 @@ from .transport import (
 )
 from .verify import self_consistency
 
-__all__ = ["ConfigError", "RunConfig", "load_config_file", "build_config", "main"]
+__all__ = ["ConfigError", "Run", "RunConfig", "load_config_file", "build_config", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -228,18 +229,6 @@ def _parse_spectrum(spec: str):
     )
 
 
-def _table_spectrum(config: RunConfig):
-    """The derivative pipeline needs exact initial moments."""
-    spectrum = _parse_spectrum(config.spectrum)
-    if not isinstance(spectrum, (Monoenergetic, Bremsstrahlung)):
-        raise ConfigError(
-            "spectrum",
-            f"{config.spectrum!r} has no exact derivative table; "
-            "use monoenergetic or bremsstrahlung",
-        )
-    return spectrum
-
-
 def _parse_theta_spec(spec: str, order: int) -> tuple:
     kind, _, arg = spec.partition(":")
     if kind in ("cf", "taylor"):
@@ -306,34 +295,41 @@ def write_run_manifest(sol: PdeSolution, path, snapshot_files, timestamp=None) -
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline pieces
+# the run: every artifact of one config
 
 
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class Run:
+    """The pipeline artifacts of one config, each built once, on first use.
 
-
-def _theta_eq(config: RunConfig):
-    report = equilibrium_temperature(_table_spectrum(config))
-    return report.value if report.meaningful else Fraction(0)
-
-
-class _Artifacts:
-    """The pipeline artifacts of one config, each built on first use.
-
-    Every stage of a command reads them from one instance, so
-    ``reproduce`` builds the derivative table, the fraction and the level
-    selection once, and a stage that needs none of them builds none.
+    The chain is fixed: derivative table -> fraction -> selected level ->
+    driver -> solve.  Every subcommand writes from one instance, so
+    ``reproduce`` builds each artifact once, the solve included, and a
+    command that needs none of them builds none.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
 
     @cached_property
+    def out(self) -> Path:
+        out = Path(self.config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+
+    @cached_property
+    def spectrum(self):
+        return _parse_spectrum(self.config.spectrum)
+
+    @cached_property
     def table(self) -> DerivativeTable:
-        return theta_derivatives_comptonization(_table_spectrum(self.config), self.config.M)
+        """The derivative pipeline needs exact initial moments."""
+        if not isinstance(self.spectrum, (Monoenergetic, Bremsstrahlung)):
+            raise ConfigError(
+                "spectrum",
+                f"{self.config.spectrum!r} has no exact derivative table; "
+                "use monoenergetic or bremsstrahlung",
+            )
+        return theta_derivatives_comptonization(self.spectrum, self.config.M)
 
     @cached_property
     def fraction(self) -> ContinuedFraction:
@@ -341,45 +337,41 @@ class _Artifacts:
 
     @cached_property
     def selection(self):
-        config = self.config
-        return select_approximant(self.fraction, config.y_max, theta_eq=_theta_eq(config))
+        fraction = self.fraction  # a spectrum without a table fails here first
+        report = equilibrium_temperature(self.spectrum)
+        theta_eq = report.value if report.meaningful else Fraction(0)
+        return select_approximant(fraction, self.config.y_max, theta_eq=theta_eq)
 
+    @cached_property
+    def theta(self) -> TemperatureFn:
+        """Temperature function per the theta spec; solve_transport certifies it."""
+        kind, arg = _parse_theta_spec(self.config.theta, self.config.M)
+        if kind == "constant":
+            return TemperatureFn.constant(arg)
+        if kind == "taylor":
+            return TemperatureFn.from_table(self.table, arg)
+        level = self.selection.level if arg is None else arg
+        return TemperatureFn.from_continued_fraction(self.fraction, level)
 
-def _resolve_theta(run: _Artifacts) -> TemperatureFn:
-    """Temperature function per the theta spec; solve_transport certifies it."""
-    kind, arg = _parse_theta_spec(run.config.theta, run.config.M)
-    if kind == "constant":
-        return TemperatureFn.constant(arg)
-    if kind == "taylor":
-        return TemperatureFn.from_table(run.table, arg)
-    level = run.selection.level if arg is None else arg
-    return TemperatureFn.from_continued_fraction(run.fraction, level)
-
-
-def _grid(config: RunConfig) -> Grid:
-    return Grid.log_spaced(
-        cells=config.grid_cells,
-        x_min=config.grid_x_min,
-        x_max=config.grid_x_max,
-        y_end=config.y_max,
-        snapshots=config.snapshots,
-    )
-
-
-def _run_solve(run: _Artifacts):
-    config = run.config
-    theta_fn = _resolve_theta(run)
-    spectrum = _parse_spectrum(config.spectrum)
-    return solve_transport(spectrum, theta_fn, _grid(config), rtol=config.rtol), theta_fn
+    @cached_property
+    def solution(self) -> PdeSolution:
+        config, theta = self.config, self.theta
+        grid = Grid.log_spaced(
+            cells=config.grid_cells,
+            x_min=config.grid_x_min,
+            x_max=config.grid_x_max,
+            y_end=config.y_max,
+            snapshots=config.snapshots,
+        )
+        return solve_transport(self.spectrum, theta, grid, rtol=config.rtol)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_derivs(run: _Artifacts) -> int:
-    config, table = run.config, run.table
-    out = _out_dir(config)
+def cmd_derivs(run: Run) -> int:
+    config, table, out = run.config, run.table, run.out
     write_json(table.to_json_dict(), out / f"derivs_{config.tag}.json")
     write_table(out / f"derivs_{config.tag}.csv", "n,theta_deriv",
                 [(n, float(value)) for n, value in enumerate(table.values)])
@@ -387,10 +379,9 @@ def cmd_derivs(run: _Artifacts) -> int:
     return EXIT_OK
 
 
-def cmd_cf(run: _Artifacts) -> int:
+def cmd_cf(run: Run) -> int:
     config, table, cf, selection = run.config, run.table, run.fraction, run.selection
-    out = _out_dir(config)
-
+    out = run.out
     write_json(cf.to_json_dict(), out / f"cf_{config.tag}.json")
     write_table(out / f"cf_{config.tag}.csv", "n,c",
                 [(n, float(c)) for n, c in enumerate(cf.coefficients)])
@@ -432,9 +423,9 @@ def cmd_cf(run: _Artifacts) -> int:
     return EXIT_OK
 
 
-def _write_solution(config: RunConfig, sol) -> None:
-    """Snapshots and run manifest of one solve."""
-    out = _out_dir(config)
+def cmd_solve(run: Run) -> int:
+    """Snapshots and run manifest of the run's solve."""
+    config, sol, out = run.config, run.solution, run.out
     snapshot_files = {}
     for k, (y, _) in enumerate(sol.snapshots):
         name = f"snapshot_{config.tag}_{k:02d}.csv"
@@ -446,12 +437,14 @@ def _write_solution(config: RunConfig, sol) -> None:
         f"solved to y = {config.y_max:g} in {sol.stats['steps_accepted']} steps"
         f" ({sol.stats['steps_rejected']} rejected); outputs in {out}"
     )
+    return EXIT_OK
 
 
-def _write_verification(config: RunConfig, sol, theta_fn) -> int:
-    """Self-consistency report of one solve against its driving temperature."""
-    report = self_consistency(sol, theta_fn, tolerance=config.tolerance)
-    out = _out_dir(config)
+def cmd_verify(run: Run) -> int:
+    """Self-consistency report of the run's solve against its driving temperature."""
+    config = run.config
+    report = self_consistency(run.solution, run.theta, tolerance=config.tolerance)
+    out = run.out
     write_json(report.to_json_dict(), out / f"verify_{config.tag}.json")
     write_table(out / f"verify_{config.tag}.csv", "y,theta_in,theta_out,rel_dev", report.rows)
     verdict = "pass" if report.passed else "FAIL"
@@ -464,15 +457,21 @@ def _write_verification(config: RunConfig, sol, theta_fn) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def cmd_solve(run: _Artifacts) -> int:
-    sol, _ = _run_solve(run)
-    _write_solution(run.config, sol)
-    return EXIT_OK
+def cmd_reproduce(run: Run) -> int:
+    """All stages on one run; its one transport solve feeds the outputs and verify."""
+    cmd_derivs(run)
+    cmd_cf(run)
+    cmd_solve(run)
+    return cmd_verify(run)
 
 
-def cmd_verify(run: _Artifacts) -> int:
-    sol, theta_fn = _run_solve(run)
-    return _write_verification(run.config, sol, theta_fn)
+_COMMANDS = {
+    "derivs": (cmd_derivs, "exact initial derivative table"),
+    "cf": (cmd_cf, "continued-fraction coefficients, curves, defect reports"),
+    "solve": (cmd_solve, "transport solve with snapshot output"),
+    "verify": (cmd_verify, "solve and compare recovered against driving temperature"),
+    "reproduce": (cmd_reproduce, "full pipeline from a shipped scenario config"),
+}
 
 
 _SCENARIOS = ("monoenergetic", "bremsstrahlung")
@@ -482,15 +481,6 @@ def _shipped_config(name: str) -> dict:
     ref = resources.files("compfrac") / "configs" / f"{name}.cfg"
     with resources.as_file(ref) as path:
         return load_config_file(path)
-
-
-def cmd_reproduce(run: _Artifacts) -> int:
-    """All stages on shared artifacts; one transport solve feeds its outputs and verify."""
-    cmd_derivs(run)
-    cmd_cf(run)
-    sol, theta_fn = _run_solve(run)
-    _write_solution(run.config, sol)
-    return _write_verification(run.config, sol, theta_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +517,7 @@ def _build_parser() -> _Parser:
         description="temperature resummation and self-consistent photon transport",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "derivs": "exact initial derivative table",
-        "cf": "continued-fraction coefficients, curves, defect reports",
-        "solve": "transport solve with snapshot output",
-        "verify": "solve and compare recovered against driving temperature",
-        "reproduce": "full pipeline from a shipped scenario config",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         if name == "reproduce":
             cmd.add_argument("scenario", choices=_SCENARIOS)
@@ -558,15 +541,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    handler = {
-        "derivs": cmd_derivs,
-        "cf": cmd_cf,
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-        "reproduce": cmd_reproduce,
-    }[command]
+    handler, _ = _COMMANDS[command]
     try:
-        return handler(_Artifacts(config))
+        return handler(Run(config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

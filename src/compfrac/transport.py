@@ -230,9 +230,11 @@ class PdeSolution:
     stats: dict
 
     def snapshot(self, y: float) -> np.ndarray:
-        for t, F in self.snapshots:
-            if abs(t - y) <= 1e-9 * max(1.0, abs(y)):
-                return F
+        """The stored state nearest y, within 1e-9 max(1, |y|); snapshots may
+        lie closer together than that (down to the solver's step floor)."""
+        t, F = min(self.snapshots, key=lambda snap: abs(snap[0] - y))
+        if abs(t - y) <= 1e-9 * max(1.0, abs(y)):
+            return F
         raise SnapshotMissing(
             f"no snapshot at y = {y}; stored: {[t for t, _ in self.snapshots]}"
         )

@@ -30,12 +30,12 @@ def output_temperature(sol: PdeSolution) -> tuple:
 
     theta_out(y) = I_alpha(y) / I_alpha(0), with the moment taken by the
     same cell rule that backs the solver's conservation traces, at every
-    stored snapshot.
+    stored snapshot.  Raises SnapshotMissing if the y = 0 state is not stored.
     """
     alpha = sol.params.alpha
-    moments = [(y, grid_moment(sol.grid, F, alpha, sol.params)) for y, F in sol.snapshots]
-    base = moments[0][1]
-    return tuple((float(y), val / base) for y, val in moments)
+    base = grid_moment(sol.grid, sol.snapshot(0.0), alpha, sol.params)
+    return tuple((float(y), grid_moment(sol.grid, F, alpha, sol.params) / base)
+                 for y, F in sol.snapshots)
 
 
 @dataclass(frozen=True)

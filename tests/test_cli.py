@@ -28,6 +28,7 @@ from compfrac.cli import (
     EXIT_OK,
     EXIT_VERIFICATION,
     ConfigError,
+    Run,
     RunConfig,
     _parse_levels,
     _parse_number,
@@ -665,6 +666,20 @@ def test_readme_quick_start_parses():
     assert {argv[1] for argv in commands} >= {"reproduce", "derivs", "cf", "solve", "verify"}
     for argv in commands:
         cli._build_parser().parse_args(argv[1:])
+
+
+def test_snapshot_files_hold_their_own_states(tmp_path):
+    # the snapshots lie 1e-9 apart, within the lookup tolerance of each
+    # other: each file must still hold its own state, not a neighbour's
+    run = Run(build_config(flag_values={"y_max": "2e-9", "snapshots": "3",
+                                        "theta": "constant:1", "out_dir": str(tmp_path)}))
+    assert cli.cmd_solve(run) == EXIT_OK
+    columns = []
+    for k, (_, F) in enumerate(run.solution.snapshots):
+        rows = (tmp_path / f"snapshot_monoenergetic_{k:02d}.csv").read_text().splitlines()[1:]
+        columns.append([row.split(",")[1] for row in rows])
+        assert columns[-1] == [f"{v:.12e}" for v in F]
+    assert len({tuple(c) for c in columns}) == 3
 
 
 def test_out_dir_created_nested(tmp_path):

@@ -1,13 +1,15 @@
 """The scripts under scripts/ import library names that no other test
 reaches; loading each one (its work runs only under __main__) catches a
-name a library change removes."""
+name a library change removes, and one study runs end to end."""
 
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
 
 
 def test_scripts_found():
@@ -17,3 +19,19 @@ def test_scripts_found():
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_imports(path):
     runpy.run_path(str(path), run_name="not_main")
+
+
+def test_convergence_study_rows(monkeypatch, capsys):
+    # end to end through compfrac.cli.Run: the level `--theta cf` picks,
+    # solved on each case's grid at the default order
+    path = SCRIPT_DIR / "convergence_study.py"
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    runpy.run_path(str(path), run_name="not_main")["main"]()
+    pulse, freefree = capsys.readouterr().out.split("--- bremsstrahlung")
+
+    def rows(section):
+        return {tuple(line.split()[:3]): line.split()[3:6]
+                for line in section.splitlines() if line.strip()[:1].isdigit()}
+
+    assert rows(pulse)[("400", "1e-03", "1e-06")] == ["1.359%", "1.684%", "687"]
+    assert rows(freefree)[("600", "1e-05", "1e-06")][0] == "1.406%"

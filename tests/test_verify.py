@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from compfrac.cli import write_json, write_table
-from compfrac.transport import TemperatureFn
+from compfrac.spectra import Bremsstrahlung
+from compfrac.transport import Grid, SnapshotMissing, TemperatureFn, solve_transport
 from compfrac.verify import (
     conservation_report,
     output_temperature,
@@ -153,3 +154,17 @@ def test_closure_has_no_value_at_bare_y(brems_run):
     for call in (lambda: closure(1.0), lambda: self_consistency(brems_run, closure)):
         with pytest.raises(TypeError, match=r"self-consistent closure .*PdeSolution\.moment"):
             call()
+
+
+def test_output_temperature_normalises_by_the_y0_state():
+    # theta_out is I_alpha(y) / I_alpha(0): without the y = 0 state there is
+    # no base, and the first stored snapshot (here y = 0.5) is not one
+    def run(snapshots):
+        grid = Grid.log_spaced(cells=60, snapshots=snapshots)
+        return solve_transport(Bremsstrahlung(), TemperatureFn.constant(1.0), grid, rtol=1e-4)
+
+    with pytest.raises(SnapshotMissing):
+        output_temperature(run([0.5, 1.0, 2.0]))
+    curve = dict(output_temperature(run([0.0, 0.5, 1.0, 2.0])))
+    assert curve[0.0] == 1.0
+    assert curve[0.5] == pytest.approx(1.206, abs=1e-3)
