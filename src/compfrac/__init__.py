@@ -62,8 +62,6 @@ from .spectra import (
     UnsupportedParams,
     equilibrium_spectrum,
     equilibrium_temperature,
-    initial_moment,
-    profile_function,
 )
 from .transport import (
     Grid,

@@ -128,8 +128,12 @@ def _parse_number(text: str) -> float:
 
 def load_config_file(path) -> dict:
     """Flat key=value lines; blank lines and # comment lines skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}")
     values = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -313,7 +317,10 @@ class Run:
     @cached_property
     def out(self) -> Path:
         out = Path(self.config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out_dir", f"cannot make {out}: {exc}")
         return out
 
     @cached_property

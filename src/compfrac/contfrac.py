@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .moments import DerivativeTable
+from .moments import DerivativeTable, rational_rows, rationals_from_rows
 
 
 class PoleHit(ArithmeticError):
@@ -88,29 +87,15 @@ class ContinuedFraction:
             "schema": "compfrac.continued-fraction/1",
             "source": self.source,
             "pivot_break": self.pivot_break,
-            "coefficients": [
-                {
-                    "n": n,
-                    "numerator": str(Decimal(c.numerator)),
-                    "denominator": str(Decimal(c.denominator)),
-                    "float": float(c),
-                }
-                for n, c in enumerate(self.coefficients)
-            ],
+            "coefficients": rational_rows(self.coefficients),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContinuedFraction":
         if data.get("schema") != "compfrac.continued-fraction/1":
             raise ValueError(f"unknown schema: {data.get('schema')!r}")
-        rows = sorted(data["coefficients"], key=lambda r: r["n"])
-        # Decimal carries integers past the int <-> str digit limit (4300 by
-        # default), which the deepest free-free coefficients exceed
         return cls(
-            coefficients=tuple(
-                Fraction(int(Decimal(r["numerator"])), int(Decimal(r["denominator"])))
-                for r in rows
-            ),
+            coefficients=rationals_from_rows(data["coefficients"]),
             source=data.get("source", ""),
             pivot_break=data.get("pivot_break"),
         )

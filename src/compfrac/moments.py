@@ -34,6 +34,7 @@ import numbers
 import operator
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -43,7 +44,6 @@ from .spectra import (
     DegenerateAlphaWarning,
     InitialSpectrum,
     TransportParams,
-    initial_moment,
 )
 
 
@@ -53,6 +53,30 @@ class NonlinearSolveImpossible(ArithmeticError):
 
 class NormalizationError(ValueError):
     """The spectrum violates the closure condition theta(0) = 1."""
+
+
+def rational_rows(values) -> list:
+    """Exact rationals as {n, numerator, denominator, float} rows, the
+    integers written in full.  Decimal carries them past the int <-> str
+    digit limit (4300 by default), which the deepest free-free fraction
+    coefficients exceed."""
+    return [
+        {
+            "n": n,
+            "numerator": str(Decimal(v.numerator)),
+            "denominator": str(Decimal(v.denominator)),
+            "float": float(v),
+        }
+        for n, v in enumerate(values)
+    ]
+
+
+def rationals_from_rows(rows) -> tuple:
+    """The Fractions of rational_rows' rows, in n order."""
+    return tuple(
+        Fraction(int(Decimal(r["numerator"])), int(Decimal(r["denominator"])))
+        for r in sorted(rows, key=lambda r: r["n"])
+    )
 
 
 @dataclass(frozen=True)
@@ -111,15 +135,7 @@ class DerivativeTable:
                 "alpha": str(self.params.alpha),
             },
             "moment_indices": [str(ix) for ix in self.moment_indices],
-            "values": [
-                {
-                    "n": n,
-                    "numerator": str(v.numerator),
-                    "denominator": str(v.denominator),
-                    "float": float(v),
-                }
-                for n, v in enumerate(self.values)
-            ],
+            "values": rational_rows(self.values),
         }
 
     @classmethod
@@ -130,10 +146,8 @@ class DerivativeTable:
         params = TransportParams(
             Fraction(p["i"]), Fraction(p["j"]), Fraction(p["k"]), Fraction(p["alpha"])
         )
-        rows = sorted(data["values"], key=lambda r: r["n"])
-        values = tuple(Fraction(int(r["numerator"]), int(r["denominator"])) for r in rows)
         return cls(
-            values=values,
+            values=rationals_from_rows(data["values"]),
             provenance=data["provenance"],
             params=params,
             spectrum=data.get("spectrum", ""),
@@ -298,7 +312,7 @@ def comptonization_table_from_moments(
 
 def theta_derivatives_comptonization(spectrum: InitialSpectrum, order: int) -> DerivativeTable:
     """Derivative table for the standard Comptonization parameters."""
-    moments = {n: initial_moment(spectrum, n) for n in range(3, order + 5)}
+    moments = {n: spectrum.moment(n) for n in range(3, order + 5)}
     return comptonization_table_from_moments(moments, order, spectrum.describe())
 
 
@@ -345,7 +359,7 @@ def theta_derivatives_general(
         frontier = reached
     indices = sorted(steps)
 
-    initial = {ix: Fraction(initial_moment(spectrum, ix)) for ix in indices}
+    initial = {ix: spectrum.moment(ix) for ix in indices}
     norm = initial[params.alpha]
     if norm == 0:
         raise NonlinearSolveImpossible(

@@ -5,10 +5,12 @@ over dimensionless energy x > 0.  The n-th power moment is
 
     I_n = integral of x^n f0(x) over (0, inf).
 
-Every moment is evaluated in closed form as an exact rational; a moment
-without a rational closed form (a non-integer index, or a pulse too wide
-for the untruncated Gaussian expansion) is rejected rather than
-approximated.
+Each initial spectrum kind carries both of its rules: ``moment(n)``, the
+exact I_n that feeds the derivative series, and ``profile(x)``, the
+pointwise f0 that starts the transport solve.  Every moment is evaluated
+in closed form as an exact rational; a moment without a rational closed
+form (a non-integer index, or a pulse too wide for the untruncated
+Gaussian expansion) is rejected rather than approximated.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -80,6 +81,21 @@ COMPTONIZATION = TransportParams(Fraction(2), Fraction(2), Fraction(2), Fraction
 class Bremsstrahlung:
     """Optically thin bremsstrahlung emission spectrum x^-3 exp(-x/4)."""
 
+    def moment(self, n) -> Fraction:
+        # I_n = Gamma(n-2) * 4^(n-2); the integrand x^(n-3) exp(-x/4) is
+        # integrable at the origin only for n > 2
+        n = Fraction(n)
+        if n <= 2:
+            raise DivergentMoment(f"bremsstrahlung moment diverges for n = {n} <= 2")
+        arg = n - 2
+        if arg.denominator != 1:
+            raise UnsupportedParams(f"bremsstrahlung moment I_{n} has no rational closed form")
+        m = int(arg)
+        return Fraction(math.factorial(m - 1)) * Fraction(4) ** m
+
+    def profile(self, x) -> np.ndarray:
+        return _on_positive(x, lambda v: np.exp(-v / 4.0) / v**3)
+
     def describe(self) -> str:
         return "bremsstrahlung"
 
@@ -100,6 +116,22 @@ class Monoenergetic:
         object.__setattr__(self, "n0", Fraction(self.n0))
         if self.x0 <= 0 or self.n0 <= 0:
             raise ValueError("monoenergetic spectrum requires x0 > 0 and n0 > 0")
+
+    def moment(self, n) -> Fraction:
+        # delta sifting: I_n = n0 * x0^(n-2)
+        n = Fraction(n)
+        shift = n - 2
+        if shift.denominator != 1:
+            raise UnsupportedParams(f"line moment I_{n} has no rational closed form")
+        return self.n0 * self.x0 ** int(shift)
+
+    def profile(self, x):
+        """A line has no pointwise profile; callers that need one (the
+        grid-based solver) substitute a narrow gaussian pulse first."""
+        raise UnsupportedParams(
+            "a monoenergetic line is a distribution, not a function; "
+            "replace it with a narrow GaussianPulse for pointwise use"
+        )
 
     def describe(self) -> str:
         return f"monoenergetic(x0={self.x0}, n0={self.n0})"
@@ -149,6 +181,29 @@ class GaussianPulse:
         out = norm * np.exp(-0.5 * z * z)
         return np.where(np.asarray(x) >= a, out, 0.0)
 
+    def moment(self, n) -> Fraction:
+        # Since x^2 f0 is the Gaussian density, I_n = n0 E[x^(n-2)].
+        n = Fraction(n)
+        m = n - 2
+        if not (self.narrow() and m.denominator == 1 and m >= 0):
+            raise UnsupportedParams(f"{self.describe()} moment I_{n} has no rational closed form")
+        # untruncated central-moment expansion; the 8-sigma truncation
+        # correction is below 1e-14 relative and is deliberately ignored.
+        # math.prod(range(2l - 1, 0, -2)) is (2l - 1)!!, with (-1)!! = 1
+        mm = int(m)
+        total = Fraction(0)
+        for l in range(mm // 2 + 1):
+            total += (
+                Fraction(math.comb(mm, 2 * l))
+                * self.mean ** (mm - 2 * l)
+                * self.variance**l
+                * Fraction(math.prod(range(2 * l - 1, 0, -2)))
+            )
+        return self.n0 * total
+
+    def profile(self, x) -> np.ndarray:
+        return _on_positive(x, lambda v: self.number_density(v) / v**2)
+
     def describe(self) -> str:
         return f"gaussian(mean={self.mean}, variance={self.variance}, n0={self.n0})"
 
@@ -156,112 +211,18 @@ class GaussianPulse:
 InitialSpectrum = Bremsstrahlung | Monoenergetic | GaussianPulse
 
 
-def profile_function(spectrum) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized pointwise evaluator for f0(x).
-
-    A monoenergetic line has no pointwise profile; callers that need one
-    (the grid-based solver) substitute a narrow gaussian pulse first.
-    """
-    if isinstance(spectrum, Bremsstrahlung):
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            pos = x > 0
-            out[pos] = np.exp(-x[pos] / 4.0) / x[pos] ** 3
-            return out
-
-        return f
-    if isinstance(spectrum, GaussianPulse):
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            pos = x > 0
-            out[pos] = spectrum.number_density(x[pos]) / x[pos] ** 2
-            return out
-
-        return f
-    if isinstance(spectrum, EquilibriumSpectrum):
-        return lambda x: spectrum(x)
-    if isinstance(spectrum, Monoenergetic):
-        raise UnsupportedParams(
-            "a monoenergetic line is a distribution, not a function; "
-            "replace it with a narrow GaussianPulse for pointwise use"
-        )
-    raise UnsupportedParams(f"no profile rule for {type(spectrum).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# moments
-
-
-def initial_moment(spectrum: InitialSpectrum, n) -> Fraction:
-    """The moment I_n of the initial spectrum, as an exact Fraction.
-
-    Raises DivergentMoment when the integral does not converge and
-    UnsupportedParams when it has no rational closed form.
-    """
-    n = Fraction(n)
-    if isinstance(spectrum, Monoenergetic):
-        return _moment_monoenergetic(spectrum, n)
-    if isinstance(spectrum, Bremsstrahlung):
-        return _moment_bremsstrahlung(n)
-    if isinstance(spectrum, GaussianPulse):
-        return _moment_gaussian(spectrum, n)
-    raise TypeError(f"not a spectrum: {spectrum!r}")
-
-
-def _moment_monoenergetic(s: Monoenergetic, n: Fraction) -> Fraction:
-    # delta sifting: I_n = n0 * x0^(n-2)
-    shift = n - 2
-    if shift.denominator != 1:
-        raise UnsupportedParams(f"line moment I_{n} has no rational closed form")
-    return s.n0 * s.x0 ** int(shift)
-
-
-def _moment_bremsstrahlung(n: Fraction) -> Fraction:
-    # I_n = Gamma(n-2) * 4^(n-2); the integrand x^(n-3) exp(-x/4) is
-    # integrable at the origin only for n > 2
-    if n <= 2:
-        raise DivergentMoment(f"bremsstrahlung moment diverges for n = {n} <= 2")
-    arg = n - 2
-    if arg.denominator != 1:
-        raise UnsupportedParams(f"bremsstrahlung moment I_{n} has no rational closed form")
-    m = int(arg)
-    return Fraction(math.factorial(m - 1)) * Fraction(4) ** m
+def _on_positive(x, rule) -> np.ndarray:
+    """rule(x) where x > 0 and 0 elsewhere, for a profile vanishing off (0, inf)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0
+    out[pos] = rule(x[pos])
+    return out
 
 
 def _gauss_upper_mass(z: float) -> float:
     """P(Z >= z) for a standard normal variable."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-def _moment_gaussian(s: GaussianPulse, n: Fraction) -> Fraction:
-    # Since x^2 f0 is the Gaussian density, I_n = n0 E[x^(n-2)].
-    m = n - 2
-    if not (s.narrow() and m.denominator == 1 and m >= 0):
-        raise UnsupportedParams(f"{s.describe()} moment I_{n} has no rational closed form")
-    # untruncated central-moment expansion; the 8-sigma truncation
-    # correction is below 1e-14 relative and is deliberately ignored
-    mm = int(m)
-    total = Fraction(0)
-    for l in range(mm // 2 + 1):
-        total += (
-            Fraction(math.comb(mm, 2 * l))
-            * s.mean ** (mm - 2 * l)
-            * s.variance**l
-            * Fraction(_double_factorial_odd(l))
-        )
-    return s.n0 * total
-
-
-def _double_factorial_odd(l: int) -> int:
-    """(2l-1)!! with the empty product equal to 1."""
-    out = 1
-    for v in range(2 * l - 1, 0, -2):
-        out *= v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +252,9 @@ def equilibrium_temperature(
             "equilibrium temperature relies on number and energy conservation, "
             "available only for i=j=k=2, alpha=4"
         )
-    energy = initial_moment(spectrum, 3)
+    energy = spectrum.moment(3)
     try:
-        number = initial_moment(spectrum, 2)
+        number = spectrum.moment(2)
     except DivergentMoment:
         return EquilibriumTemperature(
             value=Fraction(0),
@@ -321,6 +282,8 @@ class EquilibriumSpectrum:
         x = np.asarray(x, dtype=float)
         p = float(self.params.p)
         return self.prefactor * np.exp(-(x**p) / (p * self.theta))
+
+    profile = __call__
 
     def number_density(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) ** float(self.params.i) * self(x)

@@ -24,6 +24,7 @@ fixed point inside each implicit stage as in an index-1 DAE.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import math
 from collections import Counter
@@ -46,7 +47,6 @@ from .spectra import (
     Monoenergetic,
     TransportParams,
     UnsupportedParams,
-    profile_function,
 )
 
 
@@ -229,15 +229,22 @@ class PdeSolution:
     trace_energy: np.ndarray
     stats: dict
 
+    @cached_property
+    def _times(self) -> list:
+        return [t for t, _ in self.snapshots]
+
     def snapshot(self, y: float) -> np.ndarray:
-        """The stored state nearest y, within 1e-9 max(1, |y|); snapshots may
-        lie closer together than that (down to the solver's step floor)."""
-        t, F = min(self.snapshots, key=lambda snap: abs(snap[0] - y))
+        """The stored state nearest y (the earlier one on a tie), within
+        1e-9 max(1, |y|); snapshots may lie closer together than that (down
+        to the solver's step floor)."""
+        times = self._times
+        k = bisect.bisect_left(times, y)  # times[k - 1] < y <= times[k]
+        if k == len(times) or (k and y - times[k - 1] <= times[k] - y):
+            k -= 1
+        t, F = self.snapshots[k]
         if abs(t - y) <= 1e-9 * max(1.0, abs(y)):
             return F
-        raise SnapshotMissing(
-            f"no snapshot at y = {y}; stored: {[t for t, _ in self.snapshots]}"
-        )
+        raise SnapshotMissing(f"no snapshot at y = {y}; stored: {times}")
 
     @cached_property
     def _center_powers(self) -> tuple:
@@ -266,7 +273,8 @@ class PdeSolution:
 
     def snapshot_rows(self, y: float) -> str:
         """The snapshot's CSV rows x,F,f,G at %.12e, the x column formatted once per solution."""
-        rows = np.column_stack((self.snapshot(y), self.photon_spectrum(y), self.energy_spectrum(y)))
+        F = self.snapshot(y)
+        rows = np.column_stack((F, F / self._center_powers[0], F * self._center_powers[1]))
         return self._csv_template % tuple(rows.ravel().tolist())
 
     def moment(self, n, y: float) -> float:
@@ -315,9 +323,8 @@ def initial_cell_values(
         actual = GaussianPulse(
             mean=spectrum.x0, variance=Fraction(1, 100), n0=spectrum.n0
         )
-    f0 = profile_function(actual)
     x = grid.centers
-    F = x ** float(params.i) * f0(x)
+    F = x ** float(params.i) * actual.profile(x)
     if not np.isfinite(F).all():
         raise NonFiniteState(f"initial condition is not finite up to x_max = {grid.edges[-1]:.6g}")
     if np.any(F < 0):

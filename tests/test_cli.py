@@ -301,16 +301,24 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
         (["--y-max", "1e400"], EXIT_CONFIG, "config error: y_max: "),
         (["--spectrum", "wien:1e400"], EXIT_CONFIG, "config error: spectrum: "),
         (["--config", "y_max_overflow.cfg"], EXIT_CONFIG, "config error: y_max: "),
+        # files that cannot be read or made
+        (["--config", "missing.cfg"], EXIT_CONFIG, "config error: config: "),
+        (["--config", "directory.cfg"], EXIT_CONFIG, "config error: config: "),
+        (["--config", "latin1.cfg"], EXIT_CONFIG, "config error: config: "),
+        (["--out-dir", "/dev/null/x"], EXIT_CONFIG, "config error: out_dir: "),
     ],
     ids=["wien_tiny", "wien_huge", "x_max_huge", "y_max_huge", "y_max_tiny", "y_max_subnormal",
          "cf_n_superscript", "theta_overflow", "y_max_overflow", "wien_overflow",
-         "config_y_max_overflow"],
+         "config_y_max_overflow", "config_missing", "config_directory", "config_not_utf8",
+         "out_dir_under_file"],
 )
 def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message):
     (tmp_path / "y_max_overflow.cfg").write_text("y-max = 1e400\n", encoding="utf-8")
+    (tmp_path / "directory.cfg").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes(b"label = caf\xe9\n")
     flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
-    argv = ["solve", "--theta", "constant:1", "--grid-cells", "8", *flags]
-    assert main([*argv, "--out-dir", str(tmp_path)]) == code
+    argv = ["solve", "--theta", "constant:1", "--grid-cells", "8", "--out-dir", str(tmp_path)]
+    assert main([*argv, *flags]) == code
     assert message in capsys.readouterr().err
 
 

@@ -32,7 +32,6 @@ from compfrac.spectra import (
     GaussianPulse,
     Monoenergetic,
     TransportParams,
-    initial_moment,
 )
 
 DEEP = 64
@@ -365,7 +364,7 @@ def plain_general_route(params, spectrum, order):
                     steps[m] = s
                     reached.append(m)
         frontier = reached
-    jets = {n: [Fraction(initial_moment(spectrum, n))] for n in steps}
+    jets = {n: [Fraction(spectrum.moment(n))] for n in steps}
     norm = jets[params.alpha][0]
     theta, recip = [Fraction(1)], []
     for c in range(order):
@@ -393,7 +392,7 @@ def test_general_route_on_rational_pulse_moments(ijka):
     # I_4 = 113/50 for this pulse; the fractional i gives the hierarchy
     # coefficients a denominator too
     pulse = GaussianPulse(mean=Fraction(3, 2), variance=Fraction(1, 100))
-    assert initial_moment(pulse, 4) == Fraction(113, 50)
+    assert pulse.moment(4) == Fraction(113, 50)
     params = TransportParams(*(Fraction(v) for v in ijka))
     table, fed = build_recording_reciprocal(lambda: theta_derivatives_general(params, pulse, 12))
     values, recip = plain_general_route(params, pulse, 12)

@@ -18,8 +18,6 @@ from compfrac.spectra import (
     UnsupportedParams,
     equilibrium_spectrum,
     equilibrium_temperature,
-    initial_moment,
-    profile_function,
 )
 
 
@@ -32,27 +30,27 @@ def test_comptonization_params():
 def test_monoenergetic_moments_are_powers():
     s = Monoenergetic()
     for n in range(2, 12):
-        assert initial_moment(s, n) == Fraction(4) ** (n - 2)
+        assert s.moment(n) == Fraction(4) ** (n - 2)
 
 
 def test_bremsstrahlung_moments():
     s = Bremsstrahlung()
     # integral of x^(n-3) e^(-x/4) on (0, inf)
     for n in range(3, 10):
-        assert initial_moment(s, n) == math.factorial(n - 3) * Fraction(4) ** (n - 2)
+        assert s.moment(n) == math.factorial(n - 3) * Fraction(4) ** (n - 2)
 
 
 def test_bremsstrahlung_number_diverges():
     with pytest.raises(DivergentMoment):
-        initial_moment(Bremsstrahlung(), 2)
+        Bremsstrahlung().moment(2)
 
 
 def test_gaussian_moments_exact():
     g = GaussianPulse(mean=4, variance=Fraction(1, 100), n0=1)
-    assert initial_moment(g, 2) == 1
-    assert initial_moment(g, 3) == 4
-    assert initial_moment(g, 4) == Fraction(1601, 100)
-    assert initial_moment(g, 5) == Fraction(1603, 25)
+    assert g.moment(2) == 1
+    assert g.moment(3) == 4
+    assert g.moment(4) == Fraction(1601, 100)
+    assert g.moment(5) == Fraction(1603, 25)
 
 
 @given(n=st.integers(min_value=3, max_value=12))
@@ -60,12 +58,12 @@ def test_moment_log_convexity(n):
     """Moments of a positive density satisfy I_n^2 <= I_(n-1) I_(n+1);
     a single line is the degenerate case with equality."""
     g = GaussianPulse(mean=4, variance=Fraction(1, 100), n0=1)
-    assert initial_moment(g, n) ** 2 <= initial_moment(g, n - 1) * initial_moment(g, n + 1)
+    assert g.moment(n) ** 2 <= g.moment(n - 1) * g.moment(n + 1)
     b = Bremsstrahlung()
     if n >= 4:
-        assert initial_moment(b, n) ** 2 <= initial_moment(b, n - 1) * initial_moment(b, n + 1)
+        assert b.moment(n) ** 2 <= b.moment(n - 1) * b.moment(n + 1)
     m = Monoenergetic()
-    assert initial_moment(m, n) ** 2 == initial_moment(m, n - 1) * initial_moment(m, n + 1)
+    assert m.moment(n) ** 2 == m.moment(n - 1) * m.moment(n + 1)
 
 
 def test_equilibrium_temperature_values():
@@ -105,10 +103,10 @@ def test_equilibrium_spectrum_requires_positive_temperature():
 
 def test_profile_function_shapes():
     x = np.geomspace(1e-2, 40, 300)
-    brems = profile_function(Bremsstrahlung())(x)
+    brems = Bremsstrahlung().profile(x)
     assert np.allclose(brems, np.exp(-x / 4) / x**3)
     g = GaussianPulse(mean=4, variance=Fraction(1, 100), n0=1)
-    prof = profile_function(g)(x)
+    prof = g.profile(x)
     assert np.all(prof >= 0)
     peak = x[np.argmax(prof * x**2)]
     assert abs(peak - 4) < 0.1
@@ -116,7 +114,7 @@ def test_profile_function_shapes():
 
 def test_profile_function_rejects_raw_line():
     with pytest.raises(UnsupportedParams):
-        profile_function(Monoenergetic())
+        Monoenergetic().profile(np.array([4.0]))
 
 
 @pytest.mark.parametrize(
@@ -134,7 +132,7 @@ def test_profile_function_rejects_raw_line():
 )
 def test_moment_without_rational_form_rejected(spectrum, n):
     with pytest.raises(UnsupportedParams, match="no rational closed form"):
-        initial_moment(spectrum, n)
+        spectrum.moment(n)
 
 
 @settings(max_examples=30)
@@ -144,4 +142,18 @@ def test_moment_without_rational_form_rejected(spectrum, n):
 )
 def test_line_moments_scale_exactly(x0, n):
     s = Monoenergetic(x0=x0, n0=1)
-    assert initial_moment(s, n) == x0 ** (n - 2)
+    assert s.moment(n) == x0 ** (n - 2)
+
+
+@pytest.mark.parametrize(
+    "spectrum, orders",
+    [(Bremsstrahlung(), range(3, 7)), (GaussianPulse(4, Fraction(1, 100), 1), range(2, 7))],
+    ids=["free-free", "pulse"],
+)
+def test_exact_moments_match_profile_quadrature(spectrum, orders):
+    """The exact I_n that feed the series and the profile that starts the
+    solve describe one spectrum."""
+    x = np.geomspace(1e-8, 1e3, 200_001)
+    f0 = spectrum.profile(x)
+    for n in orders:
+        assert np.trapezoid(x**n * f0, x) == pytest.approx(float(spectrum.moment(n)), rel=1e-6)

@@ -11,6 +11,7 @@ tested directly.
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -338,6 +339,35 @@ def test_snapshot_lookup(mono_run):
     assert mono_run.snapshot(0.5) is not None
     with pytest.raises(SnapshotMissing):
         mono_run.snapshot(0.123)
+
+
+def _synthetic_solution(times):
+    grid = Grid.log_spaced(cells=8, x_min=1e-2, x_max=10.0, y_end=times[-1], snapshots=times)
+    states = tuple((t, np.full(8, float(k))) for k, t in enumerate(grid.snapshot_times))
+    empty = np.zeros(0)
+    return transport.PdeSolution(grid=grid, params=COMPTONIZATION, theta_description="synthetic",
+                                 snapshots=states, trace_y=empty, trace_number=empty,
+                                 trace_energy=empty, stats={})
+
+
+def test_snapshot_lookup_takes_nearest_earlier_on_tie():
+    sol = _synthetic_solution([0.0, 2e-10, 1.0])
+    (_, first), (_, second), (_, last) = sol.snapshots
+    assert sol.snapshot(1e-10) is first  # equidistant from 0 and 2e-10
+    assert sol.snapshot(1.5e-10) is second
+    assert sol.snapshot(1.0 + 5e-10) is last
+    for y in (0.5, 1.1, -0.1):
+        with pytest.raises(SnapshotMissing):
+            sol.snapshot(y)
+
+
+def test_snapshot_lookup_scales_to_many_snapshots():
+    # a scan of every stored time per lookup would make about 9e8 key
+    # calls here; the lookup bisects
+    sol = _synthetic_solution(np.linspace(0.0, 3.0, 30_000).tolist())
+    start = time.perf_counter()
+    assert all(sol.snapshot(t) is F for t, F in sol.snapshots)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_spectrum_views(mono_run):
