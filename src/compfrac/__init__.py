@@ -73,9 +73,7 @@ from .transport import (
     solve_transport,
 )
 from .verify import (
-    ConservationReport,
     VerificationReport,
-    conservation_report,
     output_temperature,
     self_consistency,
 )

@@ -447,8 +447,15 @@ def cmd_solve(run: Run) -> int:
     return EXIT_OK
 
 
+def _check_verifiable(run: Run) -> None:
+    """theta_out = I_4(y)/I_4(0) starts at 1, so only a driver that does can match it."""
+    if run.theta(0.0) != 1.0:
+        raise ConfigError("theta", f"verify needs theta(0) = 1, got {run.theta(0.0):g}")
+
+
 def cmd_verify(run: Run) -> int:
     """Self-consistency report of the run's solve against its driving temperature."""
+    _check_verifiable(run)
     config = run.config
     report = self_consistency(run.solution, run.theta, tolerance=config.tolerance)
     out = run.out
@@ -466,6 +473,7 @@ def cmd_verify(run: Run) -> int:
 
 def cmd_reproduce(run: Run) -> int:
     """All stages on one run; its one transport solve feeds the outputs and verify."""
+    _check_verifiable(run)  # before any file is written
     cmd_derivs(run)
     cmd_cf(run)
     cmd_solve(run)

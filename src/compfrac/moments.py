@@ -32,7 +32,6 @@ import json
 import math
 import numbers
 import operator
-import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -41,7 +40,6 @@ from typing import Mapping
 
 from .spectra import (
     COMPTONIZATION,
-    DegenerateAlphaWarning,
     InitialSpectrum,
     TransportParams,
 )
@@ -331,11 +329,8 @@ def theta_derivatives_general(
     is expanded to order M - s.
     """
     if params.alpha == params.i:
-        warnings.warn(
-            "alpha equals i, so theta(y) is identically 1 and every derivative vanishes",
-            DegenerateAlphaWarning,
-            stacklevel=2,
-        )
+        # theta is identically 1 (TransportParams warned when it was built),
+        # and I_alpha may diverge, so no moment is read
         values = (Fraction(1),) + (Fraction(0),) * order
         return DerivativeTable(
             values=values,

@@ -229,6 +229,18 @@ class PdeSolution:
     trace_energy: np.ndarray
     stats: dict
 
+    @property
+    def number_drift(self) -> float:
+        """Worst relative drift of the photon number over all accepted steps."""
+        n = self.trace_number
+        return float(np.max(np.abs(n / n[0] - 1.0)))
+
+    @property
+    def energy_drift(self) -> float:
+        """Worst relative drift of the energy moment over all accepted steps."""
+        e = self.trace_energy
+        return float(np.max(np.abs(e / e[0] - 1.0)))
+
     @cached_property
     def _times(self) -> list:
         return [t for t, _ in self.snapshots]

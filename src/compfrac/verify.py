@@ -3,8 +3,8 @@
 The temperature driving the transport solve is an approximant built
 from initial derivative data alone.  Integrating the solved spectrum
 gives a second, independent temperature curve; agreement between the
-two is the consistency check on the whole pipeline, and conservation
-drifts measure the solver against the exact invariants of the scheme.
+two is the consistency check on the whole pipeline.  The report also
+copies the conservation drifts every PdeSolution carries, unchanged.
 """
 
 from __future__ import annotations
@@ -12,14 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .transport import PdeSolution, TemperatureFn, grid_moment
 
 __all__ = [
-    "ConservationReport",
     "VerificationReport",
-    "conservation_report",
     "output_temperature",
     "self_consistency",
 ]
@@ -36,25 +32,6 @@ def output_temperature(sol: PdeSolution) -> tuple:
     base = grid_moment(sol.grid, sol.snapshot(0.0), alpha, sol.params)
     return tuple((float(y), grid_moment(sol.grid, F, alpha, sol.params) / base)
                  for y, F in sol.snapshots)
-
-
-@dataclass(frozen=True)
-class ConservationReport:
-    """Worst relative drifts of the two conserved moments over all accepted steps."""
-
-    number_drift: float
-    energy_drift: float
-    steps: int
-
-
-def conservation_report(sol: PdeSolution) -> ConservationReport:
-    num = sol.trace_number
-    en = sol.trace_energy
-    return ConservationReport(
-        number_drift=float(np.max(np.abs(num / num[0] - 1.0))),
-        energy_drift=float(np.max(np.abs(en / en[0] - 1.0))),
-        steps=len(num) - 1,
-    )
 
 
 @dataclass(frozen=True)
@@ -98,7 +75,6 @@ def self_consistency(
     theta_fn must be the same function the solver ran with; handing a
     different one turns the report into a negative control.
     """
-    cons = conservation_report(sol)
     rows = []
     worst = -1.0
     worst_y = 0.0
@@ -116,6 +92,6 @@ def self_consistency(
         argmax_y=worst_y,
         tolerance=tolerance,
         passed=worst <= tolerance,
-        number_drift=cons.number_drift,
-        energy_drift=cons.energy_drift,
+        number_drift=sol.number_drift,
+        energy_drift=sol.energy_drift,
     )

@@ -346,6 +346,24 @@ def test_verify_pass_exit(tmp_path, capsys):
     assert report["tolerance"] == 0.08
 
 
+def test_verify_refuses_driver_not_starting_at_one(tmp_path, capsys):
+    # theta_out = I_4(y)/I_4(0) starts at 1, so on the exact steady state of
+    # constant:2 it would read 50% off; verify and reproduce refuse the driver
+    # before writing anything, while solve still runs it
+    steady = ["--spectrum", "wien:2", "--theta", "constant:2", "--grid-cells", "32"]
+    assert main(["verify", *steady, "--out-dir", str(tmp_path / "v")]) == EXIT_CONFIG
+    assert main(["reproduce", "monoenergetic", "--theta", "constant:2",
+                 "--out-dir", str(tmp_path / "r")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: theta: ") for line in err)
+    assert not (tmp_path / "v").exists() and not (tmp_path / "r").exists()
+    assert main(["solve", *steady, "--out-dir", str(tmp_path / "s")]) == EXIT_OK
+    assert not list((tmp_path / "s").glob("verify_*"))
+    assert main(["verify", "--spectrum", "wien:1", "--theta", "constant:1", "--grid-cells", "32",
+                 "--out-dir", str(tmp_path / "w")]) == EXIT_OK
+    assert json.loads((tmp_path / "w" / "verify_wien.json").read_text())["passed"] is True
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -674,6 +692,18 @@ def test_readme_quick_start_parses():
     assert {argv[1] for argv in commands} >= {"reproduce", "derivs", "cf", "solve", "verify"}
     for argv in commands:
         cli._build_parser().parse_args(argv[1:])
+
+
+def test_readme_library_use_runs():
+    # the README's "Library use" block, run as written, names the public API
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    block = block.split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    report = namespace["report"]
+    assert report.passed
+    assert report.max_rel_dev == pytest.approx(1.358925e-2, rel=1e-3)
 
 
 def test_snapshot_files_hold_their_own_states(tmp_path):

@@ -47,7 +47,7 @@ from compfrac.transport import (
     initial_cell_values,
     solve_transport,
 )
-from compfrac.verify import conservation_report, output_temperature
+from compfrac.verify import output_temperature
 
 from conftest import RUN_SNAPSHOTS
 
@@ -319,9 +319,11 @@ def test_operator_conserves_number_exactly():
 
 
 def test_stationary_equilibrium_state(wien_run):
+    """README, acceptance check 9: "the equilibrium fixed point is
+    stationary to 5e-14" (measured: 3.99e-14 of the largest cell value)."""
     start = wien_run.snapshot(0.0)
-    end = wien_run.snapshot(2.0)
-    assert np.max(np.abs(end - start)) <= 1e-10 * np.max(start)
+    worst = max(float(np.max(np.abs(F - start))) for _, F in wien_run.snapshots)
+    assert worst <= 1e-13 * float(np.max(start))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +505,7 @@ def test_clipping_keeps_photon_number():
         Bremsstrahlung(), TemperatureFn.constant(1.0), grid, rtol=0.1, initial_dy=0.5
     )
     assert sol.stats["cells_clipped"] > 0
-    assert conservation_report(sol).number_drift <= 1e-12
+    assert sol.number_drift <= 1e-12
     for _, F in sol.snapshots:
         assert float(F.min()) >= 0.0
 
@@ -546,7 +548,7 @@ def test_closure_keeps_wien_fixed_point():
 
 def test_closure_conserves_photon_number(closure_runs):
     for sol in closure_runs.values():
-        assert conservation_report(sol).number_drift <= 1e-12
+        assert sol.number_drift <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -559,6 +561,17 @@ def test_closure_reference_temperature_pinned(closure_runs, case, want):
     curve = closure_curve(sol)
     assert sol.snapshots[-1][0] == 2.0
     assert curve[-1] / curve[0] == pytest.approx(want, rel=1e-5)
+
+
+def test_closure_l1_to_equilibrium_as_readme_states(closure_runs):
+    """README, acceptance check 9: driving the solver with the closure
+    "brings the L1 distance down to 0.08%" (measured: 0.0816%)."""
+    sol = closure_runs["pulse"]
+    x, dx = sol.grid.centers, sol.grid.widths
+    # criterion 9's distance to the Wien energy spectrum carrying I_3 = 4
+    G_eq = (27.0 / 128.0) * x**3 * np.exp(-0.75 * x)
+    l1 = float(np.sum(np.abs(sol.energy_spectrum(2.0) - G_eq) * dx)) / 4.0
+    assert 0.0007 <= l1 <= 0.0009
 
 
 def test_closure_needs_comptonization():

@@ -17,11 +17,7 @@ import pytest
 from compfrac.cli import write_json, write_table
 from compfrac.spectra import Bremsstrahlung
 from compfrac.transport import Grid, SnapshotMissing, TemperatureFn, solve_transport
-from compfrac.verify import (
-    conservation_report,
-    output_temperature,
-    self_consistency,
-)
+from compfrac.verify import output_temperature, self_consistency
 
 
 def test_output_temperature_starts_at_one(mono_run, brems_run):
@@ -94,23 +90,23 @@ def test_all_nan_rows_fail(brems_run):
     assert all(math.isnan(row[3]) for row in report.rows)
 
 
-def test_conservation_report_monoenergetic(mono_run):
-    rep = conservation_report(mono_run)
-    assert rep.number_drift <= 1e-12
-    assert rep.energy_drift == pytest.approx(1.683595e-2, rel=1e-3)
-    assert rep.steps == len(mono_run.trace_y) - 1
+def test_solution_drifts_monoenergetic(mono_run):
+    assert mono_run.number_drift <= 1e-12
+    assert mono_run.energy_drift == pytest.approx(1.683595e-2, rel=1e-3)
+    # the traces hold the initial state and one entry per accepted step
+    assert len(mono_run.trace_y) - 1 == mono_run.stats["steps_accepted"]
 
 
-def test_conservation_report_bremsstrahlung(brems_run):
-    rep = conservation_report(brems_run)
-    assert rep.number_drift <= 1e-12
-    assert rep.energy_drift == pytest.approx(1.623167e-2, rel=1e-3)
+def test_solution_drifts_bremsstrahlung(brems_run):
+    assert brems_run.number_drift <= 1e-12
+    assert brems_run.energy_drift == pytest.approx(1.623167e-2, rel=1e-3)
+    assert len(brems_run.trace_y) - 1 == brems_run.stats["steps_accepted"]
 
 
-def test_conservation_report_wien(wien_run):
-    rep = conservation_report(wien_run)
-    assert rep.number_drift <= 1e-10
-    assert rep.energy_drift <= 1e-10
+def test_solution_drifts_wien(wien_run):
+    assert wien_run.number_drift <= 1e-10
+    assert wien_run.energy_drift <= 1e-10
+    assert len(wien_run.trace_y) - 1 == wien_run.stats["steps_accepted"]
 
 
 def test_free_free_cooling_is_monotone(brems_run):
