@@ -100,7 +100,7 @@ class SnapshotMissing(KeyError):
 
 
 class NonFiniteState(ArithmeticError):
-    """A NaN or infinite value in the initial state or a step, or a singular step matrix."""
+    """A cell center or initial value off the floats, a NaN step or a singular step matrix."""
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,14 @@ class Grid:
     # and the JSON form still see only the edges tuple
     @cached_property
     def centers(self) -> np.ndarray:
-        """Geometric cell centers (read-only)."""
+        """Geometric cell centers (read-only), each a positive float."""
         e = np.asarray(self.edges)
-        centers = np.sqrt(e[:-1] * e[1:])
+        with np.errstate(over="ignore", under="ignore"):
+            centers = np.sqrt(e[:-1] * e[1:])
+        m = int(np.argmin((centers > 0.0) & (centers < math.inf)))  # the first bad cell, or 0
+        if not 0.0 < centers[m] < math.inf:
+            raise NonFiniteState(f"grid cell {m} has center sqrt({e[m]:.6g} * {e[m + 1]:.6g}) "
+                                 f"= {float(centers[m])} in floats")
         centers.flags.writeable = False
         return centers
 
@@ -165,6 +170,20 @@ class Grid:
         widths = np.diff(self.edges)
         widths.flags.writeable = False
         return widths
+
+    @cached_property
+    def _powers(self) -> dict:
+        return {}
+
+    def center_power(self, e) -> np.ndarray:
+        """x^e at the cell centers (read-only), built once per float(e), for
+        every reader: moments, conservation traces, initial values, spectra."""
+        e = float(e)
+        power = self._powers.get(e)
+        if power is None:
+            power = self._powers[e] = self.centers ** e
+            power.flags.writeable = False
+        return power
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,23 +277,13 @@ class PdeSolution:
             return F
         raise SnapshotMissing(f"no snapshot at y = {y}; stored: {times}")
 
-    @cached_property
-    def _center_powers(self) -> tuple:
-        """(x^i, x^(3-i)) at the cell centers, read-only."""
-        x = self.grid.centers
-        i = float(self.params.i)
-        powers = (x ** i, x ** (3.0 - i))
-        for arr in powers:
-            arr.flags.writeable = False
-        return powers
-
     def photon_spectrum(self, y: float) -> np.ndarray:
         """f(x, y) = F / x^i at the cell centers."""
-        return self.snapshot(y) / self._center_powers[0]
+        return self.snapshot(y) / self.grid.center_power(self.params.i)
 
     def energy_spectrum(self, y: float) -> np.ndarray:
-        """G(x, y) = x^3 f = x^(3-i) F at the cell centers."""
-        return self.snapshot(y) * self._center_powers[1]
+        """G(x, y) = x^3 f = x^(3-i) F at the cell centers, summed by grid_moment(..., 3, ...)."""
+        return self.snapshot(y) * self.grid.center_power(3 - self.params.i)
 
     @cached_property
     def _csv_template(self) -> str:
@@ -285,8 +294,7 @@ class PdeSolution:
 
     def snapshot_rows(self, y: float) -> str:
         """The snapshot's CSV rows x,F,f,G at %.12e, the x column formatted once per solution."""
-        F = self.snapshot(y)
-        rows = np.column_stack((F, F / self._center_powers[0], F * self._center_powers[1]))
+        rows = np.column_stack((self.snapshot(y), self.photon_spectrum(y), self.energy_spectrum(y)))
         return self._csv_template % tuple(rows.ravel().tolist())
 
     def moment(self, n, y: float) -> float:
@@ -312,13 +320,11 @@ class PdeSolution:
 def grid_moment(grid: Grid, F: np.ndarray, n, params: TransportParams) -> float:
     """I_n = integral x^n f dx = sum x_m^(n-i) F_m dx_m on cell centers.
 
-    The same midpoint rule backs the solver's conservation traces, so
-    moment checks downstream see exactly the quantities the scheme
-    conserves.
+    The weight x^(n-i) is the grid's one table, ``Grid.center_power``, which
+    the conservation traces and spectrum views read too, so moment checks
+    downstream see exactly the quantities the scheme conserves.
     """
-    x = grid.centers
-    shift = float(Fraction(n) - params.i)
-    return float(np.sum(x ** shift * F * grid.widths))
+    return float((grid.center_power(Fraction(n) - params.i) * F * grid.widths).sum())
 
 
 def initial_cell_values(
@@ -336,9 +342,11 @@ def initial_cell_values(
             mean=spectrum.x0, variance=Fraction(1, 100), n0=spectrum.n0
         )
     x = grid.centers
-    F = x ** float(params.i) * actual.profile(x)
-    if not np.isfinite(F).all():
-        raise NonFiniteState(f"initial condition is not finite up to x_max = {grid.edges[-1]:.6g}")
+    with np.errstate(all="ignore"):
+        F = grid.center_power(params.i) * actual.profile(x)
+    m = int(np.argmin(np.isfinite(F)))  # the first bad cell, or 0
+    if not np.isfinite(F[m]):
+        raise NonFiniteState(f"initial condition is {F[m]} at x = {x[m]:.6g} (cell {m})")
     if np.any(F < 0):
         raise ValueError("initial condition must be non-negative on the grid")
     return F, actual
@@ -369,10 +377,10 @@ class _Operator:
     computed once here; ``assemble`` evaluates the theta-dependent rest.
     Each floating-point expression keeps the operation order of a
     from-scratch assembly, so the bands are bit-identical to it.  Every
-    implicit stage builds its matrix I - dy A with ``stage_matrix`` and
-    solves with ``solve``, which leaves the matrix intact: TR-BDF2 keeps
-    its BDF2-stage matrix for the filter of the error estimate.  The
-    counters record the work done.
+    implicit solve is one call, ``solve(bands, dy, rhs)``, which writes
+    I - dy A into the LAPACK work arrays and leaves the bands intact, so
+    the bands of one assembly serve any number of solves.  The counters
+    record the work done.
     """
 
     def __init__(self, grid: Grid, params: TransportParams):
@@ -390,8 +398,6 @@ class _Operator:
         self.power_gap = hi ** self.p - lo ** self.p
         xe = np.asarray(grid.edges[1:-1])  # interior interfaces
         self.g = xe ** float(params.k) / (hi - lo)  # conductance of each interface
-        # x^(3-i), the energy weight of grid_moment(..., 3, ...)
-        self.energy_weight = x ** float(Fraction(3) - params.i)
         self.assemblies = 0
         self.linear_solves = 0
         # LAPACK work arrays: gtsv overwrites the bands (dl, d, du) with
@@ -438,21 +444,17 @@ class _Operator:
         AF[1:] += lower * F[:-1]
         return AF
 
-    @staticmethod
-    def stage_matrix(bands, dy: float):
-        """(dl, d, du) of the M-matrix I - dy A for the bands of one assembly."""
-        lower, diag, upper = bands
-        return -dy * lower, 1.0 - dy * diag, -dy * upper
+    def solve(self, bands, dy: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I - dy A) x = rhs with LAPACK gtsv into a fresh array.
 
-    def solve(self, matrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve matrix @ x = rhs with LAPACK gtsv into a fresh array.
-
-        The bands are copied into the work arrays, which gtsv factors in
-        place, so ``matrix`` and ``rhs`` are left intact and ``matrix``
-        can serve any number of solves.
+        The M-matrix I - dy A of the bands of one assembly is written
+        straight into the work arrays, which gtsv factors in place, so
+        ``bands`` and ``rhs`` are left intact.
         """
-        for work, band in zip(self._work, matrix):
-            work[...] = band
+        (lower, diag, upper), (dl, d, du) = bands, self._work
+        np.multiply(lower, -dy, out=dl)
+        np.subtract(1.0, np.multiply(diag, dy, out=d), out=d)
+        np.multiply(upper, -dy, out=du)
         self.linear_solves += 1
         if _numpy_gtsv is None:
             _, _, _, x, info = dgtsv(
@@ -515,9 +517,9 @@ def solve_transport(
     """Integrate the transport equation over [0, y_end].
 
     Each attempted step of width h takes a trapezoidal stage to
-    y + gamma h and a BDF2 stage to y + h, each one ``solve`` with its
-    ``stage_matrix`` I - d h A; a third solve with the kept BDF2 matrix
-    filters the embedded error estimate h (e1 k1 + e2 k2 + e3 k3), and
+    y + gamma h and a BDF2 stage to y + h, each one ``solve`` of
+    I - d h A at that stage's assembly; a third solve at the BDF2 stage's
+    bands filters the embedded error estimate h (e1 k1 + e2 k2 + e3 k3), and
     the step width follows it with exponent -1/3.  The rate at the end
     of an accepted step is the next step's k1, so an attempt costs two
     assemblies and three solves.  An attempt whose stage or result dips
@@ -529,7 +531,7 @@ def solve_transport(
 
     ``TemperatureFn.selfconsistent()`` (Comptonization only) re-solves
     each stage at theta = I_4/(4 I_3) of its last solution until theta
-    moves by under _CLOSURE_RTOL, and the converged BDF2 matrix filters
+    moves by under _CLOSURE_RTOL, and the converged BDF2 bands filter
     the estimate; an attempt with a stage unsettled after
     _CLOSURE_ITERATIONS solves is rejected and retried at half the width.
     A closure value that is not positive and finite raises
@@ -546,7 +548,6 @@ def solve_transport(
     elif params != COMPTONIZATION:
         raise UnsupportedParams(f"the closure needs Comptonization, not {params.describe()}")
     F, actual_spectrum = initial_cell_values(spectrum, grid, params)
-    F = F.copy()
     dx = grid.widths
     op = _Operator(grid, params)
     y = 0.0
@@ -561,18 +562,16 @@ def solve_transport(
         return value
 
     def stage(rhs, dh, th):
-        """(G, th, bands, matrix) of the stage (I - dh A(th)) G = rhs.  The
-        closure re-solves at th = closure_theta(G) until th is a fixed
-        point."""
+        """(G, th, bands) of the stage (I - dh A(th)) G = rhs.  The closure
+        re-solves at th = closure_theta(G) until th is a fixed point."""
         for _ in range(_CLOSURE_ITERATIONS):
             bands = op.assemble(th)
-            matrix = op.stage_matrix(bands, dh)
-            G = op.solve(matrix, rhs)
+            G = op.solve(bands, dh, rhs)
             if not closure:
-                return G, th, bands, matrix
+                return G, th, bands
             th_next = closure_theta(G)
             if abs(th_next - th) < _CLOSURE_RTOL * th:
-                return G, th, bands, matrix
+                return G, th, bands
             th = th_next
         raise _ClosureUnsettled
 
@@ -589,14 +588,12 @@ def solve_transport(
     if pending and abs(pending[0] - 0.0) <= 1e-12:
         snaps.append((pending.pop(0), F.copy()))
 
+    energy_weight = grid.center_power(3 - params.i)  # of grid_moment(..., 3, ...)
     trace_y = [0.0]
     trace_number = [float((F * dx).sum())]
-    trace_energy = [float((op.energy_weight * F * dx).sum())]
+    trace_energy = [float((energy_weight * F * dx).sum())]
 
-    accepted = 0
-    rejected = 0
-    rejected_negative = 0
-    clipped = 0
+    accepted = rejected = rejected_negative = clipped = 0
     step_widths: list = []  # of the accepted steps
 
     def below_clip(G, low):
@@ -617,18 +614,18 @@ def solve_transport(
         try:
             # trapezoidal stage to y + gamma h
             th_tr = th if closure else theta(y + _GAMMA * dy_try)
-            F_tr, th_tr, _, _ = stage(F + dh * k1, dh, th_tr)
+            F_tr, th_tr, _ = stage(F + dh * k1, dh, th_tr)
             k2 = (F_tr - F) / dh - k1
-            # BDF2 stage to y + h; its matrix also filters the error estimate
+            # BDF2 stage to y + h; its bands also filter the error estimate
             rhs = F + (_W * dy_try) * (k1 + k2)
             th_new = th_tr if closure else theta(y + dy_try)
-            F_new, th_new, bands, bdf2 = stage(rhs, dh, th_new)
+            F_new, th_new, bands = stage(rhs, dh, th_new)
         except _ClosureUnsettled:
             rejected += 1
             dy = max(dy_try * 0.5, min_dy / 2)
             continue
         k3 = (F_new - rhs) / dh
-        est = op.solve(bdf2, dy_try * (_E1 * k1 + _E2 * k2 + _E3 * k3))
+        est = op.solve(bands, dh, dy_try * (_E1 * k1 + _E2 * k2 + _E3 * k3))
 
         err = float((np.abs(est) / (atol + rtol * np.abs(F_new))).max())
         if not math.isfinite(err):
@@ -667,7 +664,7 @@ def solve_transport(
 
         trace_y.append(y)
         trace_number.append(float((F * dx).sum()))
-        trace_energy.append(float((op.energy_weight * F * dx).sum()))
+        trace_energy.append(float((energy_weight * F * dx).sum()))
 
         if pending and abs(y - pending[0]) <= 1e-12:
             snaps.append((pending.pop(0), F.copy()))

@@ -290,7 +290,16 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
     [
         (["--spectrum", "wien:1e-300"], EXIT_CONFIG, "config error: spectrum: "),
         (["--spectrum", "wien:1e300"], EXIT_CONFIG, "config error: spectrum: "),
-        (["--grid-x-max", "1e300"], EXIT_NUMERICAL, "numerical failure: initial condition"),
+        # cell centers sqrt(x_lo x_hi) that overflow or underflow, and a profile
+        # that overflows at a representable center, are refused before any step
+        (["--grid-x-max", "1e300"], EXIT_NUMERICAL,
+         "numerical failure: grid cell 4 has center sqrt(3.16228e+148 * 2.37137e+186) = inf"),
+        (["--grid-x-min", "1e-300"], EXIT_NUMERICAL,
+         "numerical failure: grid cell 0 has center sqrt(1e-300 * 5.15669e-263) = 0.0"),
+        (["--spectrum", "bremsstrahlung", "--grid-x-min", "1e-200"], EXIT_NUMERICAL,
+         "numerical failure: grid cell 0 has center sqrt(1e-200 * 1.63069e-175) = 0.0"),
+        (["--spectrum", "bremsstrahlung", "--grid-x-min", "1e-150"], EXIT_NUMERICAL,
+         "numerical failure: initial condition is inf at x = 3.02821e-141 (cell 0)"),
         (["--y-max", "1e300"], EXIT_CONFIG, "config error: y_max"),
         # snapshot spacing at or below the solver's step floor
         (["--y-max", "1e-12"], EXIT_CONFIG, "config error: y_max"),
@@ -307,11 +316,13 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
         (["--config", "latin1.cfg"], EXIT_CONFIG, "config error: config: "),
         (["--out-dir", "/dev/null/x"], EXIT_CONFIG, "config error: out_dir: "),
     ],
-    ids=["wien_tiny", "wien_huge", "x_max_huge", "y_max_huge", "y_max_tiny", "y_max_subnormal",
+    ids=["wien_tiny", "wien_huge", "x_max_huge", "x_min_tiny", "freefree_x_min_tiny",
+         "freefree_profile_overflow", "y_max_huge", "y_max_tiny", "y_max_subnormal",
          "cf_n_superscript", "theta_overflow", "y_max_overflow", "wien_overflow",
          "config_y_max_overflow", "config_missing", "config_directory", "config_not_utf8",
          "out_dir_under_file"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message):
     (tmp_path / "y_max_overflow.cfg").write_text("y-max = 1e400\n", encoding="utf-8")
     (tmp_path / "directory.cfg").mkdir()

@@ -80,7 +80,16 @@ def test_grid_arrays_cached_read_only():
     assert grid.widths is grid.widths
     assert np.array_equal(grid.centers, np.sqrt(e[:-1] * e[1:]))
     assert np.array_equal(grid.widths, e[1:] - e[:-1])
-    for arr in (grid.centers, grid.widths):
+    # one array per exponent, keyed by the float that x ** e reads
+    cube = grid.center_power(3)
+    assert grid.center_power(Fraction(3)) is cube and grid.center_power(3.0) is cube
+    assert np.array_equal(cube, grid.centers ** 3.0)
+    two_thirds = grid.center_power(Fraction(2, 3))
+    assert grid.center_power(float(Fraction(2, 3))) is two_thirds
+    assert np.array_equal(two_thirds, grid.centers ** float(Fraction(2, 3)))
+    # 3.0 - float(7/3) rounds to the float below 2/3: a different exponent
+    assert grid.center_power(3.0 - float(Fraction(7, 3))) is not two_thirds
+    for arr in (grid.centers, grid.widths, cube, two_thirds):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -91,6 +100,11 @@ def test_equal_grids_compare_and_hash_equal():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Grid.log_spaced(cells=51, snapshots=3)
+    # the cached arrays are not fields: building them changes neither
+    a.center_power(3)
+    a.center_power(Fraction(7, 3))
+    assert a == b and hash(a) == hash(b)
+    assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_grid_snapshot_sequence_is_sorted():
@@ -206,13 +220,12 @@ def test_step_matches_banded_solve():
             ab[1, :] = 1.0 - dy * diag
             ab[2, :-1] = -dy * lower
             want = solve_banded((1, 1), ab, F)
-            # a kept stage matrix serves a second solve unchanged
-            matrix = op.stage_matrix(bands, dy)
-            kept = [band.copy() for band in matrix]
-            assert np.array_equal(op.solve(matrix, F), want)
-            for band, copy in zip(matrix, kept):
+            # the bands of one assembly serve a second solve unchanged
+            kept = [band.copy() for band in bands]
+            assert np.array_equal(op.solve(bands, dy, F), want)
+            for band, copy in zip(bands, kept):
                 assert np.array_equal(band, copy)
-            assert np.array_equal(op.solve(matrix, F), want)
+            assert np.array_equal(op.solve(bands, dy, F), want)
 
 
 def _stage_systems(grid, params=COMPTONIZATION):
@@ -237,7 +250,7 @@ def test_operator_falls_back_to_scipy_dgtsv(monkeypatch, grid):
     numpy_op = _Operator(grid, COMPTONIZATION)
     want = []
     for bands, dy, F in _stage_systems(grid):
-        want.append(numpy_op.solve(numpy_op.stage_matrix(bands, dy), F))
+        want.append(numpy_op.solve(bands, dy, F))
     # a numpy without the symbol (MKL, a system LAPACK) solves with scipy's
     monkeypatch.setattr(transport, "_NUMPY_DGTSV", "no_such_symbol_")
     assert transport._find_numpy_dgtsv() is None
@@ -245,14 +258,13 @@ def test_operator_falls_back_to_scipy_dgtsv(monkeypatch, grid):
     monkeypatch.setattr(transport, "dgtsv", public_dgtsv)
     op = _Operator(grid, COMPTONIZATION)
     for (bands, dy, F), solve_want in zip(_stage_systems(grid), want):
-        matrix = op.stage_matrix(bands, dy)
-        assert np.array_equal(op.solve(matrix, F), solve_want)
-        # the kept matrix serves a second solve, as the BDF2 stage's does
-        assert np.array_equal(op.solve(matrix, F), solve_want)
+        assert np.array_equal(op.solve(bands, dy, F), solve_want)
+        # the bands serve a second solve, as the BDF2 stage's do
+        assert np.array_equal(op.solve(bands, dy, F), solve_want)
     assert op.linear_solves == 2 * len(want)
     zero = np.zeros(grid.cells - 1)
     with pytest.raises(NonFiniteState):
-        op.solve(op.stage_matrix((zero, np.ones(grid.cells), zero), 1.0), np.ones(grid.cells))
+        op.solve((zero, np.ones(grid.cells), zero), 1.0, np.ones(grid.cells))
 
 
 def test_singular_step_matrix_rejected():
@@ -261,7 +273,7 @@ def test_singular_step_matrix_rejected():
     zero = np.zeros(grid.cells - 1)
     # 1 - dy * diag vanishes on every row
     with pytest.raises(NonFiniteState):
-        op.solve(op.stage_matrix((zero, np.ones(grid.cells), zero), 1.0), np.ones(grid.cells))
+        op.solve((zero, np.ones(grid.cells), zero), 1.0, np.ones(grid.cells))
 
 
 def test_operator_second_order_convergence():
@@ -381,6 +393,21 @@ def test_spectrum_views(mono_run):
     assert got == grid_moment(mono_run.grid, F, 3, COMPTONIZATION)
 
 
+@pytest.mark.parametrize("i", [Fraction(2), Fraction(7, 3)], ids=["i=2", "i=7/3"])
+def test_moment_rule_shared_by_spectra_and_traces(i):
+    # I_3 by grid_moment, the energy spectrum summed over the cells and the
+    # solver's energy trace all read one weight x^(3-i), to the last bit
+    params = TransportParams(i, 2, 2, 4)
+    grid = Grid.log_spaced(cells=64, x_min=1e-2, x_max=20.0, y_end=0.5, snapshots=3)
+    sol = solve_transport(Bremsstrahlung(), TemperatureFn.constant(1.0), grid, params=params)
+    trace = dict(zip(sol.trace_y.tolist(), sol.trace_energy.tolist()))
+    for y, F in sol.snapshots:
+        i3 = grid_moment(grid, F, 3, params)
+        assert float(np.sum(sol.energy_spectrum(y) * grid.widths)) == i3
+        assert trace[y] == i3
+        assert np.allclose(sol.photon_spectrum(y) * grid.centers ** float(i), F, rtol=1e-15, atol=0)
+
+
 def test_initial_energy_integral_matches_line(mono_run):
     # quadrature of x^3 f at y = 0 recovers the line's I_3 = 4 up to the
     # midpoint-rule error of the narrow replacement pulse
@@ -447,9 +474,9 @@ def test_nonfinite_temperature_mid_run_rejected(monkeypatch):
     # first returns NaN
     solve, calls = _Operator.solve, []
 
-    def nan_after_first(self, matrix, rhs):
+    def nan_after_first(self, bands, dy, rhs):
         calls.append(None)
-        x = solve(self, matrix, rhs)
+        x = solve(self, bands, dy, rhs)
         return x if len(calls) == 1 else np.full_like(x, math.nan)
 
     monkeypatch.setattr(_Operator, "solve", nan_after_first)
