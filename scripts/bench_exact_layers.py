@@ -53,15 +53,12 @@ PAIRS = 10
 def time_layers(order: int, spectrum_name: str) -> dict:
     """Seconds of each repetition per layer for one order and spectrum, in
     this process."""
-    from fractions import Fraction
-
     from compfrac import contfrac, moments, spectra
 
     spectrum = {"monoenergetic": spectra.Monoenergetic, "bremsstrahlung": spectra.Bremsstrahlung}[
         spectrum_name
     ]()
-    eq = spectra.equilibrium_temperature(spectrum)
-    theta_eq = eq.value if eq.meaningful else Fraction(0)
+    theta_eq = spectra.equilibrium_temperature(spectrum).value
     samples: dict = {}
 
     def timed(name, fn):

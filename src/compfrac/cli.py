@@ -345,8 +345,7 @@ class Run:
     @cached_property
     def selection(self):
         fraction = self.fraction  # a spectrum without a table fails here first
-        report = equilibrium_temperature(self.spectrum)
-        theta_eq = report.value if report.meaningful else Fraction(0)
+        theta_eq = equilibrium_temperature(self.spectrum).value
         return select_approximant(fraction, self.config.y_max, theta_eq=theta_eq)
 
     @cached_property

@@ -109,17 +109,6 @@ class DerivativeTable:
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]
 
-    def truncated(self, order: int) -> "DerivativeTable":
-        if order > self.order:
-            raise ValueError(f"table holds orders 0..{self.order}, asked for {order}")
-        return DerivativeTable(
-            values=self.values[: order + 1],
-            provenance=self.provenance,
-            params=self.params,
-            spectrum=self.spectrum,
-            moment_indices=self.moment_indices,
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "schema": "compfrac.derivative-table/1",

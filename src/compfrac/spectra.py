@@ -231,36 +231,25 @@ def _gauss_upper_mass(z: float) -> float:
 
 @dataclass(frozen=True)
 class EquilibriumTemperature:
-    """Asymptotic temperature; meaningful only when photon number is finite."""
+    """Asymptotic temperature.  When photon number diverges, no steady state
+    exists: meaningful is False and value is Fraction(0)."""
 
     value: Fraction
     meaningful: bool
-    note: str = ""
 
 
-def equilibrium_temperature(
-    spectrum: InitialSpectrum, params: TransportParams = COMPTONIZATION
-) -> EquilibriumTemperature:
+def equilibrium_temperature(spectrum: InitialSpectrum) -> EquilibriumTemperature:
     """theta_eq = I_3(0) / (3 I_2(0)), from photon number and energy conservation.
 
-    The argument requires the Comptonization parameters, where both I_2
+    The argument holds for the Comptonization parameters, where both I_2
     (number) and I_3 (energy) are conserved, pinning the asymptotic Wien
     temperature at one third of the mean photon energy.
     """
-    if params != COMPTONIZATION:
-        raise UnsupportedParams(
-            "equilibrium temperature relies on number and energy conservation, "
-            "available only for i=j=k=2, alpha=4"
-        )
     energy = spectrum.moment(3)
     try:
         number = spectrum.moment(2)
     except DivergentMoment:
-        return EquilibriumTemperature(
-            value=Fraction(0),
-            meaningful=False,
-            note="photon number diverges; mean energy is zero and no steady state exists",
-        )
+        return EquilibriumTemperature(value=Fraction(0), meaningful=False)
     theta = energy / (3 * number)
     return EquilibriumTemperature(value=theta, meaningful=True)
 

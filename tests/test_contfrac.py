@@ -475,9 +475,9 @@ def test_order_matching_random_series(tail):
 def test_coefficients_prefix_stable(tail):
     # extending the series never changes the coefficients already built
     coeffs = [Fraction(1)] + tail
-    table = synthetic_table([c * _fact(m) for m, c in enumerate(coeffs)])
-    full = cf_coefficients(table)
-    short = cf_coefficients(table.truncated(table.order - 1))
+    values = [c * _fact(m) for m, c in enumerate(coeffs)]
+    full = cf_coefficients(synthetic_table(values))
+    short = cf_coefficients(synthetic_table(values[:-1]))
     assume(full.pivot_break is None and short.pivot_break is None)
     assert full.coefficients[: len(short.coefficients)] == short.coefficients
 

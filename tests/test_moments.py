@@ -199,14 +199,6 @@ def test_table_metadata(mono_table):
     assert mono_table[2] == -12
 
 
-def test_truncated(mono_table):
-    short = mono_table.truncated(4)
-    assert short.order == 4
-    assert short.values == mono_table.values[:5]
-    with pytest.raises(ValueError):
-        mono_table.truncated(25)
-
-
 def test_json_round_trip(tmp_path, brems_table):
     path = tmp_path / "table.json"
     write_json(brems_table.to_json_dict(), path)
