@@ -54,6 +54,7 @@ from .transport import (
     StepSizeUnderflow,
     TemperatureFn,
     solve_transport,
+    step_floor,
 )
 from .verify import self_consistency
 
@@ -112,8 +113,6 @@ class RunConfig:
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 _CANONICAL = {name.lower(): name for name in _FIELDS}
-_INT_FIELDS = {"M", "grid_cells", "snapshots", "samples"}
-_FLOAT_FIELDS = {"y_max", "grid_x_min", "grid_x_max", "rtol", "tolerance"}
 
 
 def _parse_number(text: str) -> float:
@@ -151,10 +150,11 @@ def load_config_file(path) -> dict:
 def _coerce(name: str, raw) -> object:
     if not isinstance(raw, str):
         return raw
+    kind = _FIELDS.get(name)  # "int", "float" or "str" under postponed annotations
     try:
-        if name in _INT_FIELDS:
+        if kind == "int":
             return int(raw)
-        if name in _FLOAT_FIELDS:
+        if kind == "float":
             return _parse_number(raw)
     except ValueError as exc:
         raise ConfigError(name, str(exc))
@@ -180,15 +180,15 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("M", f"order must be within 0..64, got {config.M}")
     if config.snapshots < 2:
         raise ConfigError("snapshots", f"need at least 2, got {config.snapshots}")
-    # the solver's step floor is 1e-13 max(1, y_max): the snapshot spacing
-    # must exceed it, and it must stay well below the first step, 1e-5
+    # the 1e6 limit is a config limit: it keeps the step floor 100x below the first step
     if not (config.y_max <= 1e6
-            and config.y_max / (config.snapshots - 1) > 1e-13 * max(1.0, config.y_max)):
+            and config.y_max / (config.snapshots - 1) > step_floor(config.y_max)):
         raise ConfigError(
             "y_max",
-            f"must lie in ({1e-13 * (config.snapshots - 1):g}, 1e6] for {config.snapshots}"
-            f" snapshots, got {config.y_max}; the snapshot spacing must exceed the"
-            " solver's step floor 1e-13 max(1, y_max), which must stay below 1e-5",
+            f"must lie in ({step_floor(1.0) * (config.snapshots - 1):g}, 1e6] for"
+            f" {config.snapshots} snapshots, got {config.y_max}; the snapshot spacing"
+            f" must exceed the solver's step floor ({step_floor(config.y_max):g} here),"
+            " and the 1e6 limit keeps that floor 100x below the first step, 1e-5",
         )
     if config.grid_cells < 8:
         raise ConfigError("grid_cells", f"need at least 8 cells, got {config.grid_cells}")
@@ -550,14 +550,8 @@ def main(argv=None) -> int:
             file_values.update(_shipped_config(scenario))
         if config_path is not None:
             file_values.update(load_config_file(config_path))
-        config = build_config(file_values, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    handler, _ = _COMMANDS[command]
-    try:
-        return handler(Run(config))
+        handler, _ = _COMMANDS[command]
+        return handler(Run(build_config(file_values, args)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -332,15 +332,13 @@ def initial_cell_values(
 ) -> tuple[np.ndarray, object]:
     """Point samples of F = x^i f0 at cell centers.
 
-    A monoenergetic line is replaced by the narrow gaussian pulse with
-    variance 1/100 carrying the same number density at the same energy;
+    A monoenergetic line is replaced by the narrow gaussian pulse of
+    default variance carrying the same number density at the same energy;
     the replacement is returned alongside the samples.
     """
     actual = spectrum
     if isinstance(spectrum, Monoenergetic):
-        actual = GaussianPulse(
-            mean=spectrum.x0, variance=Fraction(1, 100), n0=spectrum.n0
-        )
+        actual = GaussianPulse(mean=spectrum.x0, n0=spectrum.n0)
     x = grid.centers
     with np.errstate(all="ignore"):
         F = grid.center_power(params.i) * actual.profile(x)
@@ -389,13 +387,13 @@ class _Operator:
         self.cells = n = grid.cells
         dx = grid.widths
         self.dx_lo, self.dx_hi = dx[:-1], dx[1:]
-        self.p = float(params.p)
         # exact integral of W/C = x^(j-k)/theta - i/x between adjacent
-        # centers: (hi^p - lo^p)/(p theta) - i ln(hi/lo) with p = j - k + 1,
-        # or ln(hi/lo)/theta - i ln(hi/lo) when p = 0
-        self.logratio = np.log(hi / lo)
-        self.i_logratio = float(params.i) * self.logratio
-        self.power_gap = hi ** self.p - lo ** self.p
+        # centers: gap/(p theta) - i ln(hi/lo), where p = j - k + 1 and
+        # gap = hi^p - lo^p, or p = 1 and gap = ln(hi/lo) when j - k + 1 = 0
+        logratio = np.log(hi / lo)
+        self.i_logratio = float(params.i) * logratio
+        p = float(params.p)
+        self.gap, self.p = (hi ** p - lo ** p, p) if p else (logratio, 1.0)
         xe = np.asarray(grid.edges[1:-1])  # interior interfaces
         self.g = xe ** float(params.k) / (hi - lo)  # conductance of each interface
         self.assemblies = 0
@@ -421,10 +419,7 @@ class _Operator:
         and ``upper`` (row m, column m + 1) have one per interface.
         """
         self.assemblies += 1
-        if self.p == 0.0:
-            w = self.logratio / theta_val - self.i_logratio
-        else:
-            w = self.power_gap / (self.p * theta_val) - self.i_logratio
+        w = self.gap / (self.p * theta_val) - self.i_logratio
         lam_m = _lambda_minus(w)
         lam_p = lam_m + w  # identity lambda_plus - lambda_minus = w
         # flux at interface m+1/2: g * (lam_p F_{m+1} - lam_m F_m)
@@ -488,6 +483,12 @@ _CLOSURE_ITERATIONS = 12
 
 class _ClosureUnsettled(ArithmeticError):
     """The closure iteration of a stage did not reach its fixed point."""
+
+
+def step_floor(y_end: float) -> float:
+    """The solver's step floor on [0, y_end]: a step it would have to take
+    narrower than this raises StepSizeUnderflow or PositivityViolation."""
+    return 1e-13 * max(1.0, y_end)
 
 
 def _certify(theta: TemperatureFn, y_end: float) -> None:
@@ -581,7 +582,7 @@ def solve_transport(
     F_max = F.max()
     atol = 1e-3 * rtol * float(F_max) if F_max > 0 else 1e-3 * rtol
     dy = float(initial_dy)
-    min_dy = 1e-13 * max(1.0, grid.y_end)
+    min_dy = step_floor(grid.y_end)
 
     pending = [t for t in grid.snapshot_times]
     snaps: list = []

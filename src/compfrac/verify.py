@@ -10,7 +10,7 @@ copies the conservation drifts every PdeSolution carries, unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .transport import PdeSolution, TemperatureFn, grid_moment
 
@@ -52,16 +52,7 @@ class VerificationReport:
     energy_drift: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "compfrac.verification/1",
-            "rows": [list(r) for r in self.rows],
-            "max_rel_dev": self.max_rel_dev,
-            "argmax_y": self.argmax_y,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "number_drift": self.number_drift,
-            "energy_drift": self.energy_drift,
-        }
+        return {"schema": "compfrac.verification/1", **asdict(self)}
 
 
 def self_consistency(

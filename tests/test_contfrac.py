@@ -387,8 +387,10 @@ def test_even_levels_clean_monoenergetic(mono_cf, level):
 
 
 def test_bremsstrahlung_even_levels_contract(brems_cf):
-    # successive even-level gaps shrink pointwise: |psi24 - psi22| never
-    # exceeds |psi22 - psi20| anywhere on (0, 2]
+    # every coefficient c_0..c_24 is positive, and successive even-level
+    # gaps shrink: |psi24 - psi22| <= |psi22 - psi20| at y = 0.1, 0.2, ..., 2
+    assert len(brems_cf.coefficients) == 25
+    assert all(c > 0 for c in brems_cf.coefficients)
     for k in range(1, 21):
         y = Fraction(k, 10)
         p20 = cf_eval_exact(brems_cf, 20, y)

@@ -38,6 +38,7 @@ from compfrac.transport import (
     Grid,
     NonFiniteState,
     NonPositiveTemperature,
+    PositivityViolation,
     SnapshotMissing,
     StepSizeUnderflow,
     TemperatureFn,
@@ -522,6 +523,28 @@ def test_negative_stage_rejected_and_retried():
         assert float(F.min()) >= 0.0
     n = sol.trace_number
     assert np.max(np.abs(n - n[0])) <= 1e-12 * abs(n[0])
+
+
+def test_negative_stage_at_step_floor_refused(monkeypatch):
+    # the same first step with the floor raised to 0.3: halving 0.5 would
+    # go below the floor, so the solver refuses rather than clip
+    monkeypatch.setattr(transport, "step_floor", lambda y_end: 0.3)
+    grid = Grid.log_spaced(cells=80, snapshots=5)
+    with pytest.raises(
+        PositivityViolation, match=r"^solution dips below zero at y = 0 even at step 5\.000e-01$"
+    ):
+        solve_transport(
+            Monoenergetic(), TemperatureFn.constant(1.0), grid, rtol=1e-2, initial_dy=0.5
+        )
+
+
+def test_snapshot_within_roundoff_past_the_end_stored_at_the_end():
+    # the step landing on the snapshot at 1 ends the run, so no step lands
+    # on 1 + 5e-13; the end-of-run check stores the final state for it
+    grid = Grid.log_spaced(cells=40, y_end=1.0, snapshots=(0.0, 1.0, 1.0 + 5e-13))
+    sol = solve_transport(Monoenergetic(), TemperatureFn.constant(1.0), grid)
+    assert [t for t, _ in sol.snapshots] == [0.0, 1.0, 1.0 + 5e-13]
+    assert np.array_equal(sol.snapshots[1][1], sol.snapshots[2][1])
 
 
 def test_clipping_keeps_photon_number():
