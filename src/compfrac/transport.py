@@ -100,12 +100,14 @@ class SnapshotMissing(KeyError):
 
 
 class NonFiniteState(ArithmeticError):
-    """A cell center or initial value off the floats, a NaN step or a singular step matrix."""
+    """A cell center or initial value off the floats, an initial condition
+    with no photons on the grid, a NaN step or a singular step matrix."""
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell-centered log grid in x plus the y span and snapshot times."""
+    """Cell-centered log grid in x plus the y span and snapshot times, which
+    lie in [0, y_end] exactly; every check refuses a NaN edge or time."""
 
     edges: tuple
     y_end: float
@@ -115,16 +117,16 @@ class Grid:
         edges = tuple(float(v) for v in self.edges)
         if len(edges) < 3:
             raise ValueError("grid needs at least two cells")
-        if edges[0] <= 0:
+        if not edges[0] > 0:
             raise ValueError("x_min must be positive")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
+        if any(not a < b for a, b in zip(edges, edges[1:])):
             raise ValueError("grid edges must increase strictly")
         snaps = tuple(float(t) for t in self.snapshot_times)
-        if any(b <= a for a, b in zip(snaps, snaps[1:])):
+        if any(not a < b for a, b in zip(snaps, snaps[1:])):
             raise ValueError("snapshot times must increase strictly")
         if not (math.isfinite(self.y_end) and self.y_end > 0):
             raise ValueError("y_end must be positive and finite")
-        if snaps and (snaps[0] < 0 or snaps[-1] > self.y_end + 1e-12):
+        if snaps and not (0 <= snaps[0] and snaps[-1] <= self.y_end):
             raise ValueError("snapshot times must lie within [0, y_end]")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "snapshot_times", snaps)
@@ -475,7 +477,6 @@ _W = math.sqrt(2.0) / 4.0
 _E1 = (1.0 - 4.0 * _W) / 3.0
 _E2 = 1.0 / 3.0
 _E3 = -2.0 * _D / 3.0
-_END_TOL = 1e-14  # the run ends once y is within this of y_end
 # relative tolerance and solve cap of the closure iteration in a stage
 _CLOSURE_RTOL = 1e-14
 _CLOSURE_ITERATIONS = 12
@@ -526,9 +527,10 @@ def solve_transport(
     assemblies and three solves.  An attempt whose stage or result dips
     below the clipping tolerance is rejected and retried at half the
     width; smaller negative values are clipped to zero and counted, and
-    the step is rescaled to keep its photon number.  Snapshot times are
-    landed on exactly by clamping the step.  ``stats["wall_s"]`` is the
-    time spent in the stepping loop.
+    the step is rescaled to keep its photon number.  A step that would
+    pass the next snapshot time or y_end sets y to it exactly, so the
+    driver is read only on [0, y_end].  ``stats["wall_s"]`` is the time
+    spent in the stepping loop.
 
     ``TemperatureFn.selfconsistent()`` (Comptonization only) re-solves
     each stage at theta = I_4/(4 I_3) of its last solution until theta
@@ -541,8 +543,9 @@ def solve_transport(
     A prescribed theta must be a contfrac.RationalForm, and _certify
     proves it finite and positive on [0, y_end] before any step.
     """
-    if not grid.y_end > _END_TOL:
-        raise ValueError(f"y_end = {grid.y_end!r} is within {_END_TOL:g} of y = 0: no step to take")
+    min_dy = step_floor(grid.y_end)
+    if grid.y_end < min_dy:
+        raise ValueError(f"y_end = {grid.y_end!r} is below the step floor {min_dy:g}: no step to take")
     closure = theta.fn is None
     if not closure:
         _certify(theta, grid.y_end)
@@ -579,20 +582,20 @@ def solve_transport(
     th = closure_theta(F) if closure else theta(0.0)
     k1 = op.apply(op.assemble(th), F)
 
-    F_max = F.max()
-    atol = 1e-3 * rtol * float(F_max) if F_max > 0 else 1e-3 * rtol
-    dy = float(initial_dy)
-    min_dy = step_floor(grid.y_end)
-
-    pending = [t for t in grid.snapshot_times]
-    snaps: list = []
-    if pending and abs(pending[0] - 0.0) <= 1e-12:
-        snaps.append((pending.pop(0), F.copy()))
-
     energy_weight = grid.center_power(3 - params.i)  # of grid_moment(..., 3, ...)
     trace_y = [0.0]
     trace_number = [float((F * dx).sum())]
     trace_energy = [float((energy_weight * F * dx).sum())]
+    if not trace_number[0] > 0:  # a closure run has refused it already: I_3 = 0
+        x_range = f"[{grid.edges[0]:.6g}, {grid.edges[-1]:.6g}]"
+        raise NonFiniteState(f"initial condition has no photons on the grid x in {x_range}")
+    atol = 1e-3 * rtol * float(F.max())
+    dy = float(initial_dy)
+
+    pending = list(grid.snapshot_times)
+    snaps: list = []
+    if pending and pending[0] == 0.0:
+        snaps.append((pending.pop(0), F.copy()))
 
     accepted = rejected = rejected_negative = clipped = 0
     step_widths: list = []  # of the accepted steps
@@ -603,9 +606,11 @@ def solve_transport(
         return low < 0.0 and low < -1e-6 * float(np.abs(G).max())
 
     started = perf_counter()
-    while y < grid.y_end - _END_TOL:
+    while y < grid.y_end:
         target = pending[0] if pending else grid.y_end
-        dy_try = min(dy, target - y, grid.y_end - y)
+        landing = dy >= target - y
+        dy_try = target - y if landing else dy
+        y_new = target if landing else y + dy_try
         if dy_try < min_dy:
             raise StepSizeUnderflow(
                 f"step fell to {dy_try:.3e} at y = {y:.6g} (limit {min_dy:.1e})"
@@ -619,7 +624,7 @@ def solve_transport(
             k2 = (F_tr - F) / dh - k1
             # BDF2 stage to y + h; its bands also filter the error estimate
             rhs = F + (_W * dy_try) * (k1 + k2)
-            th_new = th_tr if closure else theta(y + dy_try)
+            th_new = th_tr if closure else theta(y_new)
             F_new, th_new, bands = stage(rhs, dh, th_new)
         except _ClosureUnsettled:
             rejected += 1
@@ -633,12 +638,13 @@ def solve_transport(
             # a NaN norm would compare as an accepted step; it also means
             # F_new holds no NaN past this point
             raise NonFiniteState(f"step error norm is {err} at y = {y:.6g}")
+        factor = 4.0 if err == 0.0 else min(4.0, max(0.25, 0.9 * err ** (-1.0 / 3.0)))
 
         low_new = float(F_new.min())
         negative = below_clip(F_tr, float(F_tr.min())) or below_clip(F_new, low_new)
         if negative or err > 1.0:
             rejected += 1
-            shrink = max(0.25, 0.9 * err ** (-1.0 / 3.0)) if err > 1.0 else 1.0
+            shrink = factor if err > 1.0 else 1.0
             if negative:
                 rejected_negative += 1
                 shrink = min(shrink, 0.5)
@@ -649,7 +655,7 @@ def solve_transport(
             dy = max(dy_try * shrink, min_dy / 2)
             continue
 
-        y += dy_try
+        y = y_new
         if low_new < 0.0:
             # zeroing the negative cells adds photons; scale the rest back
             # so the clipped step keeps the number integral it had
@@ -667,22 +673,14 @@ def solve_transport(
         trace_number.append(float((F * dx).sum()))
         trace_energy.append(float((energy_weight * F * dx).sum()))
 
-        if pending and abs(y - pending[0]) <= 1e-12:
+        if pending and y == pending[0]:
             snaps.append((pending.pop(0), F.copy()))
 
         if accepted + rejected > max_steps:
             raise StepSizeUnderflow(f"exceeded {max_steps} steps at y = {y:.6g}")
 
-        growth = 4.0 if err == 0.0 else min(4.0, max(0.25, 0.9 * err ** (-1.0 / 3.0)))
-        dy = dy_try * growth
+        dy = dy_try * factor
     wall_s = perf_counter() - started
-
-    if pending:
-        # y_end reached within roundoff of the last snapshot time
-        while pending and abs(y - pending[0]) <= 1e-9:
-            snaps.append((pending.pop(0), F.copy()))
-        if pending:
-            raise SnapshotMissing(f"unreached snapshot times: {pending}")
 
     decades = Counter(math.floor(math.log10(h)) for h in step_widths)
     stats = {

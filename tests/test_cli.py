@@ -300,6 +300,12 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
          "numerical failure: grid cell 0 has center sqrt(1e-200 * 1.63069e-175) = 0.0"),
         (["--spectrum", "bremsstrahlung", "--grid-x-min", "1e-150"], EXIT_NUMERICAL,
          "numerical failure: initial condition is inf at x = 3.02821e-141 (cell 0)"),
+        # an initial condition with no photons on the grid: the pulse at x = 4
+        # lies below it, and the tiny Wien spectrum underflows to zero
+        (["--grid-x-min", "10", "--grid-x-max", "50"], EXIT_NUMERICAL,
+         "numerical failure: initial condition has no photons on the grid x in [10, 50]"),
+        (["--spectrum", "wien:1e-100"], EXIT_NUMERICAL,
+         "numerical failure: initial condition has no photons on the grid x in [0.001, 50]"),
         (["--y-max", "1e300"], EXIT_CONFIG, "config error: y_max"),
         # snapshot spacing at or below the solver's step floor
         (["--y-max", "1e-12"], EXIT_CONFIG, "config error: y_max"),
@@ -317,7 +323,8 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
         (["--out-dir", "/dev/null/x"], EXIT_CONFIG, "config error: out_dir: "),
     ],
     ids=["wien_tiny", "wien_huge", "x_max_huge", "x_min_tiny", "freefree_x_min_tiny",
-         "freefree_profile_overflow", "y_max_huge", "y_max_tiny", "y_max_subnormal",
+         "freefree_profile_overflow", "pulse_off_grid", "wien_underflow", "y_max_huge",
+         "y_max_tiny", "y_max_subnormal",
          "cf_n_superscript", "theta_overflow", "y_max_overflow", "wien_overflow",
          "config_y_max_overflow", "config_missing", "config_directory", "config_not_utf8",
          "out_dir_under_file"],
@@ -331,6 +338,24 @@ def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message
     argv = ["solve", "--theta", "constant:1", "--grid-cells", "8", "--out-dir", str(tmp_path)]
     assert main([*argv, *flags]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, x_range",
+    [
+        (["verify", "--grid-x-min", "10", "--grid-x-max", "50"], "[10, 50]"),
+        (["verify", "--spectrum", "wien:1e-100", "--theta", "constant:1"], "[0.001, 50]"),
+        (["reproduce", "monoenergetic", "--grid-x-min", "10", "--grid-x-max", "50"], "[10, 50]"),
+    ],
+    ids=["verify_pulse_off_grid", "verify_wien_underflow", "reproduce_pulse_off_grid"],
+)
+def test_verify_without_photons_on_the_grid_exits_cleanly(tmp_path, capsys, argv, x_range):
+    # with no photons the output temperature I_4(y)/I_4(0) would divide by
+    # zero; the solve refuses the initial condition first, in one line
+    assert main([*argv, "--grid-cells", "8", "--out-dir", str(tmp_path)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        f"numerical failure: initial condition has no photons on the grid x in {x_range}"
+    ]
 
 
 def test_verification_failure_exit(tmp_path, capsys):

@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dgtsv as public_dgtsv
 
 from compfrac import transport
 from compfrac.cli import write_run_manifest, write_snapshot_csv
-from compfrac.contfrac import PoleHit, cf_coefficients
+from compfrac.contfrac import PoleHit, RationalForm, cf_coefficients
 from compfrac.moments import theta_derivatives_comptonization
 from compfrac.spectra import (
     COMPTONIZATION,
@@ -123,6 +123,12 @@ def test_grid_snapshot_sequence_is_sorted():
         dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(0.2, 0.1)),
         dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(0.0, 0.5, 0.5, 1.0)),
         dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(1.5,)),
+        # no roundoff slack past y_end, and a NaN fails every comparison
+        dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(0.0, 1.0 + 5e-13)),
+        dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(math.nan,)),
+        dict(edges=(1.0, 2.0, 3.0), y_end=1.0, snapshot_times=(0.0, math.nan, 1.0)),
+        dict(edges=(1.0, math.nan, 3.0), y_end=1.0, snapshot_times=()),
+        dict(edges=(math.nan, 2.0, 3.0), y_end=1.0, snapshot_times=()),
         dict(edges=(1.0, 2.0, 3.0), y_end=math.nan, snapshot_times=()),
         dict(edges=(1.0, 2.0, 3.0), y_end=math.inf, snapshot_times=()),
     ],
@@ -538,13 +544,23 @@ def test_negative_stage_at_step_floor_refused(monkeypatch):
         )
 
 
-def test_snapshot_within_roundoff_past_the_end_stored_at_the_end():
-    # the step landing on the snapshot at 1 ends the run, so no step lands
-    # on 1 + 5e-13; the end-of-run check stores the final state for it
-    grid = Grid.log_spaced(cells=40, y_end=1.0, snapshots=(0.0, 1.0, 1.0 + 5e-13))
-    sol = solve_transport(Monoenergetic(), TemperatureFn.constant(1.0), grid)
-    assert [t for t, _ in sol.snapshots] == [0.0, 1.0, 1.0 + 5e-13]
-    assert np.array_equal(sol.snapshots[1][1], sol.snapshots[2][1])
+def test_clamped_steps_land_exactly_and_read_theta_within_y_end():
+    # the first step lands on 0.3 and the second is clamped to 0.9 - 0.3,
+    # which is 0.6000000000000001 in floats: y + dy_try would end past 0.9
+    seen = []
+
+    class Recording(RationalForm):
+        def __call__(self, y):
+            seen.append(float(y))
+            return super().__call__(y)
+
+    wien = equilibrium_spectrum(COMPTONIZATION, n_r=1, theta_eq=1.0)
+    theta = TemperatureFn(Recording((1,), (1,)), "constant 1, recorded")
+    grid = Grid.log_spaced(cells=40, y_end=0.9, snapshots=(0.0, 0.3, 0.9))
+    sol = solve_transport(wien, theta, grid, initial_dy=0.3)
+    assert sol.trace_y[-1] == 0.9
+    assert [t for t, _ in sol.snapshots] == [0.0, 0.3, 0.9]
+    assert max(seen) <= grid.y_end
 
 
 def test_clipping_keeps_photon_number():
