@@ -5,7 +5,8 @@ derivative table, ``cf`` turns it into continued-fraction data and
 sampled curves, ``solve`` runs the transport solve driven by a chosen
 temperature, ``verify`` closes the loop, and ``reproduce`` chains all
 four from a shipped scenario config.  Each subcommand writes from one
-``Run``, which builds every artifact of a config once, the solve included.
+``Run``, which builds every artifact once, the solve included, and checks
+all it writes before its first file: a refused run writes nothing.
 
 Every output file is schema-versioned and byte-deterministic for a
 fixed config; the run manifest carries the only timestamp.
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -56,7 +58,7 @@ from .transport import (
     solve_transport,
     step_floor,
 )
-from .verify import self_consistency
+from .verify import VerificationReport, self_consistency
 
 __all__ = ["ConfigError", "Run", "RunConfig", "load_config_file", "build_config", "main"]
 
@@ -271,11 +273,21 @@ def _parse_levels(text: str, order: int, field_name: str) -> tuple:
 # artifact writers: the only code that writes files
 
 
+@contextmanager
+def _opened(path):
+    """Open an output file; a failed open or write is an out_dir error (exit 1)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot write {path}: {exc}")
+
+
 def write_json(data, path) -> None:
     """Write an artifact as sorted, indented JSON and a final newline.
     Streamed: one json.dumps string holds every encoded piece of the run
     manifest at once, and that set the peak memory of a whole run."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _opened(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -284,11 +296,13 @@ def write_table(path, header: str, rows) -> None:
     """Write a CSV table: the header line, then one line per row with every
     cell as format(v, ".6g") (integers up to 6 digits print as written)."""
     lines = [header, *(",".join(format(v, ".6g") for v in row) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _opened(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_snapshot_csv(sol: PdeSolution, y: float, path) -> None:
-    Path(path).write_text("x,F,f,G\n" + sol.snapshot_rows(y), encoding="utf-8")
+    with _opened(path) as fh:
+        fh.write("x,F,f,G\n" + sol.snapshot_rows(y))
 
 
 def write_run_manifest(sol: PdeSolution, path, snapshot_files, timestamp=None) -> None:
@@ -371,6 +385,13 @@ class Run:
         )
         return solve_transport(self.spectrum, theta, grid, rtol=config.rtol)
 
+    @cached_property
+    def report(self) -> VerificationReport:
+        """theta_out = I_4(y)/I_4(0) starts at 1, so only a driver that does can match it."""
+        if self.theta(0.0) != 1.0:
+            raise ConfigError("theta", f"verify needs theta(0) = 1, got {self.theta(0.0):g}")
+        return self_consistency(self.solution, self.theta, tolerance=self.config.tolerance)
+
 
 # ---------------------------------------------------------------------------
 # subcommands
@@ -387,6 +408,7 @@ def cmd_derivs(run: Run) -> int:
 
 def cmd_cf(run: Run) -> int:
     config, table, cf, selection = run.config, run.table, run.fraction, run.selection
+    cf_levels = sorted(_parse_levels(config.cf_n, cf.truncation, "cf_n") or (selection.level,))
     out = run.out
     write_json(cf.to_json_dict(), out / f"cf_{config.tag}.json")
     write_table(out / f"cf_{config.tag}.csv", "n,c",
@@ -394,7 +416,6 @@ def cmd_cf(run: Run) -> int:
     write_json(selection.to_json_dict(), out / f"selection_{config.tag}.json")
 
     ys = [float(v) for v in np.linspace(0.0, config.y_max, config.samples)]
-    cf_levels = sorted(_parse_levels(config.cf_n, cf.truncation, "cf_n") or (selection.level,))
     # the selection has scanned every level once; its reports are reused
     reports = {level: selection.candidates[level].report for level in cf_levels}
 
@@ -446,18 +467,9 @@ def cmd_solve(run: Run) -> int:
     return EXIT_OK
 
 
-def _check_verifiable(run: Run) -> None:
-    """theta_out = I_4(y)/I_4(0) starts at 1, so only a driver that does can match it."""
-    if run.theta(0.0) != 1.0:
-        raise ConfigError("theta", f"verify needs theta(0) = 1, got {run.theta(0.0):g}")
-
-
 def cmd_verify(run: Run) -> int:
     """Self-consistency report of the run's solve against its driving temperature."""
-    _check_verifiable(run)
-    config = run.config
-    report = self_consistency(run.solution, run.theta, tolerance=config.tolerance)
-    out = run.out
+    config, report, out = run.config, run.report, run.out
     write_json(report.to_json_dict(), out / f"verify_{config.tag}.json")
     write_table(out / f"verify_{config.tag}.csv", "y,theta_in,theta_out,rel_dev", report.rows)
     verdict = "pass" if report.passed else "FAIL"
@@ -472,7 +484,7 @@ def cmd_verify(run: Run) -> int:
 
 def cmd_reproduce(run: Run) -> int:
     """All stages on one run; its one transport solve feeds the outputs and verify."""
-    _check_verifiable(run)  # before any file is written
+    run.selection, run.report  # every artifact built and checked before the first file
     cmd_derivs(run)
     cmd_cf(run)
     cmd_solve(run)

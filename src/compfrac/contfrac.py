@@ -242,9 +242,13 @@ def taylor_form(table: DerivativeTable, level: int) -> RationalForm:
 
 def taylor_eval(table: DerivativeTable, level: int, y) -> float:
     """Taylor partial sum of theta(y) through the given order, summed exactly
-    on taylor_form's integers and rounded once, by one int / int division."""
+    on taylor_form's integers and rounded once, by one int / int division;
+    a sum past the float range rounds to an infinity of its sign (den > 0)."""
     num, den = taylor_form(table, level).ratio_at(*Fraction(y).as_integer_ratio())
-    return num / den
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _fold(cf: ContinuedFraction) -> tuple:

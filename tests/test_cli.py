@@ -251,6 +251,11 @@ def test_explicit_taylor_level_with_zero_refused(tmp_path, capsys):
     assert ("Taylor partial sum, level 2 (monoenergetic(x0=4, n0=1)) has a zero of"
             " multiplicity 1 at y = 0.6076252185107651" in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
+    # reproduce builds table, fraction and selection first, and still writes none of them
+    out = tmp_path / "out"
+    assert main(["reproduce", "monoenergetic", "--theta", "taylor:2", "--grid-cells", "16",
+                 "--out-dir", str(out)]) == EXIT_NUMERICAL
+    assert not out.exists()
 
 
 def test_selection_counts_zeros(tmp_path):
@@ -321,19 +326,21 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
         (["--config", "directory.cfg"], EXIT_CONFIG, "config error: config: "),
         (["--config", "latin1.cfg"], EXIT_CONFIG, "config error: config: "),
         (["--out-dir", "/dev/null/x"], EXIT_CONFIG, "config error: out_dir: "),
+        (["--label", "blocked"], EXIT_CONFIG, "config error: out_dir: cannot write "),
     ],
     ids=["wien_tiny", "wien_huge", "x_max_huge", "x_min_tiny", "freefree_x_min_tiny",
          "freefree_profile_overflow", "pulse_off_grid", "wien_underflow", "y_max_huge",
          "y_max_tiny", "y_max_subnormal",
          "cf_n_superscript", "theta_overflow", "y_max_overflow", "wien_overflow",
          "config_y_max_overflow", "config_missing", "config_directory", "config_not_utf8",
-         "out_dir_under_file"],
+         "out_dir_under_file", "write_blocked_by_directory"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message):
     (tmp_path / "y_max_overflow.cfg").write_text("y-max = 1e400\n", encoding="utf-8")
     (tmp_path / "directory.cfg").mkdir()
     (tmp_path / "latin1.cfg").write_bytes(b"label = caf\xe9\n")
+    (tmp_path / "snapshot_blocked_00.csv").mkdir()  # a file path the writer cannot open
     flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
     argv = ["solve", "--theta", "constant:1", "--grid-cells", "8", "--out-dir", str(tmp_path)]
     assert main([*argv, *flags]) == code
@@ -351,11 +358,14 @@ def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message
 )
 def test_verify_without_photons_on_the_grid_exits_cleanly(tmp_path, capsys, argv, x_range):
     # with no photons the output temperature I_4(y)/I_4(0) would divide by
-    # zero; the solve refuses the initial condition first, in one line
-    assert main([*argv, "--grid-cells", "8", "--out-dir", str(tmp_path)]) == EXIT_NUMERICAL
+    # zero; the solve refuses the initial condition first, in one line,
+    # and before any file is written or the output directory made
+    out = tmp_path / "out"
+    assert main([*argv, "--grid-cells", "8", "--out-dir", str(out)]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.splitlines() == [
         f"numerical failure: initial condition has no photons on the grid x in {x_range}"
     ]
+    assert not out.exists()
 
 
 def test_verification_failure_exit(tmp_path, capsys):
@@ -487,6 +497,17 @@ def test_cf_taylor_curves_show_divergence(tmp_path):
     assert set(end) == {4, 8, 12}
     assert 1.0 < end[4] < end[8] < end[12]
     assert end[12] > 5.0
+
+
+def test_cf_taylor_curves_past_float_range(tmp_path):
+    # the level-64 partial sum at y >= 12500 is past the float range; each
+    # sample rounds to inf instead of raising after the first files
+    code = main(["cf", "--M", "64", "--taylor-N", "64", "--y-max", "1e6", "--snapshots", "2",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    rows = (tmp_path / "taylor_curves_monoenergetic.csv").read_text().splitlines()
+    assert rows[:3] == ["y,value,N", "0,1,64", "12500,inf,64"]
+    assert sum(row.split(",")[1] == "inf" for row in rows) == 80
 
 
 def test_cf_outputs_deterministic_across_runs(tmp_path):
