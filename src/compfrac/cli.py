@@ -131,8 +131,8 @@ def load_config_file(path) -> dict:
     """Flat key=value lines; blank lines and # comment lines skipped."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, a NUL in the path
+        raise ConfigError("config", f"cannot read {path!r}: {exc}")
     values = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -205,7 +205,9 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("tolerance", f"must be positive, got {config.tolerance}")
     if config.samples < 2:
         raise ConfigError("samples", f"need at least 2, got {config.samples}")
-    if config.label in (".", "..") or "/" in config.label or os.sep in config.label:
+    if "\0" in config.out_dir:
+        raise ConfigError("out_dir", f"holds a NUL byte, got {config.out_dir!r}")
+    if config.label in (".", "..") or any(c in config.label for c in ("/", os.sep, "\0")):
         raise ConfigError("label", f"must be a plain file name, got {config.label!r}")
     _parse_theta_spec(config.theta, config.M)
     _parse_levels(config.taylor_n, config.M, "taylor_n")

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .moments import DerivativeTable, rational_rows, rationals_from_rows
+from .moments import DerivativeTable, _push, _quotient_coefficient, rational_rows, rationals_from_rows
 
 
 class PoleHit(ArithmeticError):
@@ -296,17 +296,13 @@ def _fold(cf: ContinuedFraction) -> tuple:
 
 
 def maclaurin_of_rational(rf: RationalForm, order: int) -> list:
-    """Exact series coefficients of P/Q through the given order."""
-    num = list(rf.numerator) + [Fraction(0)] * max(0, order + 1 - len(rf.numerator))
-    den = list(rf.denominator) + [Fraction(0)] * max(0, order + 1 - len(rf.denominator))
-    out: list = []
+    """Exact series coefficients of P/Q = p/q through the given order, by
+    the derivative routes' series division on the integers p and q."""
+    p, q = (list(x) + [0] * (order + 1 - len(x)) for x in (rf.p, rf.q))
+    series, den = ([], []), (q, [1] * len(q))
     for n in range(order + 1):
-        acc = num[n]
-        for l in range(1, n + 1):
-            if l < len(den):
-                acc -= den[l] * out[n - l]
-        out.append(acc / den[0])
-    return out
+        _push(series, *_quotient_coefficient(series, p[n], 1, den))
+    return [Fraction(n, d) for n, d in zip(*series)]
 
 
 # ---------------------------------------------------------------------------

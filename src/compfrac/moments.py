@@ -70,7 +70,11 @@ def rational_rows(values) -> list:
 
 
 def rationals_from_rows(rows) -> tuple:
-    """The Fractions of rational_rows' rows, in n order."""
+    """The Fractions of rational_rows' rows, in n order; the n must be
+    0 .. len(rows) - 1, each once, or a value would be read at the wrong n."""
+    indices = [r["n"] for r in rows]
+    if set(indices) != set(range(len(rows))):
+        raise ValueError(f"row indices must be 0..{len(rows) - 1} once each, got {indices}")
     return tuple(
         Fraction(int(Decimal(r["numerator"])), int(Decimal(r["denominator"])))
         for r in sorted(rows, key=lambda r: r["n"])
@@ -234,8 +238,16 @@ def _quotient_coefficient(q: tuple, top: int, top_den: int, den: tuple) -> tuple
     return (top * (common // top_den) - rest) * dd[0], common * dn[0]
 
 
-def _derivatives(theta: tuple) -> tuple:
-    """theta^(m)(0) = m! [y^m] theta."""
+def _theta_derivatives(jets: _Jets, order: int, theta_rule) -> tuple:
+    """theta^(m)(0) = m! [y^m] theta, m = 0..order: for each c, 1/theta
+    gains coefficient c, the jets advance to c+1, and theta gains
+    theta_rule(theta, c+1), a (numerator, denominator) read off the jets."""
+    theta, recip = ([1], [1]), ([1], [1])
+    for c in range(order):
+        if c:
+            _push(recip, *_quotient_coefficient(recip, 0, 1, theta))
+        jets.advance(recip, c)
+        _push(theta, *theta_rule(theta, c + 1))
     return tuple(Fraction(math.factorial(m) * n, d) for m, (n, d) in enumerate(zip(*theta)))
 
 
@@ -281,15 +293,10 @@ def comptonization_table_from_moments(
     depth = {n: min(order, order + 4 - n) for n in needed}
     jets = _Jets({n: initial[n] for n in needed}, terms, depth)
     i3, i4, dens = jets.jets[3], jets.jets[4], jets.dens
-    theta, recip = ([1], [1]), ([1], [1])
-    for c in range(order):
-        if c:
-            _push(recip, *_quotient_coefficient(recip, 0, 1, theta))
-        jets.advance(recip, c)
-        _push(theta, *_quotient_coefficient(theta, i4[c + 1], 4 * dens[c + 1], (i3, dens)))
-
     return DerivativeTable(
-        values=_derivatives(theta),
+        values=_theta_derivatives(
+            jets, order, lambda q, c: _quotient_coefficient(q, i4[c], 4 * dens[c], (i3, dens))
+        ),
         provenance="comptonization-route",
         params=COMPTONIZATION,
         spectrum=spectrum_label,
@@ -351,16 +358,10 @@ def theta_derivatives_general(
         )
     jets = _Jets(initial, terms, {ix: order - s for ix, s in steps.items()})
     head, dens = jets.jets[params.alpha], jets.dens
-
-    theta, recip = ([1], [1]), ([1], [1])
-    for c in range(order):
-        if c:
-            _push(recip, *_quotient_coefficient(recip, 0, 1, theta))
-        jets.advance(recip, c)
-        _push(theta, head[c + 1] * norm.denominator, dens[c + 1] * norm.numerator)
-
     return DerivativeTable(
-        values=_derivatives(theta),
+        values=_theta_derivatives(
+            jets, order, lambda _, c: (head[c] * norm.denominator, dens[c] * norm.numerator)
+        ),
         provenance="general-route",
         params=params,
         spectrum=spectrum.describe(),

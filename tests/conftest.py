@@ -29,7 +29,7 @@ from compfrac.spectra import (
 )
 from compfrac.transport import Grid, TemperatureFn, solve_transport
 
-# the slowest test, its session fixtures included, takes about 1 s (2 CPUs)
+# the slowest test, test_scripts.py::test_convergence_study_rows, takes 5-7 s (2 CPUs)
 TEST_TIME_LIMIT_S = 60
 
 

@@ -348,6 +348,27 @@ def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message
 
 
 @pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--label", "a\0b"], "label"),
+        (["--out-dir", "out\0b"], "out_dir"),
+        (["--config", "a\0b.cfg"], "config"),
+        (["--config", "label.cfg"], "label"),
+        (["--config", "out_dir.cfg"], "out_dir"),
+    ],
+    ids=["label", "out_dir", "config", "label_in_config", "out_dir_in_config"],
+)
+def test_nul_byte_in_a_path_is_a_config_error(tmp_path, monkeypatch, capsys, flags, field):
+    monkeypatch.chdir(tmp_path)
+    Path("label.cfg").write_text("label = a\0b\n", encoding="utf-8")
+    Path("out_dir.cfg").write_text("out_dir = out\0b\n", encoding="utf-8")
+    assert main(["derivs", "--M", "1", *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["label.cfg", "out_dir.cfg"]
+
+
+@pytest.mark.parametrize(
     "argv, x_range",
     [
         (["verify", "--grid-x-min", "10", "--grid-x-max", "50"], "[10, 50]"),

@@ -446,6 +446,13 @@ def test_json_round_trip(brems_cf):
         ContinuedFraction.from_json_dict({"schema": "nope"})
 
 
+def test_json_reader_refuses_misnumbered_rows(brems_cf):
+    data = brems_cf.to_json_dict()
+    data["coefficients"] = [r for r in data["coefficients"] if r["n"] != 2]
+    with pytest.raises(ValueError, match=r"row indices must be 0\.\.23 once each"):
+        ContinuedFraction.from_json_dict(data)
+
+
 def test_selection_json_shape(mono_selection):
     data = mono_selection.to_json_dict()
     assert data["schema"] == "compfrac.selection/2"
@@ -525,6 +532,42 @@ def unscaled_fold(cf):
         prev, cur = cur, tuple([x // content for x in side] for side in nxt)
         levels.append(cur)
     return tuple(levels)
+
+
+def plain_maclaurin_of_rational(rf: RationalForm, order: int) -> list:
+    """The series of P/Q by the plain Fraction recurrence
+    [y^n] P/Q = (P_n - sum_{l=1..n} Q_l [y^(n-l)] P/Q) / Q_0."""
+    num = list(rf.numerator) + [Fraction(0)] * max(0, order + 1 - len(rf.numerator))
+    den = list(rf.denominator) + [Fraction(0)] * max(0, order + 1 - len(rf.denominator))
+    out: list = []
+    for n in range(order + 1):
+        acc = num[n]
+        for l in range(1, n + 1):
+            if l < len(den):
+                acc -= den[l] * out[n - l]
+        out.append(acc / den[0])
+    return out
+
+
+form_coefficients = st.integers(min_value=-(10**12), max_value=10**12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.lists(form_coefficients, min_size=1, max_size=9),
+    q0=st.integers(min_value=1, max_value=10**12),
+    q_rest=st.lists(form_coefficients, max_size=8),
+    order=st.integers(min_value=0, max_value=12),
+)
+def test_series_division_matches_fraction_recurrence(p, q0, q_rest, order):
+    rf = RationalForm(tuple(p), (q0, *q_rest))
+    assert maclaurin_of_rational(rf, order) == plain_maclaurin_of_rational(rf, order)
+
+
+def test_series_division_on_shipped_level_64_forms(shipped_fractions_64):
+    for cf in shipped_fractions_64.values():
+        rf = to_rational(cf, 64)
+        assert maclaurin_of_rational(rf, 64) == plain_maclaurin_of_rational(rf, 64)
 
 
 @pytest.mark.parametrize("spectrum", [Monoenergetic(), Bremsstrahlung()],

@@ -209,6 +209,22 @@ def test_json_round_trip(tmp_path, brems_table):
     assert loaded.moment_indices == brems_table.moment_indices
 
 
+@pytest.mark.parametrize("edit", ["gap", "repeat", "string"])
+def test_json_reader_refuses_misnumbered_rows(mono_table, edit):
+    # with row 2 gone, theta'''(0) = 8 would otherwise load as theta''(0)
+    data = mono_table.to_json_dict()
+    rows = data["values"]
+    if edit == "gap":
+        rows = [r for r in rows if r["n"] != 2]
+    elif edit == "repeat":
+        rows = rows + rows[1:2]
+    else:
+        rows = [dict(r, n=str(r["n"])) if r["n"] == 2 else r for r in rows]
+    data["values"] = rows
+    with pytest.raises(ValueError, match=rf"row indices must be 0\.\.{len(rows) - 1} once each"):
+        DerivativeTable.from_json_dict(data)
+
+
 def test_normalization_guard():
     with pytest.raises(NormalizationError):
         DerivativeTable(
