@@ -58,6 +58,7 @@ from .spectra import (
     EquilibriumSpectrum,
     GaussianPulse,
     Monoenergetic,
+    NumericalFailure,
     TransportParams,
     UnsupportedParams,
     equilibrium_spectrum,

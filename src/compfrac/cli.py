@@ -42,18 +42,13 @@ from .spectra import (
     COMPTONIZATION,
     Bremsstrahlung,
     Monoenergetic,
-    UnsupportedParams,
+    NumericalFailure,
     equilibrium_spectrum,
     equilibrium_temperature,
 )
 from .transport import (
     Grid,
-    NonFiniteState,
-    NonPositiveTemperature,
     PdeSolution,
-    PositivityViolation,
-    SnapshotMissing,
-    StepSizeUnderflow,
     TemperatureFn,
     solve_transport,
     step_floor,
@@ -66,16 +61,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
-
-_NUMERICAL_ERRORS = (
-    PoleHit,
-    NonPositiveTemperature,
-    PositivityViolation,
-    StepSizeUnderflow,
-    NonFiniteState,
-    SnapshotMissing,
-    UnsupportedParams,
-)
 
 
 class ConfigError(ValueError):
@@ -378,13 +363,17 @@ class Run:
     @cached_property
     def solution(self) -> PdeSolution:
         config, theta = self.config, self.theta
-        grid = Grid.log_spaced(
-            cells=config.grid_cells,
-            x_min=config.grid_x_min,
-            x_max=config.grid_x_max,
-            y_end=config.y_max,
-            snapshots=config.snapshots,
-        )
+        try:
+            grid = Grid.log_spaced(
+                cells=config.grid_cells,
+                x_min=config.grid_x_min,
+                x_max=config.grid_x_max,
+                y_end=config.y_max,
+                snapshots=config.snapshots,
+            )
+        except ValueError as exc:  # past _validate, only edges too close to increase in floats
+            raise ConfigError("grid_cells", f"no grid of {config.grid_cells} log-spaced cells on"
+                              f" [{config.grid_x_min}, {config.grid_x_max}] in floats: {exc}")
         return solve_transport(self.spectrum, theta, grid, rtol=config.rtol)
 
     @cached_property
@@ -569,7 +558,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

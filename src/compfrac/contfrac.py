@@ -37,9 +37,10 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .moments import DerivativeTable, _push, _quotient_coefficient, rational_rows, rationals_from_rows
+from .spectra import NumericalFailure
 
 
-class PoleHit(ArithmeticError):
+class PoleHit(NumericalFailure, ArithmeticError):
     """Evaluation ran into a vanishing denominator."""
 
     def __init__(self, y, level, message=None):
@@ -95,7 +96,7 @@ class ContinuedFraction:
         if data.get("schema") != "compfrac.continued-fraction/1":
             raise ValueError(f"unknown schema: {data.get('schema')!r}")
         return cls(
-            coefficients=rationals_from_rows(data["coefficients"]),
+            coefficients=rationals_from_rows(data, "coefficients"),
             source=data.get("source", ""),
             pivot_break=data.get("pivot_break"),
         )

@@ -69,15 +69,37 @@ def rational_rows(values) -> list:
     ]
 
 
-def rationals_from_rows(rows) -> tuple:
-    """The Fractions of rational_rows' rows, in n order; the n must be
-    0 .. len(rows) - 1, each once, or a value would be read at the wrong n."""
-    indices = [r["n"] for r in rows]
+def _field(data, key, parse=None, name=None):
+    """data[key], through parse if given; a missing or unreadable field is
+    one ValueError naming it, whatever the lookup or the parse raised."""
+    try:
+        value = data[key]
+    except (LookupError, TypeError):
+        raise ValueError(f"{name or key}: missing") from None
+    try:
+        return value if parse is None else parse(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{name or key}: cannot read {value!r}") from exc
+
+
+def _denominator(text) -> int:
+    if (value := int(Decimal(text))) <= 0:
+        raise ValueError("not positive")
+    return value
+
+
+def rationals_from_rows(data, field: str) -> tuple:
+    """The Fractions of the rational_rows rows in data[field], in n order;
+    the n must be 0 .. len(rows) - 1, each once, or a value would be read
+    at the wrong n.  A bad entry is a ValueError naming it, as field[k].key."""
+    rows = _field(data, field)
+    indices = [_field(row, "n", name=f"{field}[{k}].n") for k, row in enumerate(rows)]
     if set(indices) != set(range(len(rows))):
-        raise ValueError(f"row indices must be 0..{len(rows) - 1} once each, got {indices}")
+        raise ValueError(f"{field}: row indices must be 0..{len(rows) - 1} once each, got {indices}")
     return tuple(
-        Fraction(int(Decimal(r["numerator"])), int(Decimal(r["denominator"])))
-        for r in sorted(rows, key=lambda r: r["n"])
+        Fraction(_field(rows[k], "numerator", lambda t: int(Decimal(t)), f"{field}[{k}].numerator"),
+                 _field(rows[k], "denominator", _denominator, f"{field}[{k}].denominator"))
+        for k in sorted(range(len(rows)), key=indices.__getitem__)
     )
 
 
@@ -93,10 +115,9 @@ class DerivativeTable:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        if self.values[0] != 1:
-            raise NormalizationError(
-                f"temperature at y=0 must be exactly 1, got {self.values[0]}"
-            )
+        if self.values[:1] != (1,):
+            got = self.values[0] if self.values else "no value"
+            raise NormalizationError(f"temperature at y=0 must be exactly 1, got {got}")
 
     @property
     def order(self) -> int:
@@ -133,14 +154,12 @@ class DerivativeTable:
     def from_json_dict(cls, data: dict) -> "DerivativeTable":
         if data.get("schema") != "compfrac.derivative-table/1":
             raise ValueError(f"unknown schema: {data.get('schema')!r}")
-        p = data["params"]
-        params = TransportParams(
-            Fraction(p["i"]), Fraction(p["j"]), Fraction(p["k"]), Fraction(p["alpha"])
-        )
+        p = _field(data, "params")
+        params = (_field(p, k, Fraction, f"params.{k}") for k in ("i", "j", "k", "alpha"))
         return cls(
-            values=rationals_from_rows(data["values"]),
-            provenance=data["provenance"],
-            params=params,
+            values=rationals_from_rows(data, "values"),
+            provenance=_field(data, "provenance"),
+            params=TransportParams(*params),
             spectrum=data.get("spectrum", ""),
             moment_indices=tuple(Fraction(s) for s in data.get("moment_indices", [])),
         )

@@ -23,11 +23,16 @@ from fractions import Fraction
 import numpy as np
 
 
+class NumericalFailure(Exception):
+    """A computation its inputs make impossible (a pole hit, a solve that cannot
+    go on, ...); each keeps its builtin base, and the command line exits 2 on any."""
+
+
 class DivergentMoment(ValueError):
     """The defining moment integral does not converge."""
 
 
-class UnsupportedParams(ValueError):
+class UnsupportedParams(NumericalFailure, ValueError):
     """The operation is not defined, or has no exact form, for these parameters."""
 
 

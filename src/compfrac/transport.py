@@ -45,6 +45,7 @@ from .spectra import (
     COMPTONIZATION,
     GaussianPulse,
     Monoenergetic,
+    NumericalFailure,
     TransportParams,
     UnsupportedParams,
 )
@@ -82,24 +83,24 @@ else:
     dgtsv = None
 
 
-class NonPositiveTemperature(ValueError):
+class NonPositiveTemperature(NumericalFailure, ValueError):
     """theta(y) must stay strictly positive over the whole run."""
 
 
-class PositivityViolation(ArithmeticError):
+class PositivityViolation(NumericalFailure, ArithmeticError):
     """The solution went negative beyond the clipping tolerance at every
     step width down to the smallest allowed."""
 
 
-class StepSizeUnderflow(ArithmeticError):
+class StepSizeUnderflow(NumericalFailure, ArithmeticError):
     """Adaptive stepping could not meet the error target."""
 
 
-class SnapshotMissing(KeyError):
+class SnapshotMissing(NumericalFailure, KeyError):
     """No stored snapshot at the requested y."""
 
 
-class NonFiniteState(ArithmeticError):
+class NonFiniteState(NumericalFailure, ArithmeticError):
     """A cell center or initial value off the floats, an initial condition
     with no photons on the grid, a NaN step or a singular step matrix."""
 

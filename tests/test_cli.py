@@ -39,10 +39,25 @@ from compfrac.cli import (
     load_config_file,
     main,
 )
-from compfrac.contfrac import ContinuedFraction, cf_coefficients, find_defects, to_rational
+from compfrac.contfrac import ContinuedFraction, PoleHit, cf_coefficients, find_defects, to_rational
 from compfrac.moments import DerivativeTable, theta_derivatives_comptonization
-from compfrac.spectra import Bremsstrahlung, EquilibriumSpectrum, Monoenergetic
-from compfrac.transport import Grid, NonFiniteState, TemperatureFn, solve_transport
+from compfrac.spectra import (
+    Bremsstrahlung,
+    EquilibriumSpectrum,
+    Monoenergetic,
+    NumericalFailure,
+    UnsupportedParams,
+)
+from compfrac.transport import (
+    Grid,
+    NonFiniteState,
+    NonPositiveTemperature,
+    PositivityViolation,
+    SnapshotMissing,
+    StepSizeUnderflow,
+    TemperatureFn,
+    solve_transport,
+)
 from compfrac.verify import self_consistency
 
 
@@ -280,14 +295,33 @@ def test_explicit_clean_level_solves(tmp_path):
     assert (tmp_path / "run_monoenergetic.json").is_file()
 
 
-def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "error, builtin_base",
+    [
+        (PoleHit(0.75, None, "theta cf:3 has a pole at y = 0.75"), ArithmeticError),
+        (NonPositiveTemperature("theta cf:4 is -0.5 at y = 0"), ValueError),
+        (PositivityViolation("solution dips below zero at y = 0.5 even at step 1.0e-12"),
+         ArithmeticError),
+        (StepSizeUnderflow("step fell to 1.000e-12 at y = 0.5 (limit 1.0e-12)"), ArithmeticError),
+        (NonFiniteState("step error norm is nan at y = 0.5"), ArithmeticError),
+        (SnapshotMissing("no snapshot at y = 0.5; stored: [0.0, 2.0]"), KeyError),
+        (UnsupportedParams("the closure needs Comptonization, not i=1"), ValueError),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else v.__name__,
+)
+def test_every_numerical_failure_exits_2(tmp_path, monkeypatch, capsys, error, builtin_base):
+    # each failure carries the base exit 2 is read from, next to the builtin
+    # base its library callers catch; nothing is written and no out_dir made
+    assert isinstance(error, NumericalFailure) and isinstance(error, builtin_base)
+
     def failing_solve(*args, **kwargs):
-        raise NonFiniteState("step error norm is nan at y = 0.5")
+        raise error
 
     monkeypatch.setattr(cli, "solve_transport", failing_solve)
-    code = main(["solve", "--theta", "constant:1", "--out-dir", str(tmp_path)])
-    assert code == EXIT_NUMERICAL
-    assert "numerical failure: step error norm is nan" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["solve", "--theta", "constant:1", "--out-dir", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [f"numerical failure: {error}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -327,13 +361,20 @@ def test_nonfinite_state_exit(tmp_path, monkeypatch, capsys):
         (["--config", "latin1.cfg"], EXIT_CONFIG, "config error: config: "),
         (["--out-dir", "/dev/null/x"], EXIT_CONFIG, "config error: out_dir: "),
         (["--label", "blocked"], EXIT_CONFIG, "config error: out_dir: cannot write "),
+        # log-spaced edges too close to increase strictly in floats
+        (["--grid-x-min", "0.5", "--grid-x-max", "0.5000000000000001"], EXIT_CONFIG,
+         "config error: grid_cells: no grid of 8 log-spaced cells on [0.5, 0.5000000000000001]"
+         " in floats: grid edges must increase strictly"),
+        (["--grid-x-min", "1", "--grid-x-max", "1.000000000000001", "--grid-cells", "400"],
+         EXIT_CONFIG, "config error: grid_cells: no grid of 400 log-spaced cells on"),
     ],
     ids=["wien_tiny", "wien_huge", "x_max_huge", "x_min_tiny", "freefree_x_min_tiny",
          "freefree_profile_overflow", "pulse_off_grid", "wien_underflow", "y_max_huge",
          "y_max_tiny", "y_max_subnormal",
          "cf_n_superscript", "theta_overflow", "y_max_overflow", "wien_overflow",
          "config_y_max_overflow", "config_missing", "config_directory", "config_not_utf8",
-         "out_dir_under_file", "write_blocked_by_directory"],
+         "out_dir_under_file", "write_blocked_by_directory", "grid_too_narrow",
+         "grid_too_narrow_for_400_cells"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_inputs_exit_cleanly(tmp_path, capsys, flags, code, message):
@@ -386,6 +427,19 @@ def test_verify_without_photons_on_the_grid_exits_cleanly(tmp_path, capsys, argv
     assert capsys.readouterr().err.splitlines() == [
         f"numerical failure: initial condition has no photons on the grid x in {x_range}"
     ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve"], ["reproduce", "monoenergetic"]],
+                         ids=["solve", "reproduce"])
+def test_narrow_grid_is_refused_before_out_dir(tmp_path, capsys, command):
+    # the grid's own rule refuses the edges; the command names the field
+    out = tmp_path / "out"
+    argv = [*command, "--grid-x-min", "0.5", "--grid-x-max", "0.5000000000000001",
+            "--grid-cells", "8", "--out-dir", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: grid_cells: ")
     assert not out.exists()
 
 

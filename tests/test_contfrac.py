@@ -453,6 +453,17 @@ def test_json_reader_refuses_misnumbered_rows(brems_cf):
         ContinuedFraction.from_json_dict(data)
 
 
+def test_json_reader_names_the_bad_field(brems_cf):
+    # a zero denominator and a missing field are one ValueError naming the field
+    data = brems_cf.to_json_dict()
+    data["coefficients"][2]["denominator"] = "0"
+    with pytest.raises(ValueError, match=r"coefficients\[2\]\.denominator: cannot read '0'"):
+        ContinuedFraction.from_json_dict(data)
+    del data["coefficients"]
+    with pytest.raises(ValueError, match="coefficients: missing"):
+        ContinuedFraction.from_json_dict(data)
+
+
 def test_selection_json_shape(mono_selection):
     data = mono_selection.to_json_dict()
     assert data["schema"] == "compfrac.selection/2"

@@ -225,6 +225,39 @@ def test_json_reader_refuses_misnumbered_rows(mono_table, edit):
         DerivativeTable.from_json_dict(data)
 
 
+def _edited(data, where, key, value):
+    """data with data[where...][key] set to value, or deleted for None."""
+    target = data
+    for step in where:
+        target = target[step]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "where, key, value, message",
+    [
+        ((), "params", None, "params: missing"),
+        ((), "values", None, "values: missing"),
+        ((), "provenance", None, "provenance: missing"),
+        (("params",), "alpha", "x", "params.alpha: cannot read 'x'"),
+        (("values", 3), "numerator", None, r"values\[3\]\.numerator: missing"),
+        (("values", 3), "numerator", "abc", r"values\[3\]\.numerator: cannot read 'abc'"),
+        (("values", 3), "denominator", "0", r"values\[3\]\.denominator: cannot read '0'"),
+        ((), "values", [], "temperature at y=0 must be exactly 1, got no value"),
+    ],
+    ids=["no_params", "no_values", "no_provenance", "bad_param", "no_numerator",
+         "numerator_abc", "denominator_zero", "empty_values"],
+)
+def test_json_reader_names_the_bad_field(mono_table, where, key, value, message):
+    # a malformed file is one ValueError naming its field, whatever the parse raised
+    with pytest.raises(ValueError, match=message):
+        DerivativeTable.from_json_dict(_edited(mono_table.to_json_dict(), where, key, value))
+
+
 def test_normalization_guard():
     with pytest.raises(NormalizationError):
         DerivativeTable(
