@@ -165,8 +165,10 @@ def _validate(config: RunConfig) -> None:
     _parse_spectrum(config.spectrum)
     if not 0 <= config.M <= 64:
         raise ConfigError("M", f"order must be within 0..64, got {config.M}")
-    if config.snapshots < 2:
-        raise ConfigError("snapshots", f"need at least 2, got {config.snapshots}")
+    # each count's upper limit keeps a run within a minute when the other
+    # fields keep their shipped values (measured in README)
+    if not 2 <= config.snapshots <= 50_000:
+        raise ConfigError("snapshots", f"need 2..50000, got {config.snapshots}")
     # the 1e6 limit is a config limit: it keeps the step floor 100x below the first step
     if not (config.y_max <= 1e6
             and config.y_max / (config.snapshots - 1) > step_floor(config.y_max)):
@@ -177,8 +179,8 @@ def _validate(config: RunConfig) -> None:
             f" must exceed the solver's step floor ({step_floor(config.y_max):g} here),"
             " and the 1e6 limit keeps that floor 100x below the first step, 1e-5",
         )
-    if config.grid_cells < 8:
-        raise ConfigError("grid_cells", f"need at least 8 cells, got {config.grid_cells}")
+    if not 8 <= config.grid_cells <= 150_000:
+        raise ConfigError("grid_cells", f"need 8..150000 cells, got {config.grid_cells}")
     if not 0 < config.grid_x_min < config.grid_x_max:
         raise ConfigError(
             "grid_x_min",
@@ -188,8 +190,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("rtol", f"must lie in (0, 0.1], got {config.rtol}")
     if not config.tolerance > 0:
         raise ConfigError("tolerance", f"must be positive, got {config.tolerance}")
-    if config.samples < 2:
-        raise ConfigError("samples", f"need at least 2, got {config.samples}")
+    if not 2 <= config.samples <= 500_000:
+        raise ConfigError("samples", f"need 2..500000, got {config.samples}")
     if "\0" in config.out_dir:
         raise ConfigError("out_dir", f"holds a NUL byte, got {config.out_dir!r}")
     if config.label in (".", "..") or any(c in config.label for c in ("/", os.sep, "\0")):
@@ -289,7 +291,7 @@ def write_table(path, header: str, rows) -> None:
 
 def write_snapshot_csv(sol: PdeSolution, y: float, path) -> None:
     with _opened(path) as fh:
-        fh.write("x,F,f,G\n" + sol.snapshot_rows(y))
+        fh.write(sol.snapshot_csv(y))
 
 
 def write_run_manifest(sol: PdeSolution, path, snapshot_files, timestamp=None) -> None:
@@ -331,7 +333,7 @@ class Run:
     @cached_property
     def table(self) -> DerivativeTable:
         """The derivative pipeline needs exact initial moments."""
-        if not isinstance(self.spectrum, (Monoenergetic, Bremsstrahlung)):
+        if not hasattr(self.spectrum, "moment"):
             raise ConfigError(
                 "spectrum",
                 f"{self.config.spectrum!r} has no exact derivative table; "
@@ -515,15 +517,15 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--M", dest="M", help="derivative order (default 24)")
     sub.add_argument("--y-max", dest="y_max", help="evolution horizon, at most 1e6 (default 2)")
     sub.add_argument("--theta", help="cf | cf:N | taylor:N | constant:V")
-    sub.add_argument("--grid-cells", dest="grid_cells")
+    sub.add_argument("--grid-cells", dest="grid_cells", help="cell count, 8..150000 (default 400)")
     sub.add_argument("--grid-x-min", dest="grid_x_min")
     sub.add_argument("--grid-x-max", dest="grid_x_max")
-    sub.add_argument("--snapshots", help="snapshot count, uniform in [0, y_max]")
+    sub.add_argument("--snapshots", help="snapshot count, 2..50000, uniform in [0, y_max]")
     sub.add_argument("--rtol", help="relative tolerance of the adaptive solver step")
     sub.add_argument("--tolerance", help="self-consistency pass threshold")
     sub.add_argument("--taylor-N", dest="taylor_n", help="comma list of series levels")
     sub.add_argument("--cf-N", dest="cf_n", help="comma list of fraction levels")
-    sub.add_argument("--samples", help="curve sampling density in y")
+    sub.add_argument("--samples", help="curve sampling density in y, 2..500000")
     sub.add_argument("--out-dir", dest="out_dir")
     sub.add_argument("--label", help="output filename tag, no path (default: spectrum name)")
 

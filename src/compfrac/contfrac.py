@@ -95,11 +95,13 @@ class ContinuedFraction:
     def from_json_dict(cls, data: dict) -> "ContinuedFraction":
         if data.get("schema") != "compfrac.continued-fraction/1":
             raise ValueError(f"unknown schema: {data.get('schema')!r}")
-        return cls(
-            coefficients=rationals_from_rows(data, "coefficients"),
-            source=data.get("source", ""),
-            pivot_break=data.get("pivot_break"),
-        )
+        coefficients = rationals_from_rows(data, "coefficients")
+        # the recursion stops at its break, so a break is the coefficient count
+        if (pivot_break := data.get("pivot_break")) not in (None, len(coefficients)):
+            raise ValueError(f"pivot_break: cannot read {pivot_break!r}; expected null"
+                             f" or the coefficient count, {len(coefficients)}")
+        return cls(coefficients=coefficients, source=data.get("source", ""),
+                   pivot_break=pivot_break)
 
 
 def _check_level(level: int, top: int, holds: str) -> None:

@@ -82,8 +82,16 @@ def _field(data, key, parse=None, name=None):
         raise ValueError(f"{name or key}: cannot read {value!r}") from exc
 
 
+def _integer(text) -> int:
+    """An integer as rational_rows writes it, digits in full with an optional
+    minus sign; a fraction part or an exponent is refused, not truncated."""
+    if not (isinstance(text, str) and text.removeprefix("-").isdecimal()):
+        raise ValueError("not an integer")
+    return int(Decimal(text))
+
+
 def _denominator(text) -> int:
-    if (value := int(Decimal(text))) <= 0:
+    if (value := _integer(text)) <= 0:
         raise ValueError("not positive")
     return value
 
@@ -97,7 +105,7 @@ def rationals_from_rows(data, field: str) -> tuple:
     if set(indices) != set(range(len(rows))):
         raise ValueError(f"{field}: row indices must be 0..{len(rows) - 1} once each, got {indices}")
     return tuple(
-        Fraction(_field(rows[k], "numerator", lambda t: int(Decimal(t)), f"{field}[{k}].numerator"),
+        Fraction(_field(rows[k], "numerator", _integer, f"{field}[{k}].numerator"),
                  _field(rows[k], "denominator", _denominator, f"{field}[{k}].denominator"))
         for k in sorted(range(len(rows)), key=indices.__getitem__)
     )
@@ -161,7 +169,8 @@ class DerivativeTable:
             provenance=_field(data, "provenance"),
             params=TransportParams(*params),
             spectrum=data.get("spectrum", ""),
-            moment_indices=tuple(Fraction(s) for s in data.get("moment_indices", [])),
+            moment_indices=_field(data, "moment_indices", lambda v: tuple(map(Fraction, v)))
+            if "moment_indices" in data else (),
         )
 
     @classmethod

@@ -7,10 +7,10 @@ over dimensionless energy x > 0.  The n-th power moment is
 
 Each initial spectrum kind carries both of its rules: ``moment(n)``, the
 exact I_n that feeds the derivative series, and ``profile(x)``, the
-pointwise f0 that starts the transport solve.  Every moment is evaluated
-in closed form as an exact rational; a moment without a rational closed
-form (a non-integer index, or a pulse too wide for the untruncated
-Gaussian expansion) is rejected rather than approximated.
+pointwise f0 that starts the transport solve (a line, which has none,
+names its ``stand_in`` pulse).  Every moment is exact and rational; a
+moment without a rational closed form (a non-integer index, or a pulse
+too wide for the untruncated Gaussian expansion) is rejected.
 """
 
 from __future__ import annotations
@@ -130,12 +130,16 @@ class Monoenergetic:
             raise UnsupportedParams(f"line moment I_{n} has no rational closed form")
         return self.n0 * self.x0 ** int(shift)
 
+    @property
+    def stand_in(self) -> GaussianPulse:
+        """The narrow pulse of default variance with the line's energy and
+        number, which a grid-based solve starts from in its place."""
+        return GaussianPulse(mean=self.x0, n0=self.n0)
+
     def profile(self, x):
-        """A line has no pointwise profile; callers that need one (the
-        grid-based solver) substitute a narrow gaussian pulse first."""
         raise UnsupportedParams(
             "a monoenergetic line is a distribution, not a function; "
-            "replace it with a narrow GaussianPulse for pointwise use"
+            "use its stand_in pulse for pointwise use"
         )
 
     def describe(self) -> str:

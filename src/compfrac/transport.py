@@ -43,8 +43,6 @@ from .contfrac import (
 from .moments import DerivativeTable
 from .spectra import (
     COMPTONIZATION,
-    GaussianPulse,
-    Monoenergetic,
     NumericalFailure,
     TransportParams,
     UnsupportedParams,
@@ -290,13 +288,13 @@ class PdeSolution:
 
     @cached_property
     def _csv_template(self) -> str:
-        """The rows of a snapshot file with the x column formatted in and
+        """A snapshot file with its header and x column formatted in and
         %-fields left for F, f and G."""
         row = "%.12e,%%.12e,%%.12e,%%.12e\n"
-        return (row * self.grid.cells) % tuple(self.grid.centers.tolist())
+        return "x,F,f,G\n" + (row * self.grid.cells) % tuple(self.grid.centers.tolist())
 
-    def snapshot_rows(self, y: float) -> str:
-        """The snapshot's CSV rows x,F,f,G at %.12e, the x column formatted once per solution."""
+    def snapshot_csv(self, y: float) -> str:
+        """The snapshot file x,F,f,G at %.12e, the x column formatted once per solution."""
         rows = np.column_stack((self.snapshot(y), self.photon_spectrum(y), self.energy_spectrum(y)))
         return self._csv_template % tuple(rows.ravel().tolist())
 
@@ -335,13 +333,11 @@ def initial_cell_values(
 ) -> tuple[np.ndarray, object]:
     """Point samples of F = x^i f0 at cell centers.
 
-    A monoenergetic line is replaced by the narrow gaussian pulse of
-    default variance carrying the same number density at the same energy;
-    the replacement is returned alongside the samples.
+    A spectrum with no pointwise profile (a monoenergetic line) is sampled
+    through its ``stand_in`` spectrum instead, which is returned alongside
+    the samples.
     """
-    actual = spectrum
-    if isinstance(spectrum, Monoenergetic):
-        actual = GaussianPulse(mean=spectrum.x0, n0=spectrum.n0)
+    actual = getattr(spectrum, "stand_in", spectrum)
     x = grid.centers
     with np.errstate(all="ignore"):
         F = grid.center_power(params.i) * actual.profile(x)

@@ -130,18 +130,36 @@ def test_tag_prefers_label():
         ("y_max", "0"),
         ("y_max", "1e9"),
         ("grid_cells", "4"),
+        ("grid_cells", "150001"),
         ("grid_x_min", "60"),
         ("snapshots", "1"),
+        ("snapshots", "50001"),
         ("rtol", "0.5"),
         ("rtol", "0"),
         ("tolerance", "0"),
         ("samples", "1"),
+        ("samples", "500001"),
     ],
 )
 def test_validation_rejects(field, value):
     with pytest.raises(ConfigError) as exc:
         build_config({field: value})
     assert exc.value.field_name in (field, "grid_x_min")
+
+
+@pytest.mark.parametrize(
+    "flag, field, limit",
+    [("--grid-cells", "grid_cells", 150_000), ("--snapshots", "snapshots", 50_000),
+     ("--samples", "samples", 500_000)],
+)
+def test_count_above_its_limit_exits_1(tmp_path, capsys, flag, field, limit):
+    # the limit keeps every accepted count's run bounded in time, and is itself accepted
+    assert getattr(build_config({field: str(limit)}), field) == limit
+    out = tmp_path / "out"
+    code = main(["reproduce", "monoenergetic", flag, str(limit + 1), "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field}: need ")
+    assert not out.exists()
 
 
 def test_parse_spectrum():

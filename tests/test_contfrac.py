@@ -454,14 +454,30 @@ def test_json_reader_refuses_misnumbered_rows(brems_cf):
 
 
 def test_json_reader_names_the_bad_field(brems_cf):
-    # a zero denominator and a missing field are one ValueError naming the field
-    data = brems_cf.to_json_dict()
-    data["coefficients"][2]["denominator"] = "0"
-    with pytest.raises(ValueError, match=r"coefficients\[2\]\.denominator: cannot read '0'"):
-        ContinuedFraction.from_json_dict(data)
+    # a zero denominator, a non-integer (which truncating would misread) and a
+    # missing field are each one ValueError naming the field
+    for key, value in (("denominator", "0"), ("numerator", "-3.9"), ("denominator", "2.5")):
+        data = brems_cf.to_json_dict()
+        data["coefficients"][2][key] = value
+        with pytest.raises(ValueError, match=rf"coefficients\[2\]\.{key}: cannot read '{value}'"):
+            ContinuedFraction.from_json_dict(data)
     del data["coefficients"]
     with pytest.raises(ValueError, match="coefficients: missing"):
         ContinuedFraction.from_json_dict(data)
+
+
+@pytest.mark.parametrize("pivot_break", ["x", 2, 4, "3", [3]],
+                         ids=["text", "below", "above", "count_as_text", "list"])
+def test_json_reader_refuses_a_pivot_break_off_the_count(pivot_break):
+    # the recursion stops at its break, so only null or the coefficient count (3) is a break
+    data = cf_coefficients(synthetic_table((1, 2, 0, 0, 0))).to_json_dict()
+    assert ContinuedFraction.from_json_dict(data).pivot_break == 3
+    data["pivot_break"] = pivot_break
+    with pytest.raises(ValueError, match=r"pivot_break: cannot read .*expected null or the"
+                                         r" coefficient count, 3"):
+        ContinuedFraction.from_json_dict(data)
+    data["pivot_break"] = None
+    assert ContinuedFraction.from_json_dict(data).pivot_break is None
 
 
 def test_selection_json_shape(mono_selection):

@@ -247,15 +247,26 @@ def _edited(data, where, key, value):
         (("values", 3), "numerator", None, r"values\[3\]\.numerator: missing"),
         (("values", 3), "numerator", "abc", r"values\[3\]\.numerator: cannot read 'abc'"),
         (("values", 3), "denominator", "0", r"values\[3\]\.denominator: cannot read '0'"),
+        # truncated, these would load theta''(0) = -12 as -3 and as -6
+        (("values", 2), "numerator", "-3.9", r"values\[2\]\.numerator: cannot read '-3\.9'"),
+        (("values", 2), "denominator", "2.5", r"values\[2\]\.denominator: cannot read '2\.5'"),
+        ((), "moment_indices", ["3", "1/0"], r"moment_indices: cannot read \['3', '1/0'\]"),
         ((), "values", [], "temperature at y=0 must be exactly 1, got no value"),
     ],
     ids=["no_params", "no_values", "no_provenance", "bad_param", "no_numerator",
-         "numerator_abc", "denominator_zero", "empty_values"],
+         "numerator_abc", "denominator_zero", "numerator_fractional",
+         "denominator_fractional", "moment_index_zero_division", "empty_values"],
 )
 def test_json_reader_names_the_bad_field(mono_table, where, key, value, message):
     # a malformed file is one ValueError naming its field, whatever the parse raised
     with pytest.raises(ValueError, match=message):
         DerivativeTable.from_json_dict(_edited(mono_table.to_json_dict(), where, key, value))
+
+
+def test_json_reader_reads_missing_moment_indices_as_empty(mono_table):
+    data = mono_table.to_json_dict()
+    del data["moment_indices"]
+    assert DerivativeTable.from_json_dict(data).moment_indices == ()
 
 
 def test_normalization_guard():

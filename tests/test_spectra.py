@@ -113,8 +113,11 @@ def test_profile_function_shapes():
 
 
 def test_profile_function_rejects_raw_line():
-    with pytest.raises(UnsupportedParams):
+    # the refusal points to the pulse the line supplies in its place
+    with pytest.raises(UnsupportedParams, match="stand_in"):
         Monoenergetic().profile(np.array([4.0]))
+    assert Monoenergetic().stand_in == GaussianPulse(mean=4, n0=1)
+    assert Monoenergetic(x0=2, n0=3).stand_in == GaussianPulse(mean=2, n0=3)
 
 
 @pytest.mark.parametrize(
