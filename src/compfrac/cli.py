@@ -283,10 +283,11 @@ def write_json(data, path) -> None:
 
 def write_table(path, header: str, rows) -> None:
     """Write a CSV table: the header line, then one line per row with every
-    cell as format(v, ".6g") (integers up to 6 digits print as written)."""
-    lines = [header, *(",".join(format(v, ".6g") for v in row) for row in rows)]
+    cell as format(v, ".6g") (integers up to 6 digits print as written).
+    ``rows`` may be a generator: each line is written as it is formatted."""
     with _opened(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(",".join(format(v, ".6g") for v in row) + "\n" for row in rows)
 
 
 def write_snapshot_csv(sol: PdeSolution, y: float, path) -> None:
@@ -408,7 +409,7 @@ def cmd_cf(run: Run) -> int:
                 [(n, float(c)) for n, c in enumerate(cf.coefficients)])
     write_json(selection.to_json_dict(), out / f"selection_{config.tag}.json")
 
-    ys = [float(v) for v in np.linspace(0.0, config.y_max, config.samples)]
+    ys = np.linspace(0.0, config.y_max, config.samples).tolist()
     # the selection has scanned every level once; its reports are reused
     reports = {level: selection.candidates[level].report for level in cf_levels}
 
@@ -419,21 +420,20 @@ def cmd_cf(run: Run) -> int:
         },
         out / f"defects_{config.tag}.json",
     )
-    curve = []
-    for level in cf_levels:
-        for y in ys:
-            try:
-                v = cf_eval(cf, level, y)
-            except PoleHit:  # sampled on a pole
-                v = float("nan")
-            curve.append((y, v, level))
-    write_table(out / f"cf_curves_{config.tag}.csv", "y,value,N", curve)
+    def cf_value(level, y):
+        try:
+            return cf_eval(cf, level, y)
+        except PoleHit:  # sampled on a pole
+            return float("nan")
 
+    # the curves are streamed: samples x levels rows are never all held
+    write_table(out / f"cf_curves_{config.tag}.csv", "y,value,N",
+                ((y, cf_value(level, y), level) for level in cf_levels for y in ys))
     taylor_levels = _parse_levels(config.taylor_n, table.order, "taylor_n")
     if taylor_levels:
         write_table(out / f"taylor_curves_{config.tag}.csv", "y,value,N",
-                    [(y, taylor_eval(table, level, y), level)
-                     for level in sorted(taylor_levels) for y in ys])
+                    ((y, taylor_eval(table, level, y), level)
+                     for level in sorted(taylor_levels) for y in ys))
 
     defect_total = sum(len(r.poles) + len(r.zeros) for r in reports.values())
     print(
@@ -511,23 +511,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("args", message)
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--spectrum", help="monoenergetic | bremsstrahlung | wien:THETA")
-    sub.add_argument("--M", dest="M", help="derivative order (default 24)")
-    sub.add_argument("--y-max", dest="y_max", help="evolution horizon, at most 1e6 (default 2)")
-    sub.add_argument("--theta", help="cf | cf:N | taylor:N | constant:V")
-    sub.add_argument("--grid-cells", dest="grid_cells", help="cell count, 8..150000 (default 400)")
-    sub.add_argument("--grid-x-min", dest="grid_x_min")
-    sub.add_argument("--grid-x-max", dest="grid_x_max")
-    sub.add_argument("--snapshots", help="snapshot count, 2..50000, uniform in [0, y_max]")
-    sub.add_argument("--rtol", help="relative tolerance of the adaptive solver step")
-    sub.add_argument("--tolerance", help="self-consistency pass threshold")
-    sub.add_argument("--taylor-N", dest="taylor_n", help="comma list of series levels")
-    sub.add_argument("--cf-N", dest="cf_n", help="comma list of fraction levels")
-    sub.add_argument("--samples", help="curve sampling density in y, 2..500000")
-    sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--label", help="output filename tag, no path (default: spectrum name)")
+def _config_flags() -> argparse.ArgumentParser:
+    """The config flags every subcommand takes, as a parent parser."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="flat key = value config file")
+    flags.add_argument("--spectrum", help="monoenergetic | bremsstrahlung | wien:THETA")
+    flags.add_argument("--M", dest="M", help="derivative order (default 24)")
+    flags.add_argument("--y-max", dest="y_max", help="evolution horizon, at most 1e6 (default 2)")
+    flags.add_argument("--theta", help="cf | cf:N | taylor:N | constant:V")
+    flags.add_argument("--grid-cells", dest="grid_cells", help="cell count, 8..150000 (default 400)")
+    flags.add_argument("--grid-x-min", dest="grid_x_min")
+    flags.add_argument("--grid-x-max", dest="grid_x_max")
+    flags.add_argument("--snapshots", help="snapshot count, 2..50000, uniform in [0, y_max]")
+    flags.add_argument("--rtol", help="relative tolerance of the adaptive solver step")
+    flags.add_argument("--tolerance", help="self-consistency pass threshold")
+    flags.add_argument("--taylor-N", dest="taylor_n", help="comma list of series levels")
+    flags.add_argument("--cf-N", dest="cf_n", help="comma list of fraction levels")
+    flags.add_argument("--samples", help="curve sampling density in y, 2..500000")
+    flags.add_argument("--out-dir", dest="out_dir")
+    flags.add_argument("--label", help="output filename tag, no path (default: spectrum name)")
+    return flags
 
 
 def _build_parser() -> _Parser:
@@ -536,11 +539,11 @@ def _build_parser() -> _Parser:
         description="temperature resummation and self-consistent photon transport",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = _config_flags()
     for name, (_, help_text) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, parents=[flags])
         if name == "reproduce":
             cmd.add_argument("scenario", choices=_SCENARIOS)
-        _add_config_flags(cmd)
     return parser
 
 

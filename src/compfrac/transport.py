@@ -236,6 +236,50 @@ class TemperatureFn:
         return cls(fn=None, description="self-consistent closure I_4/(4 I_3)")
 
 
+# "%.12e" text in array operations: d.dddddddddddd then e+XX or e-XXX, as
+# 2-byte units of a field NUL-padded to 20 bytes, the width of Python's
+# widest text here, -d.dddddddddddde-XXX; the tables cover decades
+# e = -290 ... 290, at index e + 290
+_SCALES = np.array([float(f"1e{12 - e}") for e in range(-290, 291)])  # correctly rounded
+_EXPONENTS = np.frombuffer(
+    b"".join((b"e%+03d" % e).ljust(6, b"\0") for e in range(-290, 291)), np.uint16
+).reshape(-1, 3)
+_LEADS = np.frombuffer(b"".join(b"%d." % d for d in range(10)), np.uint16)
+_PAIRS = np.frombuffer(b"".join(b"%02d" % d for d in range(100)), np.uint16)
+_DIGIT_STEPS = np.array([1e12, 1e10, 1e8, 1e6, 1e4, 1e2, 1.0]).reshape(-1, 1)
+# the mantissa |v| 10^(12-e) carries at most 2^-52 relative error from the
+# scale and the product, so rounding it is exact 2^-51 10^13 from a tie
+_TIE_MARGIN = 0.5 - 2.0**-51 * 1e13
+
+
+def _render_e12(v: np.ndarray) -> np.ndarray:
+    """One row per value of the 1-D array v: the bytes of "%.12e" % v,
+    NUL-padded to 20.  Python's own formatting renders the values this
+    cannot round exactly: non-finite, signed (negatives and -0.0), off
+    [1e-280, 1e280], within 2^-51 10^13 of a rounding tie, or with log10 a
+    decade off or a mantissa that rounds up to 10^13."""
+    fast = (v >= 1e-280) & (v <= 1e280)  # False for NaN, a sign or a zero
+    a = np.where(fast, v, 1.0)
+    decade = (np.floor(np.log10(a)) + 290).astype(np.intp)
+    m = a * _SCALES[decade]
+    rounded = np.rint(m)
+    fast &= (m >= 1e12) & (m < 1e13 - 0.5) & (np.abs(m - rounded) < _TIE_MARGIN)
+    # the leading digits n // 10^12, n // 10^10, ..., n: below 2^52,
+    # floor(n / c) is exact in floats; int64 arithmetic would fault in numpy
+    # kernels the run uses nowhere else, 64 KB of peak memory each
+    heads = np.floor(np.where(fast, rounded, 1e12) / _DIGIT_STEPS)
+    out = np.empty((v.size, 10), np.uint16)
+    out[:, 0] = _LEADS[heads[0].astype(np.intp)]
+    out[:, 1:7] = _PAIRS[(heads[1:] - 100 * heads[:-1]).T.astype(np.intp)]
+    out[:, 7:] = _EXPONENTS.take(decade, axis=0)
+    out = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join((b"%.12e" % s).ljust(20, b"\0") for s in v[slow].tolist())
+        out[slow] = np.frombuffer(text, np.uint8).reshape(-1, 20)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PdeSolution:
     """Snapshots of F on the grid plus per-step conservation traces."""
@@ -287,16 +331,20 @@ class PdeSolution:
         return self.snapshot(y) * self.grid.center_power(3 - self.params.i)
 
     @cached_property
-    def _csv_template(self) -> str:
-        """A snapshot file with its header and x column formatted in and
-        %-fields left for F, f and G."""
-        row = "%.12e,%%.12e,%%.12e,%%.12e\n"
-        return "x,F,f,G\n" + (row * self.grid.cells) % tuple(self.grid.centers.tolist())
+    def _x_fields(self) -> np.ndarray:
+        return _render_e12(self.grid.centers)
 
     def snapshot_csv(self, y: float) -> str:
-        """The snapshot file x,F,f,G at %.12e, the x column formatted once per solution."""
-        rows = np.column_stack((self.snapshot(y), self.photon_spectrum(y), self.energy_spectrum(y)))
-        return self._csv_template % tuple(rows.ravel().tolist())
+        """The snapshot file x,F,f,G at %.12e, the x column rendered once per solution."""
+        fields = np.empty((self.grid.cells, 4, 21), np.uint8)
+        fields[:, 0, :20] = self._x_fields
+        # a column at a time: the renderer's temporaries take about 20
+        # floats per value, and they set the peak memory of a small run
+        columns = (self.snapshot(y), self.photon_spectrum(y), self.energy_spectrum(y))
+        for k, column in enumerate(columns, 1):
+            fields[:, k, :20] = _render_e12(column)
+        fields[:, :, 20] = np.frombuffer(b",,,\n", np.uint8)
+        return "x,F,f,G\n" + fields.tobytes().translate(None, b"\0").decode("ascii")
 
     def moment(self, n, y: float) -> float:
         return grid_moment(self.grid, self.snapshot(y), n, self.params)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv as public_dgtsv
@@ -903,6 +903,43 @@ def test_solver_stats(mono_run):
     assert edges[-1] <= stats["dy_max"] < 10 * edges[-1]
     assert "pulse" in stats["spectrum"] or "gaussian" in stats["spectrum"].lower()
     assert 0.0 < stats["wall_s"] < 60.0
+
+
+# the floats nearest the decimal ties (d + 1/2) 10^k of 13-digit integers d,
+# which lie within the renderer's margin of a tie
+near_ties = st.builds(lambda d, e: float(f"{d}5e{e}"),
+                      st.integers(10**12, 10**13 - 1), st.integers(-295, 295))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.floats(1e-300, 1e300) | near_ties, min_size=1, max_size=40))
+@example([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2.2250738585072014e-308,
+          -1.5, -1.5e-100])
+# the ends of the array path's range and the floats just outside it
+@example([1e-280, 1e280, math.nextafter(1e-280, 0), math.nextafter(1e280, math.inf)])
+# decade round-ups: the mantissa rounds up to 10^13, or just does not
+@example([9.9999999999995e-5, 9.99999999999949e-5, 9.99999999999951e-5, 9.9999999999995e99])
+# exact binary ties in the 14th digit, which round half to even
+@example([2.0**-20, 2.0**-19, 1234567890123.5, 9999999999999.5, 1000000000000.5])
+def test_render_e12_matches_percent_format(values):
+    fields = transport._render_e12(np.array(values))
+    assert [f.tobytes().rstrip(b"\0").decode() for f in fields] == ["%.12e" % v for v in values]
+
+
+@pytest.mark.parametrize("run", ["mono_run", "brems_run"])
+def test_snapshot_csv_bytes_on_shipped_grids(request, run):
+    # every snapshot file equals an f-string rendering of the solution's
+    # public arrays; these grids hold each case the renderer passes to
+    # Python's formatting (zeros and values below 1e-280 on the pulse grid,
+    # near-ties on both) and 3-digit exponents
+    sol = request.getfixturevalue(run)
+    for y, _ in sol.snapshots:
+        columns = (sol.grid.centers, sol.snapshot(y), sol.photon_spectrum(y),
+                   sol.energy_spectrum(y))
+        expected = "x,F,f,G\n" + "".join(
+            f"{x:.12e},{F:.12e},{f:.12e},{G:.12e}\n" for x, F, f, G in zip(*columns)
+        )
+        assert sol.snapshot_csv(y) == expected
 
 
 def test_snapshot_csv_round_trip(tmp_path, mono_run):
