@@ -20,7 +20,7 @@ import argparse
 import time
 
 from compfrac.cli import Run, build_config
-from compfrac.transport import TemperatureFn, solve_transport
+from compfrac.transport import SELF_CONSISTENT, solve_transport
 from compfrac.verify import self_consistency
 
 # (cells, x_min, rtol) per case
@@ -48,7 +48,7 @@ def main() -> None:
             t0 = time.time()
             sol, config, theta = run.solution, run.config, run.theta
             dev = self_consistency(sol, theta).max_rel_dev
-            ref = solve_transport(run.spectrum, TemperatureFn.selfconsistent(), sol.grid,
+            ref = solve_transport(run.spectrum, SELF_CONSISTENT, sol.grid,
                                   rtol=config.rtol)
             # theta_ref = I_4 / (4 I_3) of each snapshot, by the solver's own cell rule
             curve = [ref.moment(4, y) / (4.0 * ref.moment(3, y)) for y in sol.grid.snapshot_times]

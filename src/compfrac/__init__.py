@@ -44,6 +44,7 @@ from .contfrac import (
     maclaurin_of_rational,
     select_approximant,
     taylor_eval,
+    taylor_form,
     to_rational,
 )
 from .moments import (
@@ -68,8 +69,8 @@ from .transport import (
     Grid,
     PdeSolution,
     PositivityViolation,
+    SELF_CONSISTENT,
     SnapshotMissing,
-    TemperatureFn,
     grid_moment,
     solve_transport,
 )

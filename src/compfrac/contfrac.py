@@ -31,7 +31,7 @@ too: one correctly rounded int / int per float, cross-multiplied comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -49,6 +49,10 @@ class PoleHit(NumericalFailure, ArithmeticError):
         super().__init__(
             message or f"denominator vanished at y={y!r} (fraction level {level})"
         )
+
+
+class NonPositiveTemperature(NumericalFailure, ValueError):
+    """theta(y) must stay strictly positive over the whole run."""
 
 
 @dataclass(frozen=True)
@@ -185,10 +189,22 @@ def cf_eval_exact(cf: ContinuedFraction, level: int, y: Fraction) -> Fraction:
 @dataclass(frozen=True)
 class RationalForm:
     """Psi_N = P(y)/Q(y) as integer polynomials p, q (lowest order first)
-    over their shared denominator q[0], so that Q(0) = 1."""
+    over their shared denominator q[0], so that Q(0) = 1.
+
+    A form is a driving temperature as it stands: calling it is theta(y),
+    ``certify`` proves it finite and positive on a run's span, and
+    ``description`` (not part of equality) names it in the run manifest."""
 
     p: tuple
     q: tuple
+    description: str = field(default="", compare=False)
+
+    @classmethod
+    def constant(cls, value) -> "RationalForm":
+        """The [0/0] form n/d of float(value): (0 y + n/d) / 1.0 is the value."""
+        v = float(value)
+        n, d = v.as_integer_ratio()
+        return cls((n,), (d,), f"constant {v:.6g}")
 
     @cached_property
     def numerator(self) -> tuple:
@@ -224,6 +240,18 @@ class RationalForm:
             raise PoleHit(y, None, f"denominator root at y={y}")
         return Fraction(num, den)
 
+    def certify(self, y_end: float) -> None:
+        """Prove the form finite and positive on [0, y_end] exactly:
+        P(0) = p[0]/q[0] > 0, no root of q (PoleHit) and none of p
+        (NonPositiveTemperature) on (0, y_end]."""
+        if not self.p[0] * self.q[0] > 0:
+            raise NonPositiveTemperature(f"{self.description} is {self(0.0)!r} at y = 0")
+        report = find_defects(self, y_end)
+        if not report.is_empty():
+            (y, m), defect = (report.poles[0], "pole") if report.poles else (report.zeros[0], "zero")
+            message = f"{self.description} has a {defect} of multiplicity {m} at y = {y!r}"
+            raise PoleHit(y, None, message) if report.poles else NonPositiveTemperature(message)
+
 
 def to_rational(cf: ContinuedFraction, level: int) -> RationalForm:
     """The fraction truncated at ``level`` as one ratio of polynomials.
@@ -240,7 +268,8 @@ def taylor_form(table: DerivativeTable, level: int) -> RationalForm:
     """The Taylor partial sum through ``level`` as the [level/0] Pade form."""
     _check_level(level, table.order, "table holds orders")
     series, common = table.maclaurin
-    return RationalForm(series[: level + 1], (common,))
+    return RationalForm(series[: level + 1], (common,),
+                        f"Taylor partial sum, level {level} ({table.spectrum})")
 
 
 def taylor_eval(table: DerivativeTable, level: int, y) -> float:
@@ -261,7 +290,7 @@ def _fold(cf: ContinuedFraction) -> tuple:
 
     Level n is carried as integer polynomials (p, q) over one denominator
     d_n; since Q_n(0) = 1, that denominator is q[0].  Returns the
-    RationalForm of every level."""
+    RationalForm of every level, each named by its level and source."""
     c0 = cf[0]
     prev, cur = ([0], [1]), ([c0.numerator], [c0.denominator])
     levels = [cur]
@@ -295,7 +324,8 @@ def _fold(cf: ContinuedFraction) -> tuple:
         reduced = [x for x, _ in parts]
         prev, cur = cur, (reduced[: len(p)], reduced[len(p):])
         levels.append(cur)
-    return tuple(RationalForm(tuple(p), tuple(q)) for p, q in levels)
+    return tuple(RationalForm(tuple(p), tuple(q), f"continued fraction, level {n} ({cf.source})")
+                 for n, (p, q) in enumerate(levels))
 
 
 def maclaurin_of_rational(rf: RationalForm, order: int) -> list:

@@ -22,8 +22,10 @@ DerivativeTable.values.  The routes differ in how theta is recovered:
   I_alpha/I_alpha(0) over the lattice of indices reached from alpha by
   steps of k-2 and j-1, each expanded only as deep as still needed.
 
-Both produce exact rational tables for exact rational moments; they must
-agree wherever both apply, which is one of the package's core checks.
+Both produce exact rational tables for exact rational moments and must
+agree wherever both apply; sharing the jet engine (_Jets, _theta_derivatives),
+that checks their theta rules, and the independent check of the whole is
+the test oracle hierarchy_jets, a separate Fraction integrator.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ is assembled at that stage's own theta, with the embedded error
 estimate of Hosea & Shampine (1996, Appl. Numer. Math. 20).  The
 trapezoidal right-hand side is not positivity-preserving, so a step
 that leaves the positive cone is retried at half the width.
-theta is prescribed as a function of y or, for Comptonization, is the
-closure theta = I_4(F)/(4 I_3(F)) of the solution itself, iterated to a
-fixed point inside each implicit stage as in an index-1 DAE.
+theta is prescribed as a form that certifies itself finite and positive
+(a contfrac.RationalForm) or, for Comptonization, is the closure
+theta = I_4(F)/(4 I_3(F)) of the solution itself (SELF_CONSISTENT),
+iterated to a fixed point inside each implicit stage as in an index-1 DAE.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contfrac import (
-    ContinuedFraction, PoleHit, RationalForm, find_defects, taylor_form, to_rational,
-)
-from .moments import DerivativeTable
+from .contfrac import NonPositiveTemperature
 from .spectra import (
     COMPTONIZATION,
     NumericalFailure,
@@ -79,10 +77,6 @@ if _numpy_gtsv is None:
     from scipy.linalg.lapack import dgtsv
 else:
     dgtsv = None
-
-
-class NonPositiveTemperature(NumericalFailure, ValueError):
-    """theta(y) must stay strictly positive over the whole run."""
 
 
 class PositivityViolation(NumericalFailure, ArithmeticError):
@@ -196,44 +190,20 @@ class Grid:
         }
 
 
-@dataclass(frozen=True)
-class TemperatureFn:
-    """theta(y) as a plain callable plus a provenance description; the
-    ``selfconsistent`` kind (fn None) is the closure I_4(F)/(4 I_3(F)).
-    ``fn`` takes a float y.  A fraction level's, Taylor level's or
-    constant's ``fn`` is a contfrac.RationalForm, the one prescribed kind
-    solve_transport accepts, since find_defects certifies its integers."""
+class _SelfConsistent:
+    """The closure theta = I_4(F)/(4 I_3(F)) of the solution itself, which
+    solve_transport iterates inside each stage; it has no value at a bare y."""
 
-    fn: Callable[[float], float] | None
-    description: str
+    description = "self-consistent closure I_4/(4 I_3)"
 
     def __call__(self, y: float) -> float:
-        if self.fn is None:
-            raise TypeError(
-                f"the {self.description} has no value at a bare y; read "
-                "I_4/(4 I_3) of a solution's snapshot with PdeSolution.moment"
-            )
-        return float(self.fn(y))
+        raise TypeError(
+            f"the {self.description} has no value at a bare y; read "
+            "I_4/(4 I_3) of a solution's snapshot with PdeSolution.moment"
+        )
 
-    @classmethod
-    def from_continued_fraction(cls, cf: ContinuedFraction, level: int) -> "TemperatureFn":
-        return cls(to_rational(cf, level), f"continued fraction, level {level} ({cf.source})")
 
-    @classmethod
-    def from_table(cls, table: DerivativeTable, level: int) -> "TemperatureFn":
-        description = f"Taylor partial sum, level {level} ({table.spectrum})"
-        return cls(taylor_form(table, level), description)
-
-    @classmethod
-    def constant(cls, value) -> "TemperatureFn":
-        """The [0/0] form n/d of float(value): (0 y + n/d) / 1.0 is the value."""
-        v = float(value)
-        n, d = v.as_integer_ratio()
-        return cls(RationalForm((n,), (d,)), f"constant {v:.6g}")
-
-    @classmethod
-    def selfconsistent(cls) -> "TemperatureFn":
-        return cls(fn=None, description="self-consistent closure I_4/(4 I_3)")
+SELF_CONSISTENT = _SelfConsistent()
 
 
 # "%.12e" text in array operations: d.dddddddddddd then e+XX or e-XXX, as
@@ -537,24 +507,9 @@ def step_floor(y_end: float) -> float:
     return 1e-13 * max(1.0, y_end)
 
 
-def _certify(theta: TemperatureFn, y_end: float) -> None:
-    """Prove a prescribed theta finite and positive on [0, y_end] exactly:
-    theta(0) = p[0]/q[0] > 0, no root of q (PoleHit) and none of p on (0, y_end]."""
-    form = theta.fn
-    if not isinstance(form, RationalForm):
-        raise TypeError(f"a prescribed theta must be a contfrac.RationalForm: {theta.description}")
-    if not form.p[0] * form.q[0] > 0:
-        raise NonPositiveTemperature(f"{theta.description} is {form(0.0)!r} at y = 0")
-    report = find_defects(form, y_end)
-    if not report.is_empty():
-        (y, m), defect = (report.poles[0], "pole") if report.poles else (report.zeros[0], "zero")
-        message = f"{theta.description} has a {defect} of multiplicity {m} at y = {y!r}"
-        raise PoleHit(y, None, message) if report.poles else NonPositiveTemperature(message)
-
-
 def solve_transport(
     spectrum,
-    theta: TemperatureFn,
+    theta,
     grid: Grid,
     params: TransportParams = COMPTONIZATION,
     rtol: float = 1e-6,
@@ -577,7 +532,7 @@ def solve_transport(
     driver is read only on [0, y_end].  ``stats["wall_s"]`` is the time
     spent in the stepping loop.
 
-    ``TemperatureFn.selfconsistent()`` (Comptonization only) re-solves
+    ``SELF_CONSISTENT`` (Comptonization only) re-solves
     each stage at theta = I_4/(4 I_3) of its last solution until theta
     moves by under _CLOSURE_RTOL, and the converged BDF2 bands filter
     the estimate; an attempt with a stage unsettled after
@@ -585,15 +540,19 @@ def solve_transport(
     A closure value that is not positive and finite raises
     NonPositiveTemperature.
 
-    A prescribed theta must be a contfrac.RationalForm, and _certify
-    proves it finite and positive on [0, y_end] before any step.
+    A prescribed theta, such as a contfrac.RationalForm, has a
+    ``certify(y_end)`` that proves it finite and positive on [0, y_end]
+    before any step; anything without one is refused with TypeError.
     """
     min_dy = step_floor(grid.y_end)
     if grid.y_end < min_dy:
         raise ValueError(f"y_end = {grid.y_end!r} is below the step floor {min_dy:g}: no step to take")
-    closure = theta.fn is None
+    closure = theta is SELF_CONSISTENT
     if not closure:
-        _certify(theta, grid.y_end)
+        if not hasattr(theta, "certify"):
+            raise TypeError(f"a prescribed theta must certify itself finite and positive, "
+                            f"as a contfrac.RationalForm does: {theta!r}")
+        theta.certify(grid.y_end)
     elif params != COMPTONIZATION:
         raise UnsupportedParams(f"the closure needs Comptonization, not {params.describe()}")
     F, actual_spectrum = initial_cell_values(spectrum, grid, params)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .transport import PdeSolution, TemperatureFn, grid_moment
+from .transport import PdeSolution, grid_moment
 
 __all__ = [
     "VerificationReport",
@@ -56,15 +56,15 @@ class VerificationReport:
 
 
 def self_consistency(
-    sol: PdeSolution, theta_fn: TemperatureFn, tolerance: float = 0.02
+    sol: PdeSolution, theta_fn, tolerance: float = 0.02
 ) -> VerificationReport:
     """Compare the recovered temperature against the driving one.
 
     Passes iff max_y |theta_out - theta_in| / theta_in <= tolerance.
     A deviation that is NaN counts as the worst: it is reported as
     max_rel_dev at the first y where it occurs, and the check fails.
-    theta_fn must be the same function the solver ran with; handing a
-    different one turns the report into a negative control.
+    theta_fn must be the temperature the solver ran with, called as theta_fn(y);
+    handing a different callable turns the report into a negative control.
     """
     rows = []
     worst = -1.0

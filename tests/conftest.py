@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from compfrac.contfrac import cf_coefficients, select_approximant
+from compfrac.contfrac import RationalForm, cf_coefficients, select_approximant, to_rational
 from compfrac.moments import theta_derivatives_comptonization
 from compfrac.spectra import (
     COMPTONIZATION,
@@ -27,7 +27,7 @@ from compfrac.spectra import (
     Monoenergetic,
     equilibrium_spectrum,
 )
-from compfrac.transport import Grid, TemperatureFn, solve_transport
+from compfrac.transport import Grid, solve_transport
 
 # the slowest test, test_scripts.py::test_convergence_study_rows, takes 5-7 s (2 CPUs)
 TEST_TIME_LIMIT_S = 60
@@ -104,12 +104,12 @@ def brems_selection(brems_cf):
 
 @pytest.fixture(scope="session")
 def mono_theta(mono_cf):
-    return TemperatureFn.from_continued_fraction(mono_cf, 24)
+    return to_rational(mono_cf, 24)
 
 
 @pytest.fixture(scope="session")
 def brems_theta(brems_cf):
-    return TemperatureFn.from_continued_fraction(brems_cf, 24)
+    return to_rational(brems_cf, 24)
 
 
 @pytest.fixture(scope="session")
@@ -133,7 +133,7 @@ def brems_run(brems_theta):
 def negctl_run(brems_run):
     """Same free-free configuration driven by a flat temperature."""
     return solve_transport(
-        Bremsstrahlung(), TemperatureFn.constant(1), brems_run.grid, rtol=1e-6
+        Bremsstrahlung(), RationalForm.constant(1), brems_run.grid, rtol=1e-6
     )
 
 
@@ -141,7 +141,7 @@ def negctl_run(brems_run):
 def wien_run():
     grid = Grid.log_spaced(cells=400, snapshots=21)
     ic = equilibrium_spectrum(COMPTONIZATION, n_r=1, theta_eq=Fraction(4, 3))
-    return solve_transport(ic, TemperatureFn.constant(Fraction(4, 3)), grid, rtol=1e-6)
+    return solve_transport(ic, RationalForm.constant(Fraction(4, 3)), grid, rtol=1e-6)
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ import pytest
 
 from conftest import FD_SET, UNIFORM21
 from compfrac.contfrac import (
+    RationalForm,
     cf_eval_exact,
     find_defects,
     taylor_eval,
@@ -29,7 +30,7 @@ from compfrac.moments import (
     theta_derivatives_general,
 )
 from compfrac.spectra import COMPTONIZATION, Bremsstrahlung, Monoenergetic
-from compfrac.transport import TemperatureFn, grid_moment
+from compfrac.transport import grid_moment
 from compfrac.verify import self_consistency
 
 # Reference listing, 3 significant figures per entry.
@@ -126,7 +127,10 @@ def test_criterion_03_route_equivalence(mono_table, brems_table):
         direct = theta_derivatives_general(COMPTONIZATION, spectrum, 12)
         agree = agree and direct.values == table.values[:13]
     message = _line(
-        3, agree, "independent routes agree exactly through order 12 on both spectra"
+        3,
+        agree,
+        "the closure and ratio theta rules, on one shared jet engine, agree"
+        " exactly through order 12 on both spectra",
     )
     assert agree, message
 
@@ -241,7 +245,7 @@ def test_criterion_10_self_consistency(
 
     mono_dev = max_dev_21(self_consistency(mono_run, mono_theta))
     brems_dev = max_dev_21(self_consistency(brems_run, brems_theta))
-    negctl_dev = max_dev_21(self_consistency(negctl_run, TemperatureFn.constant(1)))
+    negctl_dev = max_dev_21(self_consistency(negctl_run, RationalForm.constant(1)))
     ok = mono_dev <= 0.02 and brems_dev <= 0.02 and negctl_dev > 0.02
     message = _line(
         10,

@@ -39,7 +39,9 @@ from compfrac.cli import (
     load_config_file,
     main,
 )
-from compfrac.contfrac import ContinuedFraction, PoleHit, cf_coefficients, find_defects, to_rational
+from compfrac.contfrac import (
+    ContinuedFraction, PoleHit, cf_coefficients, find_defects, taylor_form, to_rational,
+)
 from compfrac.moments import DerivativeTable, theta_derivatives_comptonization
 from compfrac.spectra import (
     Bremsstrahlung,
@@ -55,7 +57,6 @@ from compfrac.transport import (
     PositivityViolation,
     SnapshotMissing,
     StepSizeUnderflow,
-    TemperatureFn,
     solve_transport,
 )
 from compfrac.verify import self_consistency
@@ -136,6 +137,7 @@ def test_tag_prefers_label():
         ("snapshots", "50001"),
         ("rtol", "0.5"),
         ("rtol", "0"),
+        ("rtol", "1e-15"),
         ("tolerance", "0"),
         ("samples", "1"),
         ("samples", "500001"),
@@ -159,6 +161,17 @@ def test_count_above_its_limit_exits_1(tmp_path, capsys, flag, field, limit):
     code = main(["reproduce", "monoenergetic", flag, str(limit + 1), "--out-dir", str(out)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {field}: need ")
+    assert not out.exists()
+
+
+def test_rtol_below_its_limit_exits_1(tmp_path, capsys):
+    # at 1e-14 the pulse run finishes (README); at 1e-15 it runs about a
+    # minute before the step budget stops it, so the limit refuses it first
+    assert build_config({"rtol": "1e-14"}).rtol == 1e-14
+    out = tmp_path / "out"
+    code = main(["reproduce", "monoenergetic", "--rtol", "1e-15", "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: rtol: must lie in [1e-14, 0.1]")
     assert not out.exists()
 
 
@@ -627,11 +640,12 @@ def test_cf_outputs_deterministic_across_runs(tmp_path):
 def test_solve_outputs(tmp_path):
     code = main(
         ["solve", "--grid-cells", "64", "--rtol", "1e-4", "--snapshots", "3",
-         "--theta", "constant:1", "--out-dir", str(tmp_path)]
+         "--theta", "constant:4/3", "--out-dir", str(tmp_path)]
     )
     assert code == EXIT_OK
     manifest = json.loads((tmp_path / "run_monoenergetic.json").read_text())
     assert manifest["schema"] == "compfrac.run-manifest/1"
+    assert manifest["theta"] == "constant 1.33333"
     assert "written_at" in manifest
     assert len(manifest["snapshot_files"]) == 3
     for name in manifest["snapshot_files"].values():
@@ -657,7 +671,7 @@ def test_solver_side_files_bytes(tmp_path):
              "--snapshots", "3", "--out-dir", str(tmp_path)]
     assert main(["solve", *flags]) == EXIT_OK
     assert main(["verify", *flags]) in (EXIT_OK, EXIT_VERIFICATION)
-    theta = TemperatureFn.from_table(theta_derivatives_comptonization(Monoenergetic(), 4), 4)
+    theta = taylor_form(theta_derivatives_comptonization(Monoenergetic(), 4), 4)
     grid = Grid.log_spaced(cells=32, x_min=1e-3, x_max=50.0, y_end=2.0, snapshots=3)
     sol = solve_transport(Monoenergetic(), theta, grid, rtol=1e-3)
     manifest = json.loads((tmp_path / "run_monoenergetic.json").read_text())
@@ -738,13 +752,14 @@ def test_reproduce_chains_all_stages(tmp_path, monkeypatch, capsys):
     assert (out / "snapshot_monoenergetic_04.csv").exists()
     # every stage shares one table, one level selection, one fold of the
     # fraction into rational forms and one solve; the selection scans each
-    # of the 13 fraction levels once, and cf reuses its reports
+    # of the 13 fraction levels once, cf reuses its reports, and the
+    # driving level's certify scans it once more
     assert calls == {
         "solve_transport": 1,
         "theta_derivatives_comptonization": 1,
         "select_approximant": 1,
         "_fold": 1,
-        "find_defects": 13,
+        "find_defects": 14,
     }
     stdout = capsys.readouterr().out
     assert "solved to y = 2" in stdout

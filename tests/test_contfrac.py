@@ -36,7 +36,6 @@ from compfrac.contfrac import (
 )
 from compfrac.moments import DerivativeTable, theta_derivatives_comptonization
 from compfrac.spectra import COMPTONIZATION, Bremsstrahlung, Monoenergetic
-from compfrac.transport import TemperatureFn
 
 MONO_HEAD = (Fraction(1), Fraction(-2), Fraction(5), Fraction(-5, 3), Fraction(269, 75))
 BREMS_HEAD = (Fraction(1), Fraction(6), Fraction(5), Fraction(167, 15), Fraction(22511, 2505))
@@ -133,8 +132,8 @@ def test_rational_form_matches_backward_recurrence(mono_cf, brems_cf, mono_table
     # take Horner's rule on the level's float form, so they are equal; a
     # Taylor driver is Horner's rule on float() of each exact theta^(n)(0)/n!
     for cf, table in ((mono_cf, mono_table), (brems_cf, brems_table)):
-        theta = TemperatureFn.from_continued_fraction(cf, 24)
-        taylor = TemperatureFn.from_table(table, 24)
+        theta = to_rational(cf, 24)
+        taylor = taylor_form(table, 24)
         coeffs = [float(table[n] / _fact(n)) for n in range(25)]
         for y in np.linspace(0.0, 2.0, 2048):
             assert theta(y) == cf_eval(cf, 24, y)
@@ -142,6 +141,18 @@ def test_rational_form_matches_backward_recurrence(mono_cf, brems_cf, mono_table
             for c in reversed(coeffs):
                 expected = expected * y + c
             assert taylor(y) == expected
+
+
+def test_form_description_names_without_distinguishing(mono_cf, mono_table):
+    # the description is provenance for the run manifest, not part of the form
+    source = "monoenergetic(x0=4, n0=1)"
+    assert to_rational(mono_cf, 3).description == f"continued fraction, level 3 ({source})"
+    assert taylor_form(mono_table, 2).description == f"Taylor partial sum, level 2 ({source})"
+    constant = RationalForm.constant(Fraction(4, 3))
+    assert constant.description == "constant 1.33333"
+    assert constant(0.7) == 4.0 / 3.0
+    level0 = to_rational(mono_cf, 0)  # c0 = 1 over Q = 1
+    assert level0 == RationalForm.constant(1) and hash(level0) == hash(RationalForm.constant(1))
 
 
 def test_tail_values_frozen(mono_cf, brems_cf):
@@ -155,6 +166,42 @@ def test_tail_values_frozen(mono_cf, brems_cf):
     assert float(cf_eval_exact(brems_cf, 23, Fraction(2))) == pytest.approx(
         0.14409258585312715, rel=1e-10
     )
+
+
+# free-free theta(y) of level 128, to 8 digits, and |Psi_128 - Psi_96| as its
+# error bar; the converged PDE reference at y = 2, 0.1463424 (closure on
+# x in [1e-8, 100]), lies 1.9e-7 from it
+FREEFREE_LEVEL_128 = {
+    0.5: (0.35705544, 8.4e-9),
+    1.0: (0.23691712, 8.2e-7),
+    1.5: (0.18016554, 5.6e-6),
+    2.0: (0.14634221, 1.64e-5),
+}
+
+
+def test_freefree_series_reference_at_level_128():
+    # a temperature reference with no grid: for free-free, depth alone
+    # converges.  The table and fraction take about 5.5 s, nearly all in
+    # cf_coefficients; folding all 129 levels would take about 14 s, so
+    # each level is summed backward on the float-rounded c_n, which the
+    # exact fold of the level-64 prefix (0.3 s) checks to one ulp
+    cf = cf_coefficients(theta_derivatives_comptonization(Bremsstrahlung(), 128))
+    assert cf.truncation == 128
+    c = [float(x) for x in cf.coefficients]
+
+    def backward(level, y):
+        tail = 1.0
+        for cn in reversed(c[1 : level + 1]):
+            tail = 1.0 + cn * y / tail
+        return c[0] / tail
+
+    prefix = ContinuedFraction(cf.coefficients[:65], source=cf.source)
+    for y, (want, bar) in FREEFREE_LEVEL_128.items():
+        exact = float(cf_eval_exact(prefix, 64, Fraction(y)))
+        assert abs(backward(64, y) - exact) <= math.ulp(exact)
+        psi128 = backward(128, y)
+        assert abs(psi128 - want) <= 5e-9
+        assert abs(psi128 - backward(96, y)) <= bar
 
 
 def test_pole_hit_on_first_convergent(mono_cf):
@@ -182,15 +229,12 @@ def test_level_bounds_checked(mono_cf, mono_table):
     "call",
     [
         lambda cf, table: to_rational(cf, -1),
-        lambda cf, table: TemperatureFn.from_continued_fraction(cf, -1),
         lambda cf, table: cf_eval(cf, -1, 1.0),
         lambda cf, table: cf_eval_exact(cf, -1, Fraction(1)),
         lambda cf, table: taylor_eval(table, -1, 1.0),
-        lambda cf, table: TemperatureFn.from_table(table, -1),
         lambda cf, table: taylor_form(table, -1),
     ],
-    ids=["to_rational", "theta_from_cf", "cf_eval", "cf_eval_exact",
-         "taylor_eval", "theta_from_table", "taylor_form"],
+    ids=["to_rational", "cf_eval", "cf_eval_exact", "taylor_eval", "taylor_form"],
 )
 def test_negative_level_rejected(mono_cf, mono_table, call):
     with pytest.raises(ValueError, match="asked for -1"):
@@ -241,7 +285,7 @@ def test_form_floats_match_exact_coefficients(deep_fraction):
     # theta^(n)(0)/n! rounded once, not float(theta^(n)(0)) / n!
     series = [table[m] / _fact(m) for m in range(table.order + 1)]
     for n in range(table.order + 1):
-        rf = TemperatureFn.from_table(table, n).fn
+        rf = taylor_form(table, n)
         assert (rf.numerator, rf.denominator) == (tuple(series[: n + 1]), (1,))
         assert rf.floats == (tuple(float(c) for c in series[: n + 1]), (1.0,))
 

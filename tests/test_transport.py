@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dgtsv as public_dgtsv
 
 from compfrac import transport
 from compfrac.cli import write_run_manifest, write_snapshot_csv
-from compfrac.contfrac import PoleHit, RationalForm, cf_coefficients
+from compfrac.contfrac import PoleHit, RationalForm, cf_coefficients, taylor_form, to_rational
 from compfrac.moments import theta_derivatives_comptonization
 from compfrac.spectra import (
     COMPTONIZATION,
@@ -41,7 +41,7 @@ from compfrac.transport import (
     PositivityViolation,
     SnapshotMissing,
     StepSizeUnderflow,
-    TemperatureFn,
+    SELF_CONSISTENT,
     _lambda_minus,
     _Operator,
     grid_moment,
@@ -406,7 +406,7 @@ def test_moment_rule_shared_by_spectra_and_traces(i):
     # solver's energy trace all read one weight x^(3-i), to the last bit
     params = TransportParams(i, 2, 2, 4)
     grid = Grid.log_spaced(cells=64, x_min=1e-2, x_max=20.0, y_end=0.5, snapshots=3)
-    sol = solve_transport(Bremsstrahlung(), TemperatureFn.constant(1.0), grid, params=params)
+    sol = solve_transport(Bremsstrahlung(), RationalForm.constant(1.0), grid, params=params)
     trace = dict(zip(sol.trace_y.tolist(), sol.trace_energy.tolist()))
     for y, F in sol.snapshots:
         i3 = grid_moment(grid, F, 3, params)
@@ -438,12 +438,12 @@ def test_monoenergetic_replaced_by_narrow_pulse():
 def test_negative_temperature_rejected():
     grid = Grid.log_spaced(cells=16, snapshots=())
     with pytest.raises(NonPositiveTemperature):
-        solve_transport(Bremsstrahlung(), TemperatureFn.constant(-1.0), grid)
+        solve_transport(Bremsstrahlung(), RationalForm.constant(-1.0), grid)
 
 
 def test_temperature_crossing_zero_rejected(mono_table):
     # the order-2 Taylor sum 1 + 2y - 6y^2 turns negative inside [0, 2]
-    theta = TemperatureFn.from_table(mono_table, 2)
+    theta = taylor_form(mono_table, 2)
     grid = Grid.log_spaced(cells=16, snapshots=())
     with pytest.raises(NonPositiveTemperature):
         solve_transport(Monoenergetic(), theta, grid)
@@ -454,7 +454,7 @@ def test_doublet_level_rejected_before_any_step(monkeypatch):
     # y = 0.110, a Froissart doublet that float samples of it step over;
     # the exact root count finds it before the first linear solve
     cf = cf_coefficients(theta_derivatives_comptonization(Monoenergetic(), 48))
-    theta = TemperatureFn.from_continued_fraction(cf, 48)
+    theta = to_rational(cf, 48)
 
     def no_step(*args):
         raise AssertionError("a step was taken")
@@ -466,10 +466,35 @@ def test_doublet_level_rejected_before_any_step(monkeypatch):
 
 
 def test_bare_callable_driver_rejected():
-    # only a RationalForm's positivity can be certified
+    # a prescribed theta must certify its own positivity; a plain callable cannot
     grid = Grid.log_spaced(cells=16, snapshots=())
-    with pytest.raises(TypeError, match="bare"):
-        solve_transport(Bremsstrahlung(), TemperatureFn(lambda y: 1.0, "bare"), grid)
+    with pytest.raises(TypeError, match="must certify itself finite and positive"):
+        solve_transport(Bremsstrahlung(), lambda y: 1.0, grid)
+
+
+def test_any_theta_that_certifies_itself_runs():
+    # transport names no form kind: a value, a certify and a description
+    # make a prescribed theta, and it runs as the equal RationalForm does
+    class Flat:
+        description = "flat 1"
+
+        def __init__(self):
+            self.certified = []
+
+        def __call__(self, y):
+            return 1.0
+
+        def certify(self, y_end):
+            self.certified.append(y_end)
+
+    grid = Grid.log_spaced(cells=40, snapshots=3)
+    flat = Flat()
+    sol = solve_transport(Bremsstrahlung(), flat, grid)
+    assert flat.certified == [grid.y_end]
+    assert sol.theta_description == "flat 1"
+    want = solve_transport(Bremsstrahlung(), RationalForm.constant(1.0), grid)
+    for (_, got), (_, expected) in zip(sol.snapshots, want.snapshots):
+        assert np.array_equal(got, expected)
 
 
 def test_nonfinite_temperature_mid_run_rejected(monkeypatch):
@@ -486,7 +511,7 @@ def test_nonfinite_temperature_mid_run_rejected(monkeypatch):
     monkeypatch.setattr(_Operator, "solve", nan_after_first)
     grid = Grid.log_spaced(cells=40, snapshots=())
     with pytest.raises(NonFiniteState, match="step error norm is nan"):
-        solve_transport(Bremsstrahlung(), TemperatureFn.constant(1.0), grid)
+        solve_transport(Bremsstrahlung(), RationalForm.constant(1.0), grid)
     assert len(calls) == 3  # both stages and the estimate's filter of the first step
 
 
@@ -495,12 +520,12 @@ def test_span_within_end_tolerance_rejected(y_end):
     # no step would be taken, and every snapshot would be the initial state
     grid = Grid.log_spaced(cells=8, y_end=y_end, snapshots=2)
     with pytest.raises(ValueError, match="no step to take"):
-        solve_transport(Monoenergetic(), TemperatureFn.constant(1.0), grid)
+        solve_transport(Monoenergetic(), RationalForm.constant(1.0), grid)
 
 
 def test_step_budget_enforced():
     grid = Grid.log_spaced(cells=40, snapshots=())
-    theta = TemperatureFn.constant(1.0)
+    theta = RationalForm.constant(1.0)
     with pytest.raises(StepSizeUnderflow):
         solve_transport(Monoenergetic(), theta, grid, max_steps=3)
     # the budget counts every attempt, and a run that fits it exactly passes
@@ -517,7 +542,7 @@ def test_negative_stage_rejected_and_retried():
     # keeping every state non-negative and the number exact
     grid = Grid.log_spaced(cells=80, snapshots=5)
     sol = solve_transport(
-        Monoenergetic(), TemperatureFn.constant(1.0), grid, rtol=1e-2, initial_dy=0.5
+        Monoenergetic(), RationalForm.constant(1.0), grid, rtol=1e-2, initial_dy=0.5
     )
     assert sol.stats["steps_rejected_negative"] > 0
     assert sol.stats["steps_rejected"] >= sol.stats["steps_rejected_negative"]
@@ -537,7 +562,7 @@ def test_negative_stage_at_step_floor_refused(monkeypatch):
         PositivityViolation, match=r"^solution dips below zero at y = 0 even at step 5\.000e-01$"
     ):
         solve_transport(
-            Monoenergetic(), TemperatureFn.constant(1.0), grid, rtol=1e-2, initial_dy=0.5
+            Monoenergetic(), RationalForm.constant(1.0), grid, rtol=1e-2, initial_dy=0.5
         )
 
 
@@ -552,7 +577,7 @@ def test_clamped_steps_land_exactly_and_read_theta_within_y_end():
             return super().__call__(y)
 
     wien = equilibrium_spectrum(COMPTONIZATION, n_r=1, theta_eq=1.0)
-    theta = TemperatureFn(Recording((1,), (1,)), "constant 1, recorded")
+    theta = Recording((1,), (1,), "constant 1, recorded")
     grid = Grid.log_spaced(cells=40, y_end=0.9, snapshots=(0.0, 0.3, 0.9))
     sol = solve_transport(wien, theta, grid, initial_dy=0.3)
     assert sol.trace_y[-1] == 0.9
@@ -565,7 +590,7 @@ def test_clipping_keeps_photon_number():
     # a few slightly negative cells; zeroing them must not add photons
     grid = Grid.log_spaced(cells=40, snapshots=2)
     sol = solve_transport(
-        Bremsstrahlung(), TemperatureFn.constant(1.0), grid, rtol=0.1, initial_dy=0.5
+        Bremsstrahlung(), RationalForm.constant(1.0), grid, rtol=0.1, initial_dy=0.5
     )
     assert sol.stats["cells_clipped"] > 0
     assert sol.number_drift <= 1e-12
@@ -587,11 +612,11 @@ def closure_runs():
     """The closure on the two shipped reproduce grids."""
     return {
         "pulse": solve_transport(
-            Monoenergetic(), TemperatureFn.selfconsistent(),
+            Monoenergetic(), SELF_CONSISTENT,
             Grid.log_spaced(cells=400, x_min=1e-3, snapshots=21),
         ),
         "freefree": solve_transport(
-            Bremsstrahlung(), TemperatureFn.selfconsistent(),
+            Bremsstrahlung(), SELF_CONSISTENT,
             Grid.log_spaced(cells=600, x_min=1e-5, snapshots=21),
         ),
     }
@@ -602,8 +627,8 @@ def test_closure_keeps_wien_fixed_point():
     # back; the solver must leave it there (measured: within 5.1e-11)
     grid = Grid.log_spaced(cells=400, snapshots=21)
     ic = equilibrium_spectrum(COMPTONIZATION, n_r=1, theta_eq=Fraction(4, 3))
-    sol = solve_transport(ic, TemperatureFn.selfconsistent(), grid)
-    assert sol.theta_description == TemperatureFn.selfconsistent().description
+    sol = solve_transport(ic, SELF_CONSISTENT, grid)
+    assert sol.theta_description == "self-consistent closure I_4/(4 I_3)"
     assert len(sol.snapshots) == 21
     for value in closure_curve(sol):
         assert abs(value - 4.0 / 3.0) <= 1e-10
@@ -641,7 +666,7 @@ def test_closure_needs_comptonization():
     grid = Grid.log_spaced(cells=40, snapshots=())
     with pytest.raises(UnsupportedParams):
         solve_transport(
-            Monoenergetic(), TemperatureFn.selfconsistent(), grid,
+            Monoenergetic(), SELF_CONSISTENT, grid,
             params=TransportParams(2, 1, 2, 4),
         )
 
@@ -650,16 +675,16 @@ def test_closure_of_empty_spectrum_rejected():
     # the pulse at x = 4 underflows to zero on [20, 50]: I_3 = 0
     grid = Grid.log_spaced(cells=40, x_min=20.0, snapshots=())
     with pytest.raises(NonPositiveTemperature):
-        solve_transport(Monoenergetic(), TemperatureFn.selfconsistent(), grid)
+        solve_transport(Monoenergetic(), SELF_CONSISTENT, grid)
 
 
 def test_unsettled_closure_stage_retried_narrower(monkeypatch):
     grid = Grid.log_spaced(cells=80, snapshots=5)
-    settled = solve_transport(Monoenergetic(), TemperatureFn.selfconsistent(), grid)
+    settled = solve_transport(Monoenergetic(), SELF_CONSISTENT, grid)
     # fewer solves than the stages need: attempts are rejected, never
     # accepted, and the narrower retries reach the same temperatures
     monkeypatch.setattr(transport, "_CLOSURE_ITERATIONS", 6)
-    capped = solve_transport(Monoenergetic(), TemperatureFn.selfconsistent(), grid)
+    capped = solve_transport(Monoenergetic(), SELF_CONSISTENT, grid)
     assert capped.stats["steps_rejected"] > settled.stats["steps_rejected"]
     assert capped.stats["steps_rejected_negative"] == 0
     for a, b in zip(closure_curve(capped), closure_curve(settled)):
@@ -667,7 +692,7 @@ def test_unsettled_closure_stage_retried_narrower(monkeypatch):
     # one solve per stage never settles, so the step shrinks to its floor
     monkeypatch.setattr(transport, "_CLOSURE_ITERATIONS", 1)
     with pytest.raises(StepSizeUnderflow):
-        solve_transport(Monoenergetic(), TemperatureFn.selfconsistent(), grid)
+        solve_transport(Monoenergetic(), SELF_CONSISTENT, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +820,7 @@ def _shipped_case(spectrum, cf_fixture, selection_fixture, cells, x_min):
     def case(request):
         cf = request.getfixturevalue(cf_fixture)
         level = request.getfixturevalue(selection_fixture).level
-        theta = TemperatureFn.from_continued_fraction(cf, level)
+        theta = to_rational(cf, level)
         grid = Grid.log_spaced(cells=cells, x_min=x_min, x_max=50.0, y_end=2.0, snapshots=21)
         return dict(spectrum=spectrum, theta=theta, grid=grid)
 
@@ -807,17 +832,17 @@ ORACLE_CASES = {
     "freefree": _shipped_case(Bremsstrahlung(), "brems_cf", "brems_selection", 600, 1e-5),
     # p = 0 takes the logarithmic interface exponent
     "p0": lambda request: dict(
-        spectrum=Monoenergetic(), theta=TemperatureFn.constant(Fraction(4, 3)),
+        spectrum=Monoenergetic(), theta=RationalForm.constant(Fraction(4, 3)),
         grid=Grid.log_spaced(cells=120, snapshots=5), params=TransportParams(2, 1, 2, 4),
     ),
     # accepted steps clip cells and are rescaled
     "clipping": lambda request: dict(
-        spectrum=Bremsstrahlung(), theta=TemperatureFn.constant(1.0),
+        spectrum=Bremsstrahlung(), theta=RationalForm.constant(1.0),
         grid=Grid.log_spaced(cells=40, snapshots=2), rtol=0.1, initial_dy=0.5,
     ),
     # stages dip below the clipping tolerance and are retried
     "negative": lambda request: dict(
-        spectrum=Monoenergetic(), theta=TemperatureFn.constant(1.0),
+        spectrum=Monoenergetic(), theta=RationalForm.constant(1.0),
         grid=Grid.log_spaced(cells=80, snapshots=5), rtol=1e-2, initial_dy=0.5,
     ),
 }
@@ -866,7 +891,7 @@ def test_equilibrium_fixed_point_from_large_first_step():
     grid = Grid.log_spaced(cells=400, snapshots=21)
     ic = equilibrium_spectrum(COMPTONIZATION, n_r=1, theta_eq=Fraction(4, 3))
     sol = solve_transport(
-        ic, TemperatureFn.constant(Fraction(4, 3)), grid, rtol=1e-6, initial_dy=2.0
+        ic, RationalForm.constant(Fraction(4, 3)), grid, rtol=1e-6, initial_dy=2.0
     )
     start = sol.snapshot(0.0)
     assert np.max(np.abs(sol.snapshot(2.0) - start)) <= 1e-10 * np.max(start)

@@ -16,7 +16,8 @@ import pytest
 
 from compfrac.cli import write_json, write_table
 from compfrac.spectra import Bremsstrahlung
-from compfrac.transport import Grid, SnapshotMissing, TemperatureFn, solve_transport
+from compfrac.contfrac import RationalForm
+from compfrac.transport import SELF_CONSISTENT, Grid, SnapshotMissing, solve_transport
 from compfrac.verify import output_temperature, self_consistency
 
 
@@ -57,15 +58,14 @@ def test_recovered_curve_tracks_input_bremsstrahlung(brems_run, brems_theta):
 
 def test_negative_control_fails(negctl_run):
     # same spectrum and grid, wrong temperature: the check must reject it
-    report = self_consistency(negctl_run, TemperatureFn.constant(1))
+    report = self_consistency(negctl_run, RationalForm.constant(1))
     assert not report.passed
     assert report.max_rel_dev == pytest.approx(3.140548, rel=1e-3)
 
 
 def test_perturbed_temperature_fails(mono_run, mono_theta):
     # a 10 percent offset in the driving curve must trip the 2 percent gate
-    skewed = TemperatureFn(lambda y: 1.1 * mono_theta(y), "skewed input")
-    report = self_consistency(mono_run, skewed)
+    report = self_consistency(mono_run, lambda y: 1.1 * mono_theta(y))
     assert not report.passed
     assert report.max_rel_dev > 0.08
 
@@ -74,8 +74,7 @@ def test_one_nan_row_fails(brems_run, brems_theta):
     # every other row is within 1.5 percent, so the NaN row alone must
     # fail the check and be the reported worst
     y_bad = brems_run.grid.snapshot_times[3]
-    theta = TemperatureFn(lambda y: float("nan") if y == y_bad else brems_theta(y), "NaN row")
-    report = self_consistency(brems_run, theta)
+    report = self_consistency(brems_run, lambda y: float("nan") if y == y_bad else brems_theta(y))
     assert not report.passed
     assert math.isnan(report.max_rel_dev)
     assert report.argmax_y == y_bad
@@ -83,7 +82,7 @@ def test_one_nan_row_fails(brems_run, brems_theta):
 
 
 def test_all_nan_rows_fail(brems_run):
-    report = self_consistency(brems_run, TemperatureFn(lambda y: float("nan"), "NaN"))
+    report = self_consistency(brems_run, lambda y: float("nan"))
     assert not report.passed
     assert math.isnan(report.max_rel_dev)
     assert report.argmax_y == brems_run.grid.snapshot_times[0]
@@ -146,8 +145,7 @@ def test_report_serialization(tmp_path, mono_run, mono_theta):
 
 def test_closure_has_no_value_at_bare_y(brems_run):
     # the closure's theta is a moment ratio of a solution, not a curve in y
-    closure = TemperatureFn.selfconsistent()
-    for call in (lambda: closure(1.0), lambda: self_consistency(brems_run, closure)):
+    for call in (lambda: SELF_CONSISTENT(1.0), lambda: self_consistency(brems_run, SELF_CONSISTENT)):
         with pytest.raises(TypeError, match=r"self-consistent closure .*PdeSolution\.moment"):
             call()
 
@@ -157,7 +155,7 @@ def test_output_temperature_normalises_by_the_y0_state():
     # no base, and the first stored snapshot (here y = 0.5) is not one
     def run(snapshots):
         grid = Grid.log_spaced(cells=60, snapshots=snapshots)
-        return solve_transport(Bremsstrahlung(), TemperatureFn.constant(1.0), grid, rtol=1e-4)
+        return solve_transport(Bremsstrahlung(), RationalForm.constant(1.0), grid, rtol=1e-4)
 
     with pytest.raises(SnapshotMissing):
         output_temperature(run([0.5, 1.0, 2.0]))
