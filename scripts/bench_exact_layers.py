@@ -13,9 +13,10 @@ repetitions on fresh objects of:
 
 * ``table_comptonization`` and ``table_general``: the derivative table by
   both routes;
-* ``cf_coefficients``: the fraction from the table;
-* ``fold``: the first ``to_rational`` call on a fresh fraction, which
-  folds every level 0..M;
+* ``cf_coefficients``: the fraction from the table, which reads each
+  coefficient off the fold it builds, so this includes every level's form;
+* ``fold``: the first ``to_rational`` call on a fraction built from the
+  stored coefficients, which folds every level 0..M from them;
 * ``select``: ``select_approximant`` (y_max = 2, theta_eq from
   ``equilibrium_temperature``) on a fresh fraction, fold included.
 

@@ -6,18 +6,18 @@ continued fraction
 
     Psi_N(y) = c0 / (1 + c1 y / (1 + c2 y / ( ... / (1 + cN y)))),
 
-whose coefficients come from the classical two-dimensional quotient-
-difference style recursion on the series coefficients.  Everything up
-to evaluation is exact: coefficients and rational forms are Fractions at
-the interface, computed inside in integers over shared denominators
-(each recursion row is an integer vector, each fold level a pair of
-integer polynomials over one denominator), with one gcd per row or
-level instead of one per entry.
+whose coefficients and rational forms P_n/Q_n come from one recursion,
+the three-term convergent recurrence (_fold): cf_coefficients reads each
+c_n off the levels already folded.  Everything up to evaluation is
+exact: coefficients and rational forms are Fractions at the interface,
+computed inside in integers over shared denominators (each level a pair
+of integer polynomials over one denominator), with one content reduction
+per level instead of one gcd per entry.
 
-Each fraction is folded into rational forms P_n/Q_n once: the first
-request for any level runs the three-term convergent recurrence over
-every level 0..N and caches one RationalForm per level on the instance,
-so selection, defect reports and the driving temperature all read the
+Each fraction is folded once and caches one RationalForm per level 0..N
+(cf_coefficients hands its forms to the fraction it returns; one read
+from JSON folds its stored coefficients on the first request), so
+selection, defect reports and the driving temperature all read the
 same fold, and so do cf_eval (float) and cf_eval_exact (exact).  A form
 holds integer polynomials, a Taylor partial sum being the [N/0] form
 (taylor_form); its Fraction and float coefficients (each rounded once
@@ -57,12 +57,12 @@ class NonPositiveTemperature(NumericalFailure, ValueError):
 
 @dataclass(frozen=True)
 class ContinuedFraction:
-    """Exact coefficients c0..cN plus the zero-pivot diagnostic.
+    """Exact coefficients c0..cN plus the termination diagnostic.
 
-    ``pivot_break`` is the level at which the coefficient recursion hit a
-    zero pivot; the stored coefficients end just below it and represent
-    the function exactly (a terminating fraction), which is why this is
-    a diagnostic rather than an error.
+    ``pivot_break`` is the level n whose residual coefficient r_{n-1}
+    vanished (see cf_coefficients); the stored coefficients end just below
+    it and represent the function exactly (a terminating fraction), which
+    is why this is a diagnostic rather than an error.
     """
 
     coefficients: tuple
@@ -85,7 +85,7 @@ class ContinuedFraction:
 
     @cached_property
     def _forms(self) -> tuple:
-        return _fold(self)
+        return _fold(self[0], self.truncation, lambda n, q: self[n], self.source)[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,39 +133,33 @@ def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
 
 
 def cf_coefficients(table: DerivativeTable) -> ContinuedFraction:
-    """Continued-fraction coefficients from the derivative table, exactly.
+    """Continued-fraction coefficients from the derivative table, exactly,
+    read off the fold of its forms, which the returned fraction keeps.
 
-    Row zero of the working array holds the Taylor coefficients
-    theta^(m)(0)/m!; each later row is built from the two above it and
-    contributes its leading entry as the next coefficient.  A vanishing
-    leading entry stops the recursion: the fraction terminates there.
+    The residual R_n = Q_n S - P_n against the series S is r_n y^(n+1) + ...
+    and obeys the fold's recurrence, so c_n = -r_{n-1}/r_{n-2}, where
+    r_{n-1} = [y^n] Q_{n-1} S is one integer dot product of the fold's q
+    with the Taylor numerators.  A vanishing r_{n-1} ends the fraction at
+    level n - 1, which then represents the series exactly.
     """
     series, common = table.maclaurin
-    top = table.order
-    coeffs = [Fraction(series[0], common)]
-    pivot_break = None
+    # r_{n-1} = t / (q[0] common), as Q(0) = 1; r_{-1} = theta(0) = 1,
+    # which DerivativeTable enforces
+    t_last, d_last = series[0], 1
 
-    # rows are integer vectors known up to a scale: the recursion reads
-    # only the ratios row[m+1]/row[0], so each row is divided by the gcd of
-    # its entries and a coefficient keeps its denominator apart; the row
-    # above row zero is 1, 0, 0, ..., whose ratios all vanish.  Row zero's
-    # pivot is theta(0) = 1, which DerivativeTable enforces
-    prev2, prev = [1] + [0] * (top + 1), series
-    for n in range(1, top + 1):
-        p0, q0 = prev[0], prev2[0]
-        row = [prev2[m + 1] * p0 - prev[m + 1] * q0 for m in range(top - n + 1)]
-        if row[0] == 0:
-            # zero pivot: the fraction terminates at level n - 1 and the
-            # coefficients so far represent the series exactly
-            pivot_break = n
-            break
-        coeffs.append(Fraction(row[0], q0 * p0))
-        g = math.gcd(*row)
-        prev2, prev = prev, [v // g for v in row]
+    def residual_rule(n: int, q: Sequence[int]) -> Fraction | None:
+        nonlocal t_last, d_last
+        t = sum(a * b for a, b in zip(q, series[n::-1]))
+        if t == 0:
+            return None
+        c = Fraction(-t * d_last, t_last * q[0])
+        t_last, d_last = t, q[0]
+        return c
 
-    return ContinuedFraction(
-        coefficients=tuple(coeffs), source=table.spectrum, pivot_break=pivot_break
-    )
+    coeffs, forms = _fold(Fraction(series[0], common), table.order, residual_rule, table.spectrum)
+    cf = ContinuedFraction(coeffs, table.spectrum, len(coeffs) if len(coeffs) <= table.order else None)
+    object.__setattr__(cf, "_forms", forms)
+    return cf
 
 
 def cf_eval(cf: ContinuedFraction, level: int, y) -> float:
@@ -257,8 +251,8 @@ def to_rational(cf: ContinuedFraction, level: int) -> RationalForm:
     """The fraction truncated at ``level`` as one ratio of polynomials.
 
     Numerator degree is floor(level/2), denominator degree ceil(level/2),
-    and Q(0) = 1.  The first call on a fraction folds every level at
-    once (see _fold); later calls return the same cached objects.
+    and Q(0) = 1.  Every level is folded once, by cf_coefficients or on
+    the first call (see _fold); later calls return the same cached objects.
     """
     _check_level(level, cf.truncation, "fraction holds levels")
     return cf._forms[level]
@@ -283,18 +277,21 @@ def taylor_eval(table: DerivativeTable, level: int, y) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _fold(cf: ContinuedFraction) -> tuple:
-    """Every level 0..N in one pass of the convergent recurrence
-    X_n = X_{n-1} + c_n y X_{n-2}  for X = P and X = Q, starting from
-    P_{-1} = 0, Q_{-1} = 1, P_0 = c0, Q_0 = 1.
-
-    Level n is carried as integer polynomials (p, q) over one denominator
-    d_n; since Q_n(0) = 1, that denominator is q[0].  Returns the
-    RationalForm of every level, each named by its level and source."""
-    c0 = cf[0]
+def _fold(c0: Fraction, top: int, coefficient, source: str) -> tuple:
+    """(c0..cN, the RationalForm of every level named by level and source)
+    in one pass of  X_n = X_{n-1} + c_n y X_{n-2}  for X = P and X = Q,
+    from P_{-1} = 0, Q_{-1} = 1, P_0 = c0, Q_0 = 1, up to level ``top``.
+    c_n is ``coefficient(n, q)`` for the integer q of Q_{n-1}; None ends a
+    terminating fraction.  Level n is carried as integer polynomials
+    (p, q) over one denominator d_n, which is q[0] since Q_n(0) = 1."""
+    coeffs = [c0]
     prev, cur = ([0], [1]), ([c0.numerator], [c0.denominator])
     levels = [cur]
-    for c in cf.coefficients[1:]:
+    for n in range(1, top + 1):
+        c = coefficient(n, cur[1])
+        if c is None:
+            break
+        coeffs.append(c)
         # X_n = (u x_{n-1} + v y x_{n-2}) / L  with  L = lcm(d_{n-1}, b d_{n-2})
         d1, bd2 = cur[1][0], c.denominator * prev[1][0]
         common = math.lcm(d1, bd2)
@@ -324,8 +321,9 @@ def _fold(cf: ContinuedFraction) -> tuple:
         reduced = [x for x, _ in parts]
         prev, cur = cur, (reduced[: len(p)], reduced[len(p):])
         levels.append(cur)
-    return tuple(RationalForm(tuple(p), tuple(q), f"continued fraction, level {n} ({cf.source})")
-                 for n, (p, q) in enumerate(levels))
+    return tuple(coeffs), tuple(
+        RationalForm(tuple(p), tuple(q), f"continued fraction, level {n} ({source})")
+        for n, (p, q) in enumerate(levels))
 
 
 def maclaurin_of_rational(rf: RationalForm, order: int) -> list:

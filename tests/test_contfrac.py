@@ -25,7 +25,6 @@ from compfrac.contfrac import (
     cf_coefficients,
     cf_eval,
     cf_eval_exact,
-    _fold,
     _horner,
     find_defects,
     maclaurin_of_rational,
@@ -181,8 +180,8 @@ FREEFREE_LEVEL_128 = {
 
 def test_freefree_series_reference_at_level_128():
     # a temperature reference with no grid: for free-free, depth alone
-    # converges.  The table and fraction take about 5.5 s, nearly all in
-    # cf_coefficients; folding all 129 levels would take about 14 s, so
+    # converges.  The table and fraction take about 15 s, nearly all in
+    # cf_coefficients, which reads the c_n off the fold of all 129 levels;
     # each level is summed backward on the float-rounded c_n, which the
     # exact fold of the level-64 prefix (0.3 s) checks to one ulp
     cf = cf_coefficients(theta_derivatives_comptonization(Bremsstrahlung(), 128))
@@ -562,6 +561,66 @@ def test_coefficients_prefix_stable(tail):
     assert full.coefficients[: len(short.coefficients)] == short.coefficients
 
 
+def qd_coefficients(table):
+    """Coefficients and pivot break by the integer quotient-difference
+    recursion: row zero holds the Taylor numerators, each later row is built
+    from the two above it and gives its leading entry as the next
+    coefficient, and a vanishing leading entry ends the fraction.  Rows are
+    integer vectors known up to a scale (only the ratios row[m+1]/row[0]
+    enter), so each is divided by the gcd of its entries."""
+    series, common = table.maclaurin
+    top = table.order
+    coeffs, pivot_break = [Fraction(series[0], common)], None
+    prev2, prev = [1] + [0] * (top + 1), series
+    for n in range(1, top + 1):
+        p0, q0 = prev[0], prev2[0]
+        row = [prev2[m + 1] * p0 - prev[m + 1] * q0 for m in range(top - n + 1)]
+        if row[0] == 0:
+            pivot_break = n
+            break
+        coeffs.append(Fraction(row[0], q0 * p0))
+        g = math.gcd(*row)
+        prev2, prev = prev, [v // g for v in row]
+    return tuple(coeffs), pivot_break
+
+
+sparse_values = st.one_of(st.just(Fraction(0)), series_values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail=st.lists(sparse_values, max_size=9))
+@example(tail=[])
+@example(tail=[Fraction(2), Fraction(0), Fraction(0), Fraction(0)])
+def test_coefficients_match_quotient_difference_oracle(tail):
+    # a second route to the c_n: with many zero terms many of these
+    # fractions terminate, so the pivot break is checked as well
+    table = synthetic_table([c * _fact(m) for m, c in enumerate([Fraction(1)] + tail)])
+    cf = cf_coefficients(table)
+    assert (cf.coefficients, cf.pivot_break) == qd_coefficients(table)
+
+
+def test_shipped_coefficients_match_quotient_difference_oracle(shipped_fractions_64):
+    # M = 24 and 30 are prefixes of these (test_coefficients_prefix_stable)
+    for name, spectrum in (("pulse", Monoenergetic()), ("freefree", Bremsstrahlung())):
+        cf = shipped_fractions_64[name]
+        table = theta_derivatives_comptonization(spectrum, 64)
+        assert (cf.coefficients, cf.pivot_break) == qd_coefficients(table)
+
+
+def test_pulse_fraction_converges_only_near_zero(shipped_fractions_64):
+    # the spread (max - min over min) of levels 16, 24, ..., 64 of the plain
+    # pulse fraction: 3.3e-8 at y = 1/8, 1.6e-5 at 1/4, 1.56% at 1/2
+    cf = shipped_fractions_64["pulse"]
+
+    def spread(y):
+        values = [cf_eval(cf, n, y) for n in range(16, 65, 8)]
+        return (max(values) - min(values)) / min(values)
+
+    assert spread(0.125) < 1e-7
+    assert spread(0.25) < 1e-4
+    assert spread(0.5) > 1e-2
+
+
 def plain_fold(coefficients):
     """Every level's (P, Q) by the convergent recurrence in plain Fraction
     polynomials, trailing zeros trimmed; Q_n(0) = 1 throughout."""
@@ -641,14 +700,19 @@ def test_series_division_on_shipped_level_64_forms(shipped_fractions_64):
         assert maclaurin_of_rational(rf, 64) == plain_maclaurin_of_rational(rf, 64)
 
 
-@pytest.mark.parametrize("spectrum", [Monoenergetic(), Bremsstrahlung()],
+@pytest.mark.parametrize("spectrum", ["pulse", "freefree"],
                          ids=["monoenergetic", "bremsstrahlung"])
-def test_fold_matches_unscaled_fold_to_order_64(spectrum):
+def test_fold_matches_unscaled_fold_to_order_64(spectrum, shipped_fractions_64):
     # dividing u and v by their gcd leaves every level's primitive integer
-    # form, sign included, as the unscaled products give it
-    cf = cf_coefficients(theta_derivatives_comptonization(spectrum, 64))
+    # form, sign included, as the unscaled products give it: both for the
+    # forms cf_coefficients folds while reading the c_n off them and for a
+    # fold of the stored coefficients
+    cf = shipped_fractions_64[spectrum]
     assert cf.truncation == 64
-    assert [(list(f.p), list(f.q)) for f in _fold(cf)] == [tuple(lv) for lv in unscaled_fold(cf)]
+    want = [tuple(lv) for lv in unscaled_fold(cf)]
+    for fraction in (cf, ContinuedFraction(cf.coefficients)):
+        forms = [to_rational(fraction, n) for n in range(65)]
+        assert [(list(f.p), list(f.q)) for f in forms] == want
 
 
 fold_coefficients = st.one_of(
