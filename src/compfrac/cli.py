@@ -102,6 +102,14 @@ class RunConfig:
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 _CANONICAL = {name.lower(): name for name in _FIELDS}
+# Every numeric run bound, written once.  Each limit keeps the pulse run bounded (measured
+# in README); the y_max limit keeps the step floor 100x below the first step.  The joint
+# bounds, keyed by the fields they tie, cap the products the single limits leave open,
+# each at a corner measured for one limit.
+_BOUNDS = {"M": (0, 64), "snapshots": (2, 50_000), "grid_cells": (8, 150_000),
+           "samples": (2, 500_000), "rtol": (1e-14, 0.1), "y_max": (None, 1e6),
+           "grid_cells, snapshots": (None, 2e7), "samples, cf_n, taylor_n": (None, 4e6),
+           "grid_cells, rtol, snapshots": (None, 1.28e8)}
 
 
 def _parse_number(text: str) -> float:
@@ -163,45 +171,57 @@ def build_config(file_values: dict | None = None, flag_values: dict | None = Non
     return config
 
 
+def _num(value) -> str:
+    """A number as the flag help and the messages write it: 150000, 1e-14, 1e6, 1.28e8."""
+    return f"{value:g}".replace("e+0", "e").replace("e+", "e")
+
+
+def _span(name: str) -> str:
+    return "..".join(_num(b) for b in _BOUNDS[name] if b is not None)
+
+
 def _validate(config: RunConfig) -> None:
     _parse_spectrum(config.spectrum)
-    if not 0 <= config.M <= 64:
-        raise ConfigError("M", f"order must be within 0..64, got {config.M}")
-    # each count's upper limit keeps a run within a minute when the other
-    # fields keep their shipped values (measured in README)
-    if not 2 <= config.snapshots <= 50_000:
-        raise ConfigError("snapshots", f"need 2..50000, got {config.snapshots}")
-    # the 1e6 limit is a config limit: it keeps the step floor 100x below the first step
-    if not (config.y_max <= 1e6
+    for name, (lo, hi) in _BOUNDS.items():  # the counts, before y_max divides by snapshots - 1
+        if _FIELDS.get(name) == "int" and not lo <= getattr(config, name) <= hi:
+            raise ConfigError(name, f"need {_span(name)}, got {getattr(config, name)}")
+    if not (config.y_max <= _BOUNDS["y_max"][1]
             and config.y_max / (config.snapshots - 1) > step_floor(config.y_max)):
         raise ConfigError(
             "y_max",
-            f"must lie in ({step_floor(1.0) * (config.snapshots - 1):g}, 1e6] for"
+            f"must lie in ({step_floor(1.0) * (config.snapshots - 1):g}, {_span('y_max')}] for"
             f" {config.snapshots} snapshots, got {config.y_max}; the snapshot spacing"
             f" must exceed the solver's step floor ({step_floor(config.y_max):g} here),"
-            " and the 1e6 limit keeps that floor 100x below the first step, 1e-5",
+            f" and the {_span('y_max')} limit keeps that floor 100x below the first step, 1e-5",
         )
-    if not 8 <= config.grid_cells <= 150_000:
-        raise ConfigError("grid_cells", f"need 8..150000 cells, got {config.grid_cells}")
     if not 0 < config.grid_x_min < config.grid_x_max:
         raise ConfigError(
             "grid_x_min",
             f"need 0 < x_min < x_max, got [{config.grid_x_min}, {config.grid_x_max}]",
         )
-    # below 1e-14 the pulse run exhausts the solver's step budget (measured in README)
-    if not 1e-14 <= config.rtol <= 0.1:
-        raise ConfigError("rtol", f"must lie in [1e-14, 0.1], got {config.rtol}")
+    if not _BOUNDS["rtol"][0] <= config.rtol <= _BOUNDS["rtol"][1]:
+        raise ConfigError("rtol", "must lie in [{}, {}], got {}".format(*_BOUNDS["rtol"], config.rtol))
     if not config.tolerance > 0:
         raise ConfigError("tolerance", f"must be positive, got {config.tolerance}")
-    if not 2 <= config.samples <= 500_000:
-        raise ConfigError("samples", f"need 2..500000, got {config.samples}")
     if "\0" in config.out_dir:
         raise ConfigError("out_dir", f"holds a NUL byte, got {config.out_dir!r}")
     if config.label in (".", "..") or any(c in config.label for c in ("/", os.sep, "\0")):
         raise ConfigError("label", f"must be a plain file name, got {config.label!r}")
     _parse_theta_spec(config.theta, config.M)
-    _parse_levels(config.taylor_n, config.M, "taylor_n")
-    _parse_levels(config.cf_n, config.M, "cf_n")
+    taylor_levels = _parse_levels(config.taylor_n, config.M, "taylor_n")
+    # an empty cf_n list emits the selected level alone
+    levels = len(taylor_levels) + (len(_parse_levels(config.cf_n, config.M, "cf_n")) or 1)
+    steps = 687 * (1e-6 / config.rtol) ** (1 / 3)  # the pulse's accepted steps at 400 cells
+    for names, product, size in (
+        ("grid_cells, snapshots", "held snapshot values grid_cells * snapshots",
+         config.grid_cells * config.snapshots),
+        ("samples, cf_n, taylor_n", "curve evaluations samples * levels", config.samples * levels),
+        ("grid_cells, rtol, snapshots",
+         "solver work grid_cells * (687 (1e-6/rtol)^(1/3) + snapshots)",
+         config.grid_cells * (steps + config.snapshots)),
+    ):
+        if size > _BOUNDS[names][1]:
+            raise ConfigError(names, f"{product} = {_num(size)}, need at most {_span(names)}")
 
 
 def _parse_spectrum(spec: str):
@@ -519,19 +539,19 @@ def _config_flags() -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", help="flat key = value config file")
     flags.add_argument("--spectrum", help="monoenergetic | bremsstrahlung | wien:THETA")
-    flags.add_argument("--M", dest="M", help="derivative order (default 24)")
-    flags.add_argument("--y-max", dest="y_max", help="evolution horizon, at most 1e6 (default 2)")
+    flags.add_argument("--M", help=f"derivative order, {_span('M')} (default 24)")
+    flags.add_argument("--y-max", help=f"evolution horizon, at most {_span('y_max')} (default 2)")
     flags.add_argument("--theta", help="cf | cf:N | taylor:N | constant:V")
-    flags.add_argument("--grid-cells", dest="grid_cells", help="cell count, 8..150000 (default 400)")
-    flags.add_argument("--grid-x-min", dest="grid_x_min")
-    flags.add_argument("--grid-x-max", dest="grid_x_max")
-    flags.add_argument("--snapshots", help="snapshot count, 2..50000, uniform in [0, y_max]")
-    flags.add_argument("--rtol", help="relative tolerance of the adaptive solver step, 1e-14..0.1")
+    flags.add_argument("--grid-cells", help=f"cell count, {_span('grid_cells')} (default 400)")
+    flags.add_argument("--grid-x-min")
+    flags.add_argument("--grid-x-max")
+    flags.add_argument("--snapshots", help=f"snapshot count, {_span('snapshots')}, uniform in [0, y_max]")
+    flags.add_argument("--rtol", help=f"relative tolerance of the adaptive solver step, {_span('rtol')}")
     flags.add_argument("--tolerance", help="self-consistency pass threshold")
     flags.add_argument("--taylor-N", dest="taylor_n", help="comma list of series levels")
     flags.add_argument("--cf-N", dest="cf_n", help="comma list of fraction levels")
-    flags.add_argument("--samples", help="curve sampling density in y, 2..500000")
-    flags.add_argument("--out-dir", dest="out_dir")
+    flags.add_argument("--samples", help=f"curve sampling density in y, {_span('samples')}")
+    flags.add_argument("--out-dir")
     flags.add_argument("--label", help="output filename tag, no path (default: spectrum name)")
     return flags
 

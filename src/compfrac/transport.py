@@ -370,17 +370,15 @@ def initial_cell_values(
 def _lambda_minus(w: np.ndarray) -> np.ndarray:
     """w / (e^w - 1), stable over the full real line."""
     aw = np.abs(w)
-    if aw.min() >= 1e-8 and aw.max() <= 500.0:
+    if aw.min() >= 1e-8 and w.max() <= 500.0:
         return w / np.expm1(w)
     out = np.empty_like(w)
     tiny = aw < 1e-8
     big = w > 500.0
-    neg = w < -500.0
-    rest = ~(tiny | big | neg)
+    rest = ~(tiny | big)
     wt = w[tiny]
     out[tiny] = 1.0 - wt / 2.0 + wt * wt / 12.0
     out[big] = w[big] * np.exp(-w[big])
-    out[neg] = -w[neg]
     out[rest] = w[rest] / np.expm1(w[rest])
     return out
 

@@ -11,7 +11,9 @@ import dataclasses
 import filecmp
 import hashlib
 import json
+import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -19,6 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import compfrac
 from compfrac import cli, contfrac, moments
@@ -173,6 +177,100 @@ def test_rtol_below_its_limit_exits_1(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: rtol: must lie in [1e-14, 0.1]")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        # the three products the single limits leave open, each well past its bound
+        (["--grid-cells", "150000", "--snapshots", "50000"], "grid_cells, snapshots"),
+        (["--grid-cells", "150000", "--rtol", "1e-14"], "grid_cells, rtol, snapshots"),
+        (["--samples", "500000", "--cf-N", ",".join(map(str, range(25)))], "samples, cf_n, taylor_n"),
+        # and one past each: 401 x 50,000 values, 9 curve levels, 402 cells at the rtol floor
+        (["--grid-cells", "401", "--snapshots", "50000"], "grid_cells, snapshots"),
+        (["--samples", "500000", "--cf-N", "16,18,20,22,24"], "samples, cf_n, taylor_n"),
+        (["--grid-cells", "402", "--rtol", "1e-14"], "grid_cells, rtol, snapshots"),
+    ],
+)
+def test_joint_bound_exceeded_exits_1(tmp_path, capsys, argv, fields):
+    out = tmp_path / "out"
+    code = main(["reproduce", "monoenergetic", *argv, "--out-dir", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {fields}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"M": "0", "cf_n": "", "taylor_n": ""}, {"M": "64"},
+        {"grid_cells": "8"}, {"grid_cells": "150000"}, {"snapshots": "2"}, {"snapshots": "50000"}, {"samples": "2"}, {"samples": "500000"},
+        {"rtol": "1e-14"}, {"rtol": "0.1"}, {"y_max": "1e6"},
+        # the corners the joint bounds sit at, each exactly on or just inside its bound
+        {"grid_cells": "400", "snapshots": "50000"},
+        {"samples": "500000", "cf_n": "18,20,22,24", "taylor_n": "4,8,12,24"},
+        {"samples": "500000", "cf_n": "24,24,24", "taylor_n": "0,1,2,3,4,5,6"},
+        {"grid_cells": "401", "rtol": "1e-14"},
+    ],
+)
+def test_limit_corners_are_accepted(values):
+    # on the defaults and on the shipped pulse config, where the corners were measured
+    build_config({}, values)
+    build_config(_shipped_config("monoenergetic"), values)
+
+
+def _log_counts(lo, hi):
+    """Counts from lo - 1 to hi + 1, log-uniform, so small counts are drawn as often as large."""
+    return st.floats(math.log(lo - 1), math.log(hi + 1)).map(lambda t: str(round(math.exp(t))))
+
+
+@st.composite
+def _raw_configs(draw):
+    order = draw(st.integers(-1, 65))
+    levels = st.lists(st.integers(0, max(order, 0)), max_size=max(order, 0) + 1)
+    return {
+        "M": str(order),
+        "grid_cells": draw(_log_counts(8, 150_000)),
+        "snapshots": draw(_log_counts(2, 50_000)),
+        "samples": draw(_log_counts(2, 500_000)),
+        "rtol": repr(10.0 ** draw(st.floats(-15.0, 0.0))),
+        "y_max": repr(10.0 ** draw(st.floats(-13.0, 7.0))),
+        "cf_n": ",".join(map(str, draw(levels))),
+        "taylor_n": ",".join(map(str, draw(levels))),
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(_raw_configs())
+@example({"grid_cells": "400", "snapshots": "50000", "rtol": "1e-6"})
+@example({"grid_cells": "401", "snapshots": "21", "rtol": "1e-14"})
+def test_every_accepted_config_lies_inside_every_bound(raw):
+    # pure: build_config starts no run, so the whole accepted space can be swept
+    try:
+        config = build_config(raw)
+    except ConfigError:
+        return
+    assert 0 <= config.M <= 64
+    assert 8 <= config.grid_cells <= 150_000
+    assert 2 <= config.snapshots <= 50_000
+    assert 2 <= config.samples <= 500_000
+    assert 1e-14 <= config.rtol <= 0.1
+    assert config.y_max <= 1e6
+    cf_levels = len(set(_parse_levels(config.cf_n, config.M, "cf_n"))) or 1
+    taylor_levels = len(set(_parse_levels(config.taylor_n, config.M, "taylor_n")))
+    assert config.grid_cells * config.snapshots <= 2e7
+    assert config.samples * (cf_levels + taylor_levels) <= 4e6
+    assert config.grid_cells * (687 * (1e-6 / config.rtol) ** (1 / 3) + config.snapshots) <= 1.28e8
+
+
+def test_readme_limits_paragraph_states_every_bound():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("`--M` must lie in", 1)[1].split("### Exit codes", 1)[0]
+    stated = {float(token.replace(",", ""))
+              for token in re.findall(r"\d[\d,]*(?:\.\d+)?(?:e[-+]?\d+)?", paragraph)}
+    bounds = [b for pair in cli._BOUNDS.values() for b in pair if b is not None]
+    assert len(bounds) == 14  # five ranges, the y_max limit and three joint bounds
+    assert set(bounds) <= stated, set(bounds) - stated
 
 
 def test_parse_spectrum():
