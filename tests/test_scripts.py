@@ -35,7 +35,7 @@ def test_convergence_study_rows(monkeypatch, capsys):
         return {tuple(line.split()[:3]): line.split()[columns]
                 for line in section.splitlines() if line.strip()[:1].isdigit()}
 
-    assert rows(pulse)[("400", "1e-03", "1e-06")] == ["1.359%", "1.684%", "687"]
+    assert rows(pulse)[("400", "1e-03", "1e-06")] == ["1.359%", "1.684%", "110"]
     assert rows(freefree)[("600", "1e-05", "1e-06")][0] == "1.406%"
 
     # theta_ref(2) and the signed worst (theta_in - theta_ref) / theta_ref
