@@ -34,7 +34,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -150,12 +150,7 @@ class DerivativeTable:
             "provenance": self.provenance,
             "exact": True,  # every table is exact; kept for schema /1 readers
             "spectrum": self.spectrum,
-            "params": {
-                "i": str(self.params.i),
-                "j": str(self.params.j),
-                "k": str(self.params.k),
-                "alpha": str(self.params.alpha),
-            },
+            "params": {f.name: str(getattr(self.params, f.name)) for f in fields(TransportParams)},
             "moment_indices": [str(ix) for ix in self.moment_indices],
             "values": rational_rows(self.values),
         }
@@ -165,7 +160,7 @@ class DerivativeTable:
         if data.get("schema") != "compfrac.derivative-table/1":
             raise ValueError(f"unknown schema: {data.get('schema')!r}")
         p = _field(data, "params")
-        params = (_field(p, k, Fraction, f"params.{k}") for k in ("i", "j", "k", "alpha"))
+        params = (_field(p, f.name, Fraction, f"params.{f.name}") for f in fields(TransportParams))
         return cls(
             values=rationals_from_rows(data, "values"),
             provenance=_field(data, "provenance"),
@@ -357,41 +352,35 @@ def theta_derivatives_general(
     if params.alpha == params.i:
         # theta is identically 1 (TransportParams warned when it was built),
         # and I_alpha may diverge, so no moment is read
-        values = (Fraction(1),) + (Fraction(0),) * order
-        return DerivativeTable(
-            values=values,
-            provenance="general-route",
-            params=params,
-            spectrum=spectrum.describe(),
-            moment_indices=(params.alpha,),
-        )
+        values, indices = (Fraction(1),) + (Fraction(0),) * order, [params.alpha]
+    else:
+        steps = {params.alpha: 0}
+        terms: dict = {}
+        frontier = [params.alpha]
+        for s in range(1, order + 1):
+            reached = []
+            for n in frontier:
+                terms[n] = _hierarchy_terms(params, n)
+                for _, m, _ in terms[n]:
+                    if m not in steps:
+                        steps[m] = s
+                        reached.append(m)
+            frontier = reached
+        indices = sorted(steps)
 
-    steps = {params.alpha: 0}
-    terms: dict = {}
-    frontier = [params.alpha]
-    for s in range(1, order + 1):
-        reached = []
-        for n in frontier:
-            terms[n] = _hierarchy_terms(params, n)
-            for _, m, _ in terms[n]:
-                if m not in steps:
-                    steps[m] = s
-                    reached.append(m)
-        frontier = reached
-    indices = sorted(steps)
-
-    initial = {ix: spectrum.moment(ix) for ix in indices}
-    norm = initial[params.alpha]
-    if norm == 0:
-        raise NonlinearSolveImpossible(
-            f"I_alpha(0) = 0 at alpha = {params.alpha}; theta is undefined"
-        )
-    jets = _Jets(initial, terms, {ix: order - s for ix, s in steps.items()})
-    head, dens = jets.jets[params.alpha], jets.dens
-    return DerivativeTable(
-        values=_theta_derivatives(
+        initial = {ix: spectrum.moment(ix) for ix in indices}
+        norm = initial[params.alpha]
+        if norm == 0:
+            raise NonlinearSolveImpossible(
+                f"I_alpha(0) = 0 at alpha = {params.alpha}; theta is undefined"
+            )
+        jets = _Jets(initial, terms, {ix: order - s for ix, s in steps.items()})
+        head, dens = jets.jets[params.alpha], jets.dens
+        values = _theta_derivatives(
             jets, order, lambda _, c: (head[c] * norm.denominator, dens[c] * norm.numerator)
-        ),
+        )
+    return DerivativeTable(
+        values=values,
         provenance="general-route",
         params=params,
         spectrum=spectrum.describe(),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -57,8 +57,8 @@ class TransportParams:
     alpha: Fraction
 
     def __post_init__(self):
-        for name in ("i", "j", "k", "alpha"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, Fraction(getattr(self, f.name)))
         if self.alpha == self.i:
             warnings.warn(
                 "alpha equals i: the temperature function is constant and the "

@@ -590,19 +590,23 @@ def solve_transport(
     k1 = op.apply(op.assemble(th), F)
 
     energy_weight = grid.center_power(3 - params.i)  # of grid_moment(..., 3, ...)
-    trace_y = [0.0]
-    trace_number = [float((F * dx).sum())]
-    trace_energy = [float((energy_weight * F * dx).sum())]
+    trace_y, trace_number, trace_energy, snaps = [], [], [], []
+    pending = list(grid.snapshot_times)
+
+    def record(y, F):
+        """Trace the state F at y, and keep it if y is the next snapshot time."""
+        trace_y.append(y)
+        trace_number.append(float((F * dx).sum()))
+        trace_energy.append(float((energy_weight * F * dx).sum()))
+        if pending and y == pending[0]:
+            snaps.append((pending.pop(0), F.copy()))
+
+    record(y, F)
     if not trace_number[0] > 0:  # a closure run has refused it already: I_3 = 0
         x_range = f"[{grid.edges[0]:.6g}, {grid.edges[-1]:.6g}]"
         raise NonFiniteState(f"initial condition has no photons on the grid x in {x_range}")
     atol = 1e-3 * rtol * float(F.max())
     dy = float(initial_dy)
-
-    pending = list(grid.snapshot_times)
-    snaps: list = []
-    if pending and pending[0] == 0.0:
-        snaps.append((pending.pop(0), F.copy()))
 
     accepted = rejected = rejected_negative = clipped = 0
     step_widths: list = []  # of the accepted steps
@@ -672,13 +676,7 @@ def solve_transport(
         F, k1, th = F_new, rates[-1], th_new
         accepted += 1
         step_widths.append(dy_try)
-
-        trace_y.append(y)
-        trace_number.append(float((F * dx).sum()))
-        trace_energy.append(float((energy_weight * F * dx).sum()))
-
-        if pending and y == pending[0]:
-            snaps.append((pending.pop(0), F.copy()))
+        record(y, F)
 
         if accepted + rejected > max_steps:
             raise StepSizeUnderflow(f"exceeded {max_steps} steps at y = {y:.6g}")

@@ -310,8 +310,12 @@ def test_degenerate_moments_rejected():
 def test_degenerate_alpha_warns():
     with pytest.warns(DegenerateAlphaWarning):
         params = TransportParams(Fraction(2), Fraction(2), Fraction(2), Fraction(2))
-        table = theta_derivatives_general(params, Monoenergetic(), 6)
-    assert table.values == (Fraction(1),) + (Fraction(0),) * 6
+    # theta is identically 1 and reads no moment: free-free's I_2 diverges,
+    # so a read would raise DivergentMoment
+    for spectrum in (Monoenergetic(), Bremsstrahlung()):
+        table = theta_derivatives_general(params, spectrum, 6)
+        assert table.values == (Fraction(1),) + (Fraction(0),) * 6
+        assert table.moment_indices == (params.alpha,)
 
 
 def test_degenerate_alpha_warns_once():

@@ -930,7 +930,7 @@ ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_solve_bit_identical_to_plain_tr_bdf2(request, case):
+def test_solve_bit_identical_to_plain_esdirk(request, case):
     kwargs = ORACLE_CASES[case](request)
     sol = solve_transport(**kwargs)
     snaps, trace_y, trace_number, trace_energy, stats = plain_esdirk(**kwargs)
