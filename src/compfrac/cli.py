@@ -539,10 +539,12 @@ def _config_flags() -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", help="flat key = value config file")
     flags.add_argument("--spectrum", help="monoenergetic | bremsstrahlung | wien:THETA")
-    flags.add_argument("--M", help=f"derivative order, {_span('M')} (default 24)")
-    flags.add_argument("--y-max", help=f"evolution horizon, at most {_span('y_max')} (default 2)")
+    flags.add_argument("--M", help=f"derivative order, {_span('M')} (default {_num(RunConfig.M)})")
+    flags.add_argument("--y-max", help=f"evolution horizon, at most {_span('y_max')}"
+                       f" (default {_num(RunConfig.y_max)})")
     flags.add_argument("--theta", help="cf | cf:N | taylor:N | constant:V")
-    flags.add_argument("--grid-cells", help=f"cell count, {_span('grid_cells')} (default 400)")
+    flags.add_argument("--grid-cells", help=f"cell count, {_span('grid_cells')}"
+                       f" (default {_num(RunConfig.grid_cells)})")
     flags.add_argument("--grid-x-min")
     flags.add_argument("--grid-x-max")
     flags.add_argument("--snapshots", help=f"snapshot count, {_span('snapshots')}, uniform in [0, y_max]")

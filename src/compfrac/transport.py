@@ -166,19 +166,10 @@ class Grid:
         widths.flags.writeable = False
         return widths
 
-    @cached_property
-    def _powers(self) -> dict:
-        return {}
-
     def center_power(self, e) -> np.ndarray:
-        """x^e at the cell centers (read-only), built once per float(e), for
-        every reader: moments, conservation traces, initial values, spectra."""
-        e = float(e)
-        power = self._powers.get(e)
-        if power is None:
-            power = self._powers[e] = self.centers ** e
-            power.flags.writeable = False
-        return power
+        """x^float(e) at the cell centers, the one rule for every reader:
+        moments, conservation traces, initial values, spectra."""
+        return self.centers ** float(e)
 
     def to_json_dict(self) -> dict:
         return {
@@ -275,22 +266,17 @@ class PdeSolution:
         e = self.trace_energy
         return float(np.max(np.abs(e / e[0] - 1.0)))
 
-    @cached_property
-    def _times(self) -> list:
-        return [t for t, _ in self.snapshots]
-
     def snapshot(self, y: float) -> np.ndarray:
         """The stored state nearest y (the earlier one on a tie), within
-        1e-9 max(1, |y|); snapshots may lie closer together than that (down
-        to the solver's step floor)."""
-        times = self._times
+        1e-9 max(1, |y|); the solver stores one at every grid snapshot
+        time, and those may lie as close as its step floor."""
+        times = self.grid.snapshot_times
         k = bisect.bisect_left(times, y)  # times[k - 1] < y <= times[k]
         if k == len(times) or (k and y - times[k - 1] <= times[k] - y):
             k -= 1
-        t, F = self.snapshots[k]
-        if abs(t - y) <= 1e-9 * max(1.0, abs(y)):
-            return F
-        raise SnapshotMissing(f"no snapshot at y = {y}; stored: {times}")
+        if k >= 0 and abs(times[k] - y) <= 1e-9 * max(1.0, abs(y)):  # k = -1: none stored
+            return self.snapshots[k][1]
+        raise SnapshotMissing(f"no snapshot at y = {y}; stored: {list(times)}")
 
     def photon_spectrum(self, y: float) -> np.ndarray:
         """f(x, y) = F / x^i at the cell centers."""
@@ -339,7 +325,7 @@ class PdeSolution:
 def grid_moment(grid: Grid, F: np.ndarray, n, params: TransportParams) -> float:
     """I_n = integral x^n f dx = sum x_m^(n-i) F_m dx_m on cell centers.
 
-    The weight x^(n-i) is the grid's one table, ``Grid.center_power``, which
+    The weight x^(n-i) is the grid's one rule, ``Grid.center_power``, which
     the conservation traces and spectrum views read too, so moment checks
     downstream see exactly the quantities the scheme conserves.
     """
@@ -608,8 +594,8 @@ def solve_transport(
     atol = 1e-3 * rtol * float(F.max())
     dy = float(initial_dy)
 
-    accepted = rejected = rejected_negative = clipped = 0
-    step_widths: list = []  # of the accepted steps
+    rejected = rejected_negative = clipped = 0
+    step_widths: list = []  # one per accepted step: its length is their count
 
     def below_clip(G, low):
         # low is G.min(); max |G| is needed only when it is negative, and a
@@ -674,11 +660,10 @@ def solve_transport(
             F_new *= number / float((F_new * dx).sum())
             rates[-1] = op.apply(bands, F_new)
         F, k1, th = F_new, rates[-1], th_new
-        accepted += 1
         step_widths.append(dy_try)
         record(y, F)
 
-        if accepted + rejected > max_steps:
+        if len(step_widths) + rejected > max_steps:
             raise StepSizeUnderflow(f"exceeded {max_steps} steps at y = {y:.6g}")
 
         dy = dy_try * factor
@@ -687,7 +672,7 @@ def solve_transport(
     decades = Counter(math.floor(math.log10(h)) for h in step_widths)
     stats = {
         "method": "esdirk4(3)6l[2]sa",
-        "steps_accepted": accepted,
+        "steps_accepted": len(step_widths),
         "steps_rejected": rejected,
         "steps_rejected_negative": rejected_negative,
         "cells_clipped": clipped,

@@ -61,26 +61,22 @@ def self_consistency(
     """Compare the recovered temperature against the driving one.
 
     Passes iff max_y |theta_out - theta_in| / theta_in <= tolerance.
-    A deviation that is NaN counts as the worst: it is reported as
-    max_rel_dev at the first y where it occurs, and the check fails.
+    The worst row is the first whose deviation is NaN, else the first
+    with the largest deviation; a NaN fails the check.
     theta_fn must be the temperature the solver ran with, called as theta_fn(y);
     handing a different callable turns the report into a negative control.
     """
     rows = []
-    worst = -1.0
-    worst_y = 0.0
     for y, t_out in output_temperature(sol):
         t_in = theta_fn(y)
-        dev = abs(t_out - t_in) / t_in
-        rows.append((y, t_in, t_out, dev))
-        # NaN compares false both ways, so `not dev <= worst` takes the
-        # first NaN, and the guard keeps it against everything after
-        if not dev <= worst and not math.isnan(worst):
-            worst, worst_y = dev, y
+        rows.append((y, t_in, t_out, abs(t_out - t_in) / t_in))
+    # a NaN row keys False, ahead of any number; min keeps the first row
+    # that no later key undercuts, and a NaN key undercuts none
+    y, _, _, worst = min(rows, key=lambda row: (not math.isnan(row[3]), -row[3]))
     return VerificationReport(
         rows=tuple(rows),
         max_rel_dev=worst,
-        argmax_y=worst_y,
+        argmax_y=y,
         tolerance=tolerance,
         passed=worst <= tolerance,
         number_drift=sol.number_drift,

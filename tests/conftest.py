@@ -29,7 +29,8 @@ from compfrac.spectra import (
 )
 from compfrac.transport import Grid, solve_transport
 
-# the slowest test, test_scripts.py::test_convergence_study_rows, takes 5-7 s (2 CPUs)
+# the slowest test, test_contfrac.py::test_freefree_series_reference_at_level_128, takes
+# 14-16 s (2 CPUs), nearly all of it the M = 128 fraction fold (ROADMAP item 21)
 TEST_TIME_LIMIT_S = 60
 
 

@@ -273,6 +273,12 @@ def test_readme_limits_paragraph_states_every_bound():
     assert set(bounds) <= stated, set(bounds) - stated
 
 
+def test_flag_help_states_the_config_defaults():
+    stated = {action.dest: float(m[1]) for action in cli._config_flags()._actions
+              if (m := re.search(r"\(default ([^)]*)\)", action.help or ""))}
+    assert stated == {name: getattr(RunConfig(), name) for name in ("M", "y_max", "grid_cells")}
+
+
 def test_parse_spectrum():
     assert isinstance(_parse_spectrum("monoenergetic"), Monoenergetic)
     assert isinstance(_parse_spectrum("bremsstrahlung"), Bremsstrahlung)

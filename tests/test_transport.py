@@ -81,16 +81,12 @@ def test_grid_arrays_cached_read_only():
     assert grid.widths is grid.widths
     assert np.array_equal(grid.centers, np.sqrt(e[:-1] * e[1:]))
     assert np.array_equal(grid.widths, e[1:] - e[:-1])
-    # one array per exponent, keyed by the float that x ** e reads
-    cube = grid.center_power(3)
-    assert grid.center_power(Fraction(3)) is cube and grid.center_power(3.0) is cube
-    assert np.array_equal(cube, grid.centers ** 3.0)
-    two_thirds = grid.center_power(Fraction(2, 3))
-    assert grid.center_power(float(Fraction(2, 3))) is two_thirds
-    assert np.array_equal(two_thirds, grid.centers ** float(Fraction(2, 3)))
-    # 3.0 - float(7/3) rounds to the float below 2/3: a different exponent
-    assert grid.center_power(3.0 - float(Fraction(7, 3))) is not two_thirds
-    for arr in (grid.centers, grid.widths, cube, two_thirds):
+    # x ** float(e), whatever type the exponent has
+    for e in (3, Fraction(3), 3.0):
+        assert np.array_equal(grid.center_power(e), grid.centers ** 3.0)
+    for e in (Fraction(2, 3), float(Fraction(2, 3))):
+        assert np.array_equal(grid.center_power(e), grid.centers ** float(Fraction(2, 3)))
+    for arr in (grid.centers, grid.widths):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -382,6 +378,13 @@ def test_snapshot_lookup_takes_nearest_earlier_on_tie():
             sol.snapshot(y)
 
 
+def test_snapshot_lookup_with_none_stored():
+    grid = Grid.log_spaced(cells=40, snapshots=())
+    sol = solve_transport(Bremsstrahlung(), RationalForm.constant(1.0), grid, rtol=1e-3)
+    with pytest.raises(SnapshotMissing, match=r"stored: \[\]"):
+        sol.snapshot(0.0)
+
+
 def test_snapshot_lookup_scales_to_many_snapshots():
     # a scan of every stored time per lookup would make about 9e8 key
     # calls here; the lookup bisects
@@ -635,6 +638,12 @@ def test_closure_keeps_wien_fixed_point():
 def test_closure_conserves_photon_number(closure_runs):
     for sol in closure_runs.values():
         assert sol.number_drift <= 1e-12
+
+
+def test_closure_runs_store_every_grid_snapshot_time(closure_runs):
+    # PdeSolution.snapshot looks times up in the grid's tuple
+    for sol in closure_runs.values():
+        assert tuple(t for t, _ in sol.snapshots) == sol.grid.snapshot_times
 
 
 @pytest.mark.parametrize(
@@ -935,6 +944,8 @@ def test_solve_bit_identical_to_plain_esdirk(request, case):
     sol = solve_transport(**kwargs)
     snaps, trace_y, trace_number, trace_energy, stats = plain_esdirk(**kwargs)
     assert [t for t, _ in sol.snapshots] == [t for t, _ in snaps]
+    # PdeSolution.snapshot looks times up in the grid's tuple
+    assert tuple(t for t, _ in sol.snapshots) == sol.grid.snapshot_times
     for (_, got), (_, want) in zip(sol.snapshots, snaps):
         assert np.array_equal(got, want)
     assert np.array_equal(sol.trace_y, trace_y)

@@ -81,6 +81,19 @@ def test_one_nan_row_fails(brems_run, brems_theta):
     assert sum(math.isnan(row[3]) for row in report.rows) == 1
 
 
+def test_tied_largest_deviation_reports_the_earlier_row(brems_run, brems_theta):
+    # theta_in = theta_out / 2 gives a deviation of exactly 1 at two rows,
+    # far above every other row's (within 1.5 percent)
+    recovered = dict(output_temperature(brems_run))
+    early, late = brems_run.grid.snapshot_times[3], brems_run.grid.snapshot_times[7]
+    report = self_consistency(
+        brems_run, lambda y: recovered[y] / 2 if y in (early, late) else brems_theta(y)
+    )
+    assert [row[3] for row in report.rows].count(1.0) == 2
+    assert report.max_rel_dev == 1.0
+    assert report.argmax_y == early
+
+
 def test_all_nan_rows_fail(brems_run):
     report = self_consistency(brems_run, lambda y: float("nan"))
     assert not report.passed
