@@ -243,12 +243,13 @@ def _render_e12(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PdeSolution:
-    """Snapshots of F on the grid plus per-step conservation traces."""
+    """Snapshots of F on the grid, one per ``grid.snapshot_times`` in the
+    same order (``snapshot`` relies on it), plus per-step conservation traces."""
 
     grid: Grid
     params: TransportParams
     theta_description: str
-    snapshots: tuple  # ((y, F array), ...) in y order
+    snapshots: tuple  # ((y, F array), ...), one per grid.snapshot_times, in its order
     trace_y: np.ndarray
     trace_number: np.ndarray
     trace_energy: np.ndarray
@@ -548,10 +549,11 @@ def solve_transport(
     dx = grid.widths
     op = _Operator(grid, params)
     y = 0.0
+    energy_weight, weight_4 = (grid.center_power(n - params.i) for n in (3, 4))  # grid_moment's
 
     def closure_theta(G):
-        i3 = grid_moment(grid, G, 3, params)
-        value = grid_moment(grid, G, 4, params) / (4.0 * i3) if i3 else math.nan
+        i3 = float((energy_weight * G * dx).sum())
+        value = float((weight_4 * G * dx).sum()) / (4.0 * i3) if i3 else math.nan
         if not (math.isfinite(value) and value > 0):
             raise NonPositiveTemperature(
                 f"closure theta = I_4/(4 I_3) = {value!r} near y = {y:.6g}"
@@ -575,7 +577,6 @@ def solve_transport(
     th = closure_theta(F) if closure else theta(0.0)
     k1 = op.apply(op.assemble(th), F)
 
-    energy_weight = grid.center_power(3 - params.i)  # of grid_moment(..., 3, ...)
     trace_y, trace_number, trace_energy, snaps = [], [], [], []
     pending = list(grid.snapshot_times)
 
