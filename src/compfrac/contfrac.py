@@ -9,10 +9,10 @@ continued fraction
 whose coefficients and rational forms P_n/Q_n come from one recursion,
 the three-term convergent recurrence (_fold): cf_coefficients reads each
 c_n off the levels already folded.  Everything up to evaluation is
-exact: coefficients and rational forms are Fractions at the interface,
-computed inside in integers over shared denominators (each level a pair
-of integer polynomials over one denominator), with one content reduction
-per level instead of one gcd per entry.
+exact: the coefficients are Fractions at the interface, computed inside
+in integers over shared denominators (each level a pair of integer
+polynomials over one denominator), with one content reduction per level
+instead of one gcd per entry.
 
 Each fraction is folded once and caches one RationalForm per level 0..N
 (cf_coefficients hands its forms to the fraction it returns; one read
@@ -20,9 +20,10 @@ from JSON folds its stored coefficients on the first request), so
 selection, defect reports and the driving temperature all read the
 same fold, and so do cf_eval (float) and cf_eval_exact (exact).  A form
 holds integer polynomials, a Taylor partial sum being the [N/0] form
-(taylor_form); its Fraction and float coefficients (each rounded once
-from the integers) are built on first use, and calling it is the one
-float evaluation.  find_defects counts the real roots of those integers
+(taylor_form); its exact values come from those integers (ratio_at,
+eval_exact), its float coefficients (each rounded once from the
+integers) are built on first use, and calling it is the one float
+evaluation.  find_defects counts the real roots of those integers
 on (0, y_max] exactly; a level is selected, or drives a solve, only when
 proved finite and positive there.  Selection ranks tails in integers
 too: one correctly rounded int / int per float, cross-multiplied comparisons.
@@ -37,7 +38,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .moments import DerivativeTable, _push, _quotient_coefficient, rational_rows, rationals_from_rows
-from .spectra import NumericalFailure
+from .spectra import NumericalFailure, UnsupportedParams
 
 
 class PoleHit(NumericalFailure, ArithmeticError):
@@ -60,9 +61,9 @@ class ContinuedFraction:
     """Exact coefficients c0..cN plus the termination diagnostic.
 
     ``pivot_break`` is the level n whose residual coefficient r_{n-1}
-    vanished (see cf_coefficients); the stored coefficients end just below
-    it and represent the function exactly (a terminating fraction), which
-    is why this is a diagnostic rather than an error.
+    vanished and the residual of level n - 1 was proved zero through the
+    table's order M (see cf_coefficients): the stored coefficients end at
+    that terminating fraction, which is why this is a diagnostic, not an error.
     """
 
     coefficients: tuple
@@ -140,18 +141,27 @@ def cf_coefficients(table: DerivativeTable) -> ContinuedFraction:
     and obeys the fold's recurrence, so c_n = -r_{n-1}/r_{n-2}, where
     r_{n-1} = [y^n] Q_{n-1} S is one integer dot product of the fold's q
     with the Taylor numerators.  A vanishing r_{n-1} ends the fraction at
-    level n - 1, which then represents the series exactly.
+    level n - 1 only when the same dot vanishes at orders n+1..M too, so the
+    level's series is the table's through y^M; else the Pade table has a
+    block there, which the fraction cannot pass (UnsupportedParams).
     """
     series, common = table.maclaurin
-    # r_{n-1} = t / (q[0] common), as Q(0) = 1; r_{-1} = theta(0) = 1,
-    # which DerivativeTable enforces
+    # [y^m] Q_{n-1} S = dot(m) / (q[0] common), as Q(0) = 1 and P_{n-1} has
+    # degree below n; r_{-1} = theta(0) = 1, which DerivativeTable enforces
     t_last, d_last = series[0], 1
 
     def residual_rule(n: int, q: Sequence[int]) -> Fraction | None:
         nonlocal t_last, d_last
-        t = sum(a * b for a, b in zip(q, series[n::-1]))
+        dot = lambda m: sum(a * b for a, b in zip(q, series[m::-1]))
+        t = dot(n)
         if t == 0:
-            return None
+            m = next((m for m in range(n + 1, len(series)) if dot(m)), None)
+            if m is None:
+                return None
+            raise UnsupportedParams(
+                f"{table.spectrum}, {table.params.describe()}: level {n - 1} of the continued"
+                f" fraction matches the series through y^{m - 1} but not y^{m}, a Pade block"
+                f" that the fraction cannot pass")
         c = Fraction(-t * d_last, t_last * q[0])
         t_last, d_last = t, q[0]
         return c
@@ -199,14 +209,6 @@ class RationalForm:
         v = float(value)
         n, d = v.as_integer_ratio()
         return cls((n,), (d,), f"constant {v:.6g}")
-
-    @cached_property
-    def numerator(self) -> tuple:
-        return tuple(Fraction(x, self.q[0]) for x in self.p)
-
-    @cached_property
-    def denominator(self) -> tuple:
-        return tuple(Fraction(x, self.q[0]) for x in self.q)
 
     @cached_property
     def floats(self) -> tuple:

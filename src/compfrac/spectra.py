@@ -283,9 +283,6 @@ class EquilibriumSpectrum:
 
     profile = __call__
 
-    def number_density(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float) ** float(self.params.i) * self(x)
-
     def describe(self) -> str:
         return f"equilibrium(theta={self.theta:.6g}, n_r={self.n_r:.6g})"
 

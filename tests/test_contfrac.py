@@ -33,8 +33,18 @@ from compfrac.contfrac import (
     taylor_form,
     to_rational,
 )
-from compfrac.moments import DerivativeTable, theta_derivatives_comptonization
-from compfrac.spectra import COMPTONIZATION, Bremsstrahlung, Monoenergetic
+from compfrac.moments import (
+    DerivativeTable,
+    theta_derivatives_comptonization,
+    theta_derivatives_general,
+)
+from compfrac.spectra import (
+    COMPTONIZATION,
+    Bremsstrahlung,
+    Monoenergetic,
+    TransportParams,
+    UnsupportedParams,
+)
 
 MONO_HEAD = (Fraction(1), Fraction(-2), Fraction(5), Fraction(-5, 3), Fraction(269, 75))
 BREMS_HEAD = (Fraction(1), Fraction(6), Fraction(5), Fraction(167, 15), Fraction(22511, 2505))
@@ -50,6 +60,11 @@ def synthetic_table(values):
     )
 
 
+def exact_coefficients(rf):
+    """A level's P and Q as Fraction coefficients, its integers over q[0]."""
+    return tuple(tuple(Fraction(x, rf.q[0]) for x in side) for side in (rf.p, rf.q))
+
+
 def test_coefficient_anchors(mono_cf, brems_cf):
     assert mono_cf.coefficients[:5] == MONO_HEAD
     assert brems_cf.coefficients[:5] == BREMS_HEAD
@@ -63,15 +78,11 @@ def test_low_level_forms(mono_cf):
     # Psi_1 = 1/(1 - 2y), Psi_2 = (1 + 5y)/(1 + 3y),
     # Psi_3 = (1 + 10y/3)/(1 + 4y/3 + 10y^2/3), held as integers over 3
     rf1 = to_rational(mono_cf, 1)
-    assert rf1.numerator == (Fraction(1),)
-    assert rf1.denominator == (Fraction(1), Fraction(-2))
+    assert (rf1.p, rf1.q) == ((1,), (1, -2))
     rf2 = to_rational(mono_cf, 2)
-    assert rf2.numerator == (Fraction(1), Fraction(5))
-    assert rf2.denominator == (Fraction(1), Fraction(3))
+    assert (rf2.p, rf2.q) == ((1, 5), (1, 3))
     rf3 = to_rational(mono_cf, 3)
     assert (rf3.p, rf3.q) == ((3, 10), (3, 4, 10))
-    assert rf3.numerator == (Fraction(1), Fraction(10, 3))
-    assert rf3.denominator == (Fraction(1), Fraction(4, 3), Fraction(10, 3))
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 5, 10, 17, 24])
@@ -111,6 +122,17 @@ def test_pivot_break_terminates_fraction():
     assert cf.pivot_break == 3
     assert cf_eval_exact(cf, 2, Fraction(7, 10)) == Fraction(24, 10)
     assert cf_eval(cf, 2, 0.7) == pytest.approx(2.4, rel=1e-14)
+
+
+def test_pade_block_refused():
+    # (i, j, k, alpha) = (2, 1, 2, 1) has theta = (1 + e^(-2y))/2, and its
+    # level 1, 1/(1 + y), matches the series through y^2 but not y^3: the
+    # residual vanishes at a block of the Pade table, not at an ending
+    table = theta_derivatives_general(TransportParams(2, 1, 2, 1), Monoenergetic(), 24)
+    with pytest.raises(UnsupportedParams, match=r"^monoenergetic\(x0=4, n0=1\), params\(i=2, j=1,"
+                       r" k=2, alpha=1\): level 1 of the continued fraction matches the series"
+                       r" through y\^2 but not y\^3, a Pade block"):
+        cf_coefficients(table)
 
 
 def test_consistency_of_evaluators(mono_cf):
@@ -276,16 +298,15 @@ def test_form_floats_match_exact_coefficients(deep_fraction):
     selection = select_approximant(cf, 2.0)
     for n in range(cf.truncation + 1):
         rf = to_rational(cf, n)
-        num, den = rf.floats
-        assert num == tuple(float(c) for c in rf.numerator)
-        assert den == tuple(float(c) for c in rf.denominator)
+        num, den = exact_coefficients(rf)
+        assert rf.floats == (tuple(map(float, num)), tuple(map(float, den)))
         assert selection.candidates[n].report == find_defects(rf, 2.0)
     # a Taylor driver is the [n/0] form: its floats are each exact
     # theta^(n)(0)/n! rounded once, not float(theta^(n)(0)) / n!
     series = [table[m] / _fact(m) for m in range(table.order + 1)]
     for n in range(table.order + 1):
         rf = taylor_form(table, n)
-        assert (rf.numerator, rf.denominator) == (tuple(series[: n + 1]), (1,))
+        assert exact_coefficients(rf) == (tuple(series[: n + 1]), (1,))
         assert rf.floats == (tuple(float(c) for c in series[: n + 1]), (1.0,))
 
 
@@ -537,12 +558,21 @@ def test_selection_json_shape(mono_selection):
 series_values = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
+def unblocked_fraction(table):
+    """cf_coefficients of the table, with a series it refuses at a Pade
+    block assumed away."""
+    try:
+        return cf_coefficients(table)
+    except UnsupportedParams:
+        assume(False)
+
+
 @settings(max_examples=40, deadline=None)
 @given(tail=st.lists(series_values, min_size=1, max_size=6))
 def test_order_matching_random_series(tail):
     coeffs = [Fraction(1)] + tail
     table = synthetic_table([c * _fact(m) for m, c in enumerate(coeffs)])
-    cf = cf_coefficients(table)
+    cf = unblocked_fraction(table)
     assume(cf.pivot_break is None)
     level = cf.truncation
     got = maclaurin_of_rational(to_rational(cf, level), level)
@@ -555,8 +585,8 @@ def test_coefficients_prefix_stable(tail):
     # extending the series never changes the coefficients already built
     coeffs = [Fraction(1)] + tail
     values = [c * _fact(m) for m, c in enumerate(coeffs)]
-    full = cf_coefficients(synthetic_table(values))
-    short = cf_coefficients(synthetic_table(values[:-1]))
+    full = unblocked_fraction(synthetic_table(values))
+    short = unblocked_fraction(synthetic_table(values[:-1]))
     assume(full.pivot_break is None and short.pivot_break is None)
     assert full.coefficients[: len(short.coefficients)] == short.coefficients
 
@@ -591,12 +621,22 @@ sparse_values = st.one_of(st.just(Fraction(0)), series_values)
 @given(tail=st.lists(sparse_values, max_size=9))
 @example(tail=[])
 @example(tail=[Fraction(2), Fraction(0), Fraction(0), Fraction(0)])
+@example(tail=[Fraction(-1), Fraction(1), Fraction(-2, 3)])
 def test_coefficients_match_quotient_difference_oracle(tail):
-    # a second route to the c_n: with many zero terms many of these
-    # fractions terminate, so the pivot break is checked as well
-    table = synthetic_table([c * _fact(m) for m, c in enumerate([Fraction(1)] + tail)])
-    cf = cf_coefficients(table)
-    assert (cf.coefficients, cf.pivot_break) == qd_coefficients(table)
+    # a second route to the c_n: with many zero terms many of these series
+    # break.  A break whose last level matches the series through M is a
+    # true termination, and the pivot break is checked as well; any other
+    # is a Pade block, which cf_coefficients refuses at that level
+    series = [Fraction(1)] + tail
+    table = synthetic_table([c * _fact(m) for m, c in enumerate(series)])
+    coeffs, pivot_break = qd_coefficients(table)
+    last = to_rational(ContinuedFraction(coeffs), len(coeffs) - 1)
+    if maclaurin_of_rational(last, table.order) == series:
+        cf = cf_coefficients(table)
+        assert (cf.coefficients, cf.pivot_break) == (coeffs, pivot_break)
+    else:
+        with pytest.raises(UnsupportedParams, match=f"level {pivot_break - 1} of the continued"):
+            cf_coefficients(table)
 
 
 def test_shipped_coefficients_match_quotient_difference_oracle(shipped_fractions_64):
@@ -667,8 +707,8 @@ def unscaled_fold(cf):
 def plain_maclaurin_of_rational(rf: RationalForm, order: int) -> list:
     """The series of P/Q by the plain Fraction recurrence
     [y^n] P/Q = (P_n - sum_{l=1..n} Q_l [y^(n-l)] P/Q) / Q_0."""
-    num = list(rf.numerator) + [Fraction(0)] * max(0, order + 1 - len(rf.numerator))
-    den = list(rf.denominator) + [Fraction(0)] * max(0, order + 1 - len(rf.denominator))
+    num, den = (list(x) + [Fraction(0)] * max(0, order + 1 - len(x))
+                for x in exact_coefficients(rf))
     out: list = []
     for n in range(order + 1):
         acc = num[n]
@@ -728,8 +768,7 @@ def test_fold_matches_plain_recurrence(coeffs):
     # zero coefficients leave trailing zeros to trim, and unlike
     # denominators exercise the per-level common denominator
     cf = ContinuedFraction(coefficients=tuple(coeffs))
-    got = [(to_rational(cf, n).numerator, to_rational(cf, n).denominator)
-           for n in range(len(coeffs))]
+    got = [exact_coefficients(to_rational(cf, n)) for n in range(len(coeffs))]
     assert got == plain_fold(tuple(coeffs))
 
 

@@ -192,6 +192,23 @@ def test_general_route_stops_at_index_i():
     assert table.values == (Fraction(1),) + (Fraction(0),) * 8
 
 
+@pytest.mark.parametrize(
+    "ijka, spectrum",
+    [((3, 1, 2, 2), Monoenergetic()), ((4, 1, 2, 3), Monoenergetic()),
+     ((4, 1, 2, 3), Bremsstrahlung())],
+    ids=["3-1-2-2-monoenergetic", "4-1-2-3-monoenergetic", "4-1-2-3-bremsstrahlung"],
+)
+def test_general_route_matches_closed_form_at_depth(ijka, spectrum):
+    # with k = 2 and j = 1 both hierarchy terms are I_n, so for any initial
+    # spectrum theta(y) = 1/(alpha+1) + alpha/(alpha+1) e^((alpha-i)(alpha+1) y)
+    # and theta^(n)(0) = alpha (alpha-i)^n (alpha+1)^(n-1) for n >= 1
+    i, _, _, alpha = ijka
+    table = theta_derivatives_general(TransportParams(*ijka), spectrum, DEEP)
+    assert table.values == (1,) + tuple(
+        Fraction(alpha * (alpha - i) ** n * (alpha + 1) ** (n - 1)) for n in range(1, DEEP + 1))
+    assert table.moment_indices == (alpha,)
+
+
 def test_table_metadata(mono_table):
     assert mono_table.order == 24
     assert mono_table.params == COMPTONIZATION

@@ -86,7 +86,7 @@ def test_equilibrium_spectrum_wien_shape():
     assert np.allclose(slopes, -0.75, rtol=1e-9)
     # number moment integrates to n_r
     xs = np.geomspace(1e-4, 200, 40000)
-    number = np.trapezoid(eq.number_density(xs), xs)
+    number = np.trapezoid(xs**2 * eq(xs), xs)
     assert abs(number - 1.0) < 1e-6
 
 

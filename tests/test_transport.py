@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dgtsv as public_dgtsv
 from compfrac import transport
 from compfrac.cli import write_run_manifest, write_snapshot_csv
 from compfrac.contfrac import PoleHit, RationalForm, cf_coefficients, taylor_form, to_rational
-from compfrac.moments import theta_derivatives_comptonization
+from compfrac.moments import theta_derivatives_comptonization, theta_derivatives_general
 from compfrac.spectra import (
     COMPTONIZATION,
     Bremsstrahlung,
@@ -1007,6 +1007,26 @@ def test_shipped_theta_out_within_1e6_of_tight_run(request, case):
     tight = output_temperature(solve_transport(**kwargs, rtol=1e-10))
     assert [y for y, _ in shipped] == [y for y, _ in tight]
     assert max(abs(a - b) / b for (_, a), (_, b) in zip(shipped, tight)) <= 1e-6
+
+
+def test_spatial_order_against_closed_form_temperature():
+    # (i, j, k, alpha) = (3, 1, 2, 2) closes: theta(y) = 1/3 + (2/3) e^(-3y)
+    # for any initial spectrum (tests/test_moments.py pins its table).  Level
+    # 24 of its own fraction is within 5e-15 of it at y = 2, so theta_out
+    # against the closed form is the solver's error alone.  Measured: worst
+    # 1.822e-4, 4.524e-5 and 1.111e-5 (4.03x and 4.07x per doubling), number
+    # drift at most 2.6e-14, 0.1-0.2 s for the three solves
+    params = TransportParams(3, 1, 2, 2)
+    theta = to_rational(cf_coefficients(theta_derivatives_general(params, Monoenergetic(), 24)), 24)
+    worst = []
+    for cells in (400, 800, 1600):
+        grid = Grid.log_spaced(cells=cells, x_min=1e-4, x_max=1e7, y_end=2.0, snapshots=21)
+        sol = solve_transport(Monoenergetic(), theta, grid, params, rtol=1e-6)
+        assert sol.number_drift <= 3e-14
+        exact = [1 / 3 + 2 / 3 * math.exp(-3 * y) for y in grid.snapshot_times]
+        worst.append(max(abs(t - e) / e for (_, t), e in zip(output_temperature(sol), exact)))
+    assert worst[0] < 2e-4
+    assert worst[0] / worst[1] >= 3.5 and worst[1] / worst[2] >= 3.5
 
 
 def test_solver_stats(mono_run):
